@@ -1,7 +1,7 @@
 """Command-line surface: eval, table1, verify, enumerate.
 
 Exit codes: 0 success / no violations, 1 violations or table mismatch,
-2 input parse error, 3 invalid parameters or bounds.
+2 input parse or i/o error, 3 invalid parameters or bounds.
 """
 
 from __future__ import annotations
@@ -33,7 +33,15 @@ from .graphs import (
     intersection_graph,
     parse_graph,
 )
-from .invariants import e_l_parity, r_k, r_k_graph, sl2_projected, w_c
+from .invariants import (
+    MIN_K,
+    MIN_L,
+    e_l_parity,
+    r_k,
+    r_k_graph,
+    sl2_projected,
+    w_c,
+)
 from .polynomials import IntPolynomial
 from .sl2 import sl2_oracle, sl2_recursive
 
@@ -114,6 +122,9 @@ def main(argv=None) -> int:
     except (DiagramError, GraphError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (ParamError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
@@ -151,10 +162,10 @@ def _cmd_eval(args) -> int:
         raise ParamError(
             f"invariant {name!r} not valid for this input kind (choose from {valid})"
         )
-    if name in ("rk", "rk-graph") and not args.k:
-        raise ParamError(f"{name} requires --k")
-    if name == "el-parity" and not args.l:
-        raise ParamError("el-parity requires --l")
+    if name in ("rk", "rk-graph"):
+        verify_mod.require_at_least(name, "k", args.k, MIN_K)
+    if name == "el-parity":
+        verify_mod.require_at_least(name, "l", args.l, MIN_L)
     rows = []
     for text in _gather_inputs(args):
         if args.graph:
@@ -246,7 +257,13 @@ def _default_jobs(args) -> int:
         jobs = int(os.environ.get("CHORDLAB_JOBS", "1"))
     if jobs < 1:
         raise ParamError("--jobs must be at least 1")
-    return jobs
+    return clamp_jobs(jobs, os.cpu_count())
+
+
+def clamp_jobs(jobs: int, cpus: int | None) -> int:
+    """Worker processes to start for --jobs: never more than the CPUs
+    (one when the count is unknown).  Output does not depend on it."""
+    return min(jobs, cpus or 1)
 
 
 def _verify_params(args) -> dict:

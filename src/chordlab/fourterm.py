@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .diagrams import (
     ChordDiagram,
@@ -175,20 +175,31 @@ def verify_weight_system(
                 quad = diagram_four_term(d, p, signs)
                 _check(report, quad, f)
     elif mode == "sample":
-        rng = random.Random(seed)
-        done = 0
-        while done < count:
-            d = random_diagram(order, rng)
-            positions = neighbor_positions(d)
-            if not positions:
-                continue
-            p = positions[rng.randrange(len(positions))]
-            quad = diagram_four_term(d, p, signs)
+        for quad in sampled_four_term(order, count, seed, signs):
             _check(report, quad, f)
-            done += 1
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     return report.finalize()
+
+
+def sampled_four_term(
+    order: int,
+    count: int,
+    seed: int,
+    signs: tuple[int, int, int, int] = DEFAULT_SIGNS,
+) -> Iterator[RelationQuadruple]:
+    """`count` 4-term instances: a random diagram of the order, then a
+    random neighboring-end position on it, all drawn from one seed."""
+    rng = random.Random(seed)
+    done = 0
+    while done < count:
+        d = random_diagram(order, rng)
+        positions = neighbor_positions(d)
+        if not positions:
+            continue
+        p = positions[rng.randrange(len(positions))]
+        yield diagram_four_term(d, p, signs)
+        done += 1
 
 
 def verify_graph_four_term(
@@ -196,23 +207,20 @@ def verify_graph_four_term(
     order: int,
     invariant: str = "f",
     signs: tuple[int, int, int, int] = DEFAULT_SIGNS,
-    table: Sequence | None = None,
 ) -> VerificationReport:
     """Signed sums of f over all labeled graphs and ordered vertex pairs.
 
-    With `table`, values are looked up by edge mask instead of calling f
-    (the moves are cheap bit transforms, so this makes exhaustive runs
-    over all 2^15 six-vertex graphs practical).
+    Object-level reference; the exhaustive suites run the edge-mask
+    engine `verify.graph_four_term_masked` on a value table instead.
     """
     report = VerificationReport(invariant=invariant, order=order)
-    lookup = (lambda g: table[g.edge_mask()]) if table is not None else f
     for g in _all_graphs(order):
         for a in range(order):
             for b in range(order):
                 if a == b:
                     continue
                 quad = graph_four_term(g, a, b, signs)
-                _check(report, quad, lookup)
+                _check(report, quad, f)
     return report.finalize()
 
 
@@ -220,11 +228,12 @@ def two_term_check(
     f: Callable[[SimpleGraph], object],
     order: int,
     invariant: str = "f",
-    table: Sequence | None = None,
 ) -> VerificationReport:
-    """Check f(g) == f(g~) for all labeled graphs and ordered pairs."""
+    """Check f(g) == f(g~) for all labeled graphs and ordered pairs.
+
+    Object-level reference for `verify.two_term_masked`.
+    """
     report = VerificationReport(invariant=invariant, order=order)
-    lookup = (lambda g: table[g.edge_mask()]) if table is not None else f
     for g in _all_graphs(order):
         for a in range(order):
             for b in range(order):
@@ -232,7 +241,7 @@ def two_term_check(
                     continue
                 tilde = graph_tilde(g, a, b)
                 report.checked += 1
-                diff = lookup(g) - lookup(tilde)
+                diff = f(g) - f(tilde)
                 if not _is_zero(diff):
                     report.add_violation(
                         [format_graph(g), format_graph(tilde)], diff

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .diagrams import ChordDiagram, word_positions
 
 
@@ -369,6 +371,37 @@ def gf2_rank(rows: Sequence[int], n_cols: int) -> int:
     return rank
 
 
+def gf2_rank_batch(rows: np.ndarray, n_cols: int) -> np.ndarray:
+    """GF(2) ranks of a batch of bit-row matrices.
+
+    ``rows`` has shape (k, B): column j holds the k bit rows of matrix j.
+    Elimination runs column by column with a separate pivot per matrix,
+    so the whole batch shares one short loop of numpy operations.  Agrees
+    with :func:`gf2_rank` matrix by matrix.
+    """
+    work = np.array(rows, copy=True)
+    batch = work.shape[1]
+    rank = np.zeros(batch, dtype=np.int64)
+    free = np.ones(work.shape, dtype=bool)
+    lanes = np.arange(batch)
+    present = int(np.bitwise_or.reduce(work, axis=None)) if work.size else 0
+    for col in range(n_cols):
+        if not present >> col & 1:
+            continue
+        hit = (work >> col & 1).astype(bool)
+        cand = hit & free
+        has = cand.any(axis=0)
+        pivot = cand.argmax(axis=0)
+        prow = work[pivot, lanes]
+        # clear the column from every other row that holds it
+        hit[pivot, lanes] = False
+        hit &= has
+        work ^= np.where(hit, prow, 0)
+        free[pivot, lanes] &= ~has
+        rank += has
+    return rank
+
+
 def graph_prime(g: SimpleGraph, a: int, b: int) -> SimpleGraph:
     """Toggle the adjacency of a and b; everything else unchanged."""
     if a == b:
@@ -457,6 +490,28 @@ def tilde_mask(n: int, mask: int, a: int, b: int) -> int:
         if c != a and c != b and mask >> row_b[c] & 1:
             flip |= 1 << row_a[c]
     return mask ^ flip
+
+
+def edge_mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """Adjacency bit rows, shape (n, B), of a batch of edge masks."""
+    ptab = pair_index_table(n)
+    rows = np.zeros((n, len(masks)), dtype=np.int64)
+    for u in range(n):
+        for v in range(u + 1, n):
+            bit = masks >> ptab[u][v] & 1
+            rows[u] |= bit << v
+            rows[v] |= bit << u
+    return rows
+
+
+def tilde_masks(n: int, masks: np.ndarray, a: int, b: int) -> np.ndarray:
+    """:func:`tilde_mask` applied to every edge mask of an array."""
+    ptab = pair_index_table(n)
+    flip = np.zeros_like(masks)
+    for c in range(n):
+        if c != a and c != b:
+            flip |= (masks >> ptab[b][c] & 1) << ptab[a][c]
+    return masks ^ flip
 
 
 @lru_cache(maxsize=None)

@@ -7,13 +7,17 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .diagrams import ChordDiagram, canonical_code, induced_subdiagram
 from .graphs import (
     SimpleGraph,
     cycle_sign,
     directed_intersection_graph,
+    edge_mask_rows,
     enumerate_cycles,
     gf2_rank,
+    gf2_rank_batch,
     graph_prime,
     graph_tilde,
     intersection_graph,
@@ -24,6 +28,11 @@ from .polynomials import IntPolynomial
 from .sl2 import sl2_recursive
 
 sl2 = sl2_recursive
+
+# smallest cycle parameters the invariants are defined for: 2k-cycles
+# with k >= 2 and l-cycles with l >= 4
+MIN_K = 2
+MIN_L = 4
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +67,8 @@ def _hamiltonian_cycle_count(g: SimpleGraph) -> int:
 
 def r_k_oriented(d: ChordDiagram, k: int, flip_mask: int) -> int:
     """Signed 2k-cycle count under an explicit chord orientation mask."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    if k < MIN_K:
+        raise ValueError(f"k must be at least {MIN_K}")
     n = d.n
     if n < 2 * k:
         return 0
@@ -78,8 +87,8 @@ def r_k(d: ChordDiagram, k: int) -> int:
     The result does not depend on the chord orientation, so the canonical
     one (each chord directed from its first endpoint) is used.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    if k < MIN_K:
+        raise ValueError(f"k must be at least {MIN_K}")
     if d.n < 2 * k:
         return 0
     key = (canonical_code(d), k)
@@ -91,8 +100,8 @@ def r_k(d: ChordDiagram, k: int) -> int:
 
 def e_l_parity(g: SimpleGraph, l: int) -> int:
     """Parity of the number of l-cycles with l distinct vertices."""
-    if l < 4:
-        raise ValueError("l must be at least 4")
+    if l < MIN_L:
+        raise ValueError(f"l must be at least {MIN_L}")
     if l > g.n:
         return 0
     if l == g.n:
@@ -170,8 +179,9 @@ def _wc_primitive_part(g: SimpleGraph) -> int:
     return partition_log_full(values, n)
 
 
-def _neg_half(total: int, what: str) -> int:
-    if total % 2 != 0:
+def _neg_half(total, what: str):
+    """-total / 2 for an int or an integer array; odd entries raise."""
+    if np.any(total % 2):
         raise AssertionError(f"{what} must be even, got {total}")
     return -total // 2
 
@@ -187,6 +197,28 @@ def r_k_via_wc(d: ChordDiagram, k: int) -> int:
     return _neg_half(_wc_primitive_part(intersection_graph(d)), "projected indicator")
 
 
+def r_k_graph_batch(n: int, masks: np.ndarray, k: int) -> np.ndarray:
+    """:func:`r_k_graph` on a batch of n == 2k vertex graphs, given as an
+    array of edge masks.
+
+    The route is the scalar one, batched: every induced subgraph's
+    nondegeneracy from one :func:`gf2_rank_batch` call per vertex subset,
+    then one :func:`partition_log_full` over int32 arrays.  Keep batches
+    to a few thousand masks; the single-graph route stays cheaper.
+    """
+    if k < MIN_K:
+        raise ValueError(f"k must be at least {MIN_K}")
+    if n != 2 * k:
+        raise ValueError("the batched route needs graphs on exactly 2k vertices")
+    rows = edge_mask_rows(n, masks)
+    values: list = [None] * (1 << n)
+    for sub in range(1, 1 << n):
+        members = [u for u in range(n) if sub >> u & 1]
+        ranks = gf2_rank_batch(rows[members] & sub, n)
+        values[sub] = (ranks == len(members)).astype(np.int32)
+    return _neg_half(partition_log_full(values, n), "projected indicator")
+
+
 def r_k_graph(g: SimpleGraph, k: int) -> int:
     """Extension of R_k to arbitrary graphs.
 
@@ -196,8 +228,8 @@ def r_k_graph(g: SimpleGraph, k: int) -> int:
     convolution with the all-ones invariant, i.e. the 2k-vertex core
     summed over all induced subgraphs on 2k vertices.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    if k < MIN_K:
+        raise ValueError(f"k must be at least {MIN_K}")
     if g.n == 2 * k:
         return _neg_half(_wc_primitive_part(g), "projected indicator")
     if g.n < 2 * k:

@@ -57,6 +57,13 @@ def partition_log_full(values: Sequence, n: int):
     This is the Moebius/log transform on the partition lattice, computed
     with the recursion on the block containing the minimum element; cost
     is O(3^n) ring operations instead of a sum over all partitions.
+
+    Any ring works, including numpy integer arrays with a batch axis
+    (one partition sum per lane, one call per batch).  Array arithmetic
+    wraps silently, so the caller must keep every partial sum inside the
+    dtype.  With all |values[mask]| <= 1 no partial sum exceeds
+    2 * sum_j S(n, j) (j-1)! in absolute value (S the Stirling numbers of
+    the second kind): 2164 at n = 6, so int32 is exact up to n = 11.
     """
     if n <= 0:
         raise ValueError("n must be positive")

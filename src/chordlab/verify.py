@@ -8,6 +8,7 @@ and have their reports merged deterministically afterwards.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Sequence
 
@@ -30,16 +31,25 @@ from .fourterm import (
     diagram_four_term,
     four_term_words,
     neighbor_positions,
-    verify_weight_system,
+    sampled_four_term,
 )
-from .graphs import SimpleGraph, gf2_rank, interleave_rows
+from .graphs import (
+    SimpleGraph,
+    edge_mask_rows,
+    format_graph,
+    gf2_rank_batch,
+    interleave_rows,
+    pair_index_table,
+    tilde_masks,
+)
 from .invariants import (
+    MIN_K,
+    MIN_L,
     e_l_parity,
     r_k,
-    r_k_graph,
+    r_k_graph_batch,
     r_k_via_wc,
     sl2_graph_extension_check,
-    w_c,
 )
 from .sl2 import sl2_oracle, sl2_recursive
 
@@ -112,27 +122,30 @@ def suite_four_term_diagrams(
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
     """Signed 4-term sums of a named invariant over diagram quadruples."""
-    name, f = _diagram_invariant(invariant, k, l)
-    if invariant == "rk" and mode == "sample" and 2 * (k or 0) == order:
+    name, f, mod2 = _diagram_invariant(invariant, k, l)
+    if invariant == "rk" and mode == "sample" and 2 * k == order:
         if shard is None or shard == (0, 1):
             return rk_four_term_sampled(k, order, count, seed)
     if mode == "exhaustive":
-        report = VerificationReport(invariant=name, order=order)
-        for idx, d in enumerate(enumerate_diagrams(order, "basepointed")):
-            if not _shard_keep(shard, idx):
-                continue
-            for p in neighbor_positions(d):
-                quad = diagram_four_term(d, p)
-                report.checked += 1
-                total = quad.signed_sum(f)
-                if total:
-                    report.add_violation(quad.term_codes(), total)
-        return report.finalize()
-    if shard is not None and shard != (0, 1):
+        quads = (
+            diagram_four_term(d, p)
+            for idx, d in enumerate(enumerate_diagrams(order, "basepointed"))
+            if _shard_keep(shard, idx)
+            for p in neighbor_positions(d)
+        )
+    elif shard is not None and shard != (0, 1):
         raise ValueError("sampled suites are not sharded")
-    return verify_weight_system(
-        f, order, mode="sample", count=count, seed=seed, invariant=name
-    )
+    else:
+        quads = sampled_four_term(order, count, seed)
+    report = VerificationReport(invariant=name, order=order)
+    for quad in quads:
+        report.checked += 1
+        total = quad.signed_sum(f)
+        if mod2:
+            total &= 1
+        if total:
+            report.add_violation(quad.term_codes(), total)
+    return report.finalize()
 
 
 def rk_four_term_sampled(
@@ -179,39 +192,43 @@ def suite_four_term_graphs(
     l: int | None = None,
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
-    """Graph 4-term sums over all labeled graphs of the given order.
+    """Graph 4-term sums over all labeled graphs of the given order."""
+    name, table, mod2 = _graph_invariant_table(invariant, order, k, l)
+    return graph_four_term_masked(name, table, order, mod2=mod2, shard=shard)
 
-    Runs on edge masks with a precomputed value table; graphs are only
-    materialized to describe violations.
+
+def graph_four_term_masked(
+    name: str,
+    table: np.ndarray,
+    order: int,
+    mod2: bool = False,
+    shard: tuple[int, int] | None = None,
+) -> VerificationReport:
+    """Signed 4-term sums of an edge-mask value table, every labeled graph
+    and ordered vertex pair.
+
+    For one ordered pair (a, b) at a time the prime and tilde moves run
+    over a whole chunk of masks as numpy gathers; graphs are only
+    materialized to describe violations.  With ``mod2`` the signed sum
+    is reduced mod 2 (for 0/1 parity invariants).
     """
-    from .graphs import format_graph, prime_mask, tilde_mask
-
-    name, table = _graph_invariant_table(invariant, order, k, l)
     report = VerificationReport(invariant=name, order=order)
-    npairs = order * (order - 1) // 2
-    mod2 = isinstance(table[0], _Bit)
-    for mask in range(1 << npairs):
-        if not _shard_keep(shard, mask):
-            continue
-        for a in range(order):
-            for b in range(order):
-                if a == b:
-                    continue
-                m2 = prime_mask(order, mask, a, b)
-                m3 = tilde_mask(order, mask, a, b)
-                m4 = prime_mask(order, m3, a, b)
-                report.checked += 1
-                total = table[mask] - table[m2] - table[m3] + table[m4]
-                if mod2:
-                    total = int(total) & 1
-                if total:
-                    report.add_violation(
-                        [
-                            format_graph(SimpleGraph.from_edge_mask(order, m))
-                            for m in (mask, m2, m3, m4)
-                        ],
-                        total,
-                    )
+    ptab = pair_index_table(order)
+    for masks in _mask_chunks(order, shard):
+        report.checked += len(masks) * order * (order - 1)
+        base = table[masks]
+        for a, b in itertools.permutations(range(order), 2):
+            edge = 1 << ptab[a][b]
+            m3 = tilde_masks(order, masks, a, b)
+            total = base - table[masks ^ edge] - table[m3] + table[m3 ^ edge]
+            if mod2:
+                total &= 1
+            for i in np.flatnonzero(total):
+                m, t = int(masks[i]), int(m3[i])
+                report.add_violation(
+                    [_graph_text(order, x) for x in (m, m ^ edge, t, t ^ edge)],
+                    int(total[i]),
+                )
     return report.finalize()
 
 
@@ -222,48 +239,70 @@ def suite_two_term(
 ) -> VerificationReport:
     """f(g) == f(g~) for all labeled graphs and ordered vertex pairs."""
     if invariant == "wc":
-        table = [
-            w_c(SimpleGraph.from_edge_mask(order, m))
-            for m in range(1 << (order * (order - 1) // 2))
-        ]
-        name = "wc"
+        table = _mask_table(
+            order, lambda m: gf2_rank_batch(edge_mask_rows(order, m), order) == order
+        )
     elif invariant == "gf2-rank":
-        table = [
-            gf2_rank(SimpleGraph.from_edge_mask(order, m).rows, order)
-            for m in range(1 << (order * (order - 1) // 2))
-        ]
-        name = "gf2-rank"
+        table = _mask_table(
+            order, lambda m: gf2_rank_batch(edge_mask_rows(order, m), order)
+        )
     elif invariant == "edge-count":
-        table = [bin(m).count("1") for m in range(1 << (order * (order - 1) // 2))]
-        name = "edge-count"
+        npairs = order * (order - 1) // 2
+        table = _mask_table(
+            order, lambda m: sum((m >> i & 1 for i in range(npairs)), 0 * m)
+        )
     else:
         raise ValueError(f"unknown two-term invariant: {invariant!r}")
-    return _two_term_masked(name, table, order, shard)
+    return two_term_masked(invariant, table, order, shard)
 
 
-def _two_term_masked(name, table, order, shard):
-    from .graphs import format_graph, tilde_mask
-
+def two_term_masked(
+    name: str,
+    table: np.ndarray,
+    order: int,
+    shard: tuple[int, int] | None = None,
+) -> VerificationReport:
+    """Compare an edge-mask value table across every tilde move, one
+    ordered vertex pair at a time over chunks of masks."""
     report = VerificationReport(invariant=name, order=order)
-    npairs = order * (order - 1) // 2
-    for mask in range(1 << npairs):
-        if not _shard_keep(shard, mask):
-            continue
-        for a in range(order):
-            for b in range(order):
-                if a == b:
-                    continue
-                other = tilde_mask(order, mask, a, b)
-                report.checked += 1
-                if table[mask] != table[other]:
-                    report.add_violation(
-                        [
-                            format_graph(SimpleGraph.from_edge_mask(order, m))
-                            for m in (mask, other)
-                        ],
-                        table[mask] - table[other],
-                    )
+    for masks in _mask_chunks(order, shard):
+        report.checked += len(masks) * order * (order - 1)
+        base = table[masks]
+        for a, b in itertools.permutations(range(order), 2):
+            other = tilde_masks(order, masks, a, b)
+            diff = base - table[other]
+            for i in np.flatnonzero(diff):
+                report.add_violation(
+                    [_graph_text(order, int(m[i])) for m in (masks, other)],
+                    int(diff[i]),
+                )
     return report.finalize()
+
+
+# labeled graphs are handled as edge masks in chunks of at most this many,
+# which bounds the memory of the batched tables and move loops
+_MASK_CHUNK = 2048
+
+
+def _mask_chunks(order: int, shard: tuple[int, int] | None = None):
+    """Edge masks of every labeled graph of the order kept by the shard,
+    as int64 arrays of at most _MASK_CHUNK masks."""
+    index, count = shard or (0, 1)
+    total = 1 << order * (order - 1) // 2
+    stride = count * _MASK_CHUNK
+    for lo in range(index, total, stride):
+        yield np.arange(lo, min(lo + stride, total), count)
+
+
+def _mask_table(order: int, build) -> np.ndarray:
+    """int32 value table over all edge masks, built chunk by chunk."""
+    return np.concatenate(
+        [np.asarray(build(masks), dtype=np.int32) for masks in _mask_chunks(order)]
+    )
+
+
+def _graph_text(order: int, mask: int) -> str:
+    return format_graph(SimpleGraph.from_edge_mask(order, mask))
 
 
 def suite_mutation(
@@ -455,14 +494,21 @@ def suite_wheel_prism() -> tuple[VerificationReport, list[dict]]:
 # invariant registries
 
 
+def require_at_least(name: str, flag: str, value: int | None, low: int) -> None:
+    """Raise ValueError unless --flag of invariant `name` is given and >= low."""
+    if value is None:
+        raise ValueError(f"{name} requires --{flag}")
+    if value < low:
+        raise ValueError(f"{name} requires --{flag} >= {low}, got {value}")
+
+
 def _diagram_invariant(invariant: str, k: int | None, l: int | None):
+    """(report name, invariant function, whether signed sums are mod 2)."""
     if invariant == "rk":
-        if not k:
-            raise ValueError("rk requires --k")
-        return f"r{k}", lambda d: r_k(d, k)
+        require_at_least("rk", "k", k, MIN_K)
+        return f"r{k}", lambda d: r_k(d, k), False
     if invariant == "el-parity":
-        if not l:
-            raise ValueError("el-parity requires --l")
+        require_at_least("el-parity", "l", l, MIN_L)
         cache: dict[bytes, int] = {}
         def f(d: ChordDiagram) -> int:
             code = canonical_code(d)
@@ -472,69 +518,27 @@ def _diagram_invariant(invariant: str, k: int | None, l: int | None):
                     SimpleGraph(d.n, interleave_rows(d.word)), l
                 )
             return val
-        # parity invariants live mod 2: compare signed sums mod 2
-        return f"e{l}-parity", _Mod2(f)
+        return f"e{l}-parity", f, True
     if invariant == "sl2":
-        return "sl2", sl2_recursive
+        return "sl2", sl2_recursive, False
     raise ValueError(f"unknown diagram invariant: {invariant!r}")
 
 
-class _Mod2:
-    """Wrap a 0/1 invariant so signed sums are evaluated mod 2."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __call__(self, d):
-        return _Bit(self.f(d))
-
-
-class _Bit(int):
-    def __new__(cls, v):
-        return super().__new__(cls, v & 1)
-
-    def __add__(self, other):
-        return _Bit(int(self) ^ int(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _Bit(int(self) ^ int(other))
-
-    def __rsub__(self, other):
-        return _Bit(int(self) ^ int(other))
-
-    def __mul__(self, other):
-        return _Bit(int(self) & (int(other) & 1))
-
-    def __rmul__(self, other):
-        return _Bit((int(other) & 1) & int(self))
-
-    def __neg__(self):
-        return self
-
-
 def _graph_invariant_table(invariant: str, order: int, k: int | None, l: int | None):
+    """(report name, int32 table over all edge masks, whether mod 2)."""
     npairs = order * (order - 1) // 2
     if invariant == "rk-graph":
-        if not k:
-            raise ValueError("rk-graph requires --k")
+        require_at_least("rk-graph", "k", k, MIN_K)
         if order != 2 * k:
             raise ValueError("rk-graph 4-term check runs at order == 2k")
-        table = [
-            r_k_graph(SimpleGraph.from_edge_mask(order, m), k)
-            for m in range(1 << npairs)
-        ]
-        return f"r{k}-graph", table
+        table = _mask_table(order, lambda masks: r_k_graph_batch(order, masks, k))
+        return f"r{k}-graph", table, False
     if invariant == "el-parity":
-        if not l:
-            raise ValueError("el-parity requires --l")
+        require_at_least("el-parity", "l", l, MIN_L)
         if l == order:
             # full-length cycles: one vectorized Hamiltonian DP over every
             # labeled graph at once
             mats = np.zeros((1 << npairs, order, order), dtype=np.int8)
-            from .graphs import pair_index_table
-
             ptab = pair_index_table(order)
             for u in range(order):
                 for v in range(u + 1, order):
@@ -542,12 +546,14 @@ def _graph_invariant_table(invariant: str, order: int, k: int | None, l: int | N
                     masks = (np.arange(1 << npairs) >> bit) & 1
                     mats[:, u, v] = masks
                     mats[:, v, u] = masks
-            counts = hamiltonian_cycle_sums(mats)
-            table = [_Bit(int(x)) for x in counts & 1]
+            table = (hamiltonian_cycle_sums(mats) & 1).astype(np.int32)
         else:
-            table = [
-                _Bit(e_l_parity(SimpleGraph.from_edge_mask(order, m), l))
-                for m in range(1 << npairs)
-            ]
-        return f"e{l}-parity", table
+            table = np.array(
+                [
+                    e_l_parity(SimpleGraph.from_edge_mask(order, m), l)
+                    for m in range(1 << npairs)
+                ],
+                dtype=np.int32,
+            )
+        return f"e{l}-parity", table, True
     raise ValueError(f"unknown graph invariant: {invariant!r}")

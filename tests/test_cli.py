@@ -1,6 +1,7 @@
+import hashlib
 import json
 
-from chordlab.cli import main
+from chordlab.cli import clamp_jobs, main
 
 
 def run(capsys, *argv):
@@ -65,6 +66,26 @@ class TestEval:
     def test_missing_k_exit_3(self, capsys):
         code, _, _ = run(capsys, "eval", "--invariant", "rk", "ABAB")
         assert code == 3
+
+    def test_k_and_l_below_range_exit_3(self, capsys):
+        code, _, err = run(capsys, "eval", "--invariant", "rk", "--k", "0", "ABAB")
+        assert code == 3
+        assert err == "error: rk requires --k >= 2, got 0\n"
+        code, _, err = run(
+            capsys, "eval", "--invariant", "el-parity", "--l", "3", "ABAB"
+        )
+        assert code == 3
+        assert err == "error: el-parity requires --l >= 4, got 3\n"
+
+    def test_unreadable_file_exit_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run(
+            capsys, "eval", "--invariant", "sl2", "--file", str(missing)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("i/o error: ") and str(missing) in err
+        assert err.count("\n") == 1
 
     def test_order_ceiling_exit_3(self, capsys):
         word = "".join(chr(65 + i) for i in range(9)) * 2
@@ -162,10 +183,42 @@ class TestVerify:
         assert first == second
 
     def test_jobs_do_not_change_bytes(self, capsys):
-        base = ("verify", "wc-identity", "--k", "2")
-        _, first, _ = run(capsys, *base)
-        _, second, _ = run(capsys, *base, "--jobs", "2")
-        assert first == second
+        for base in (
+            ("verify", "wc-identity", "--k", "2"),
+            ("verify", "four-term-graphs", "--n", "4", "--k", "2"),
+            ("verify", "two-term", "--invariant", "edge-count", "--n", "4"),
+        ):
+            first_code, first, _ = run(capsys, *base)
+            second_code, second, _ = run(capsys, *base, "--jobs", "2")
+            assert (first_code, first) == (second_code, second)
+
+    def test_clamp_jobs_to_cpus(self):
+        assert clamp_jobs(10**9, 2) == 2
+        assert clamp_jobs(10**9, None) == 1
+        assert clamp_jobs(3, 64) == 3
+        assert clamp_jobs(1, 1) == 1
+
+    def test_k_below_range_in_suites_exit_3(self, capsys):
+        code, _, err = run(capsys, "verify", "four-term-graphs", "--n", "4", "--k", "0")
+        assert code == 3
+        assert err == "error: rk-graph requires --k >= 2, got 0\n"
+        code, _, err = run(
+            capsys, "verify", "four-term-diagrams", "--n", "4", "--k", "1",
+            "--exhaustive",
+        )
+        assert code == 3
+        assert err == "error: rk requires --k >= 2, got 1\n"
+
+    def test_two_term_edge_count_golden(self, capsys):
+        # recorded before the mask loops moved to numpy
+        code, out, _ = run(
+            capsys, "verify", "two-term", "--invariant", "edge-count", "--n", "4"
+        )
+        assert code == 1
+        assert json.loads(out.splitlines()[-1]) == {"checked": 768, "violations": 480}
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "53791ba910924fc82f6041b103185d02d4addbf6148b09d4e35e5f45723e99ff"
+        )
 
     def test_jobs_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("CHORDLAB_JOBS", "2")

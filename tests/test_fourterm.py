@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from chordlab.diagrams import DiagramError, enumerate_diagrams, parse_diagram
@@ -13,6 +16,7 @@ from chordlab.fourterm import (
 )
 from chordlab.graphs import (
     SimpleGraph,
+    enumerate_cycles,
     enumerate_graphs,
     gf2_rank,
     graph_prime,
@@ -22,7 +26,31 @@ from chordlab.graphs import (
 from chordlab.invariants import r_k, w_c
 from chordlab.polynomials import ZERO
 from chordlab.sl2 import sl2_recursive
-from chordlab.verify import suite_four_term_graphs
+from chordlab import verify
+from chordlab.verify import (
+    graph_four_term_masked,
+    merge_reports,
+    suite_four_term_graphs,
+    two_term_masked,
+)
+
+
+def _triangles(g: SimpleGraph) -> int:
+    return len(enumerate_cycles(g, 3))
+
+
+def _edges(g: SimpleGraph) -> int:
+    return len(g.edges())
+
+
+def _mask_table(f, order: int) -> np.ndarray:
+    return np.array(
+        [f(g) for g in enumerate_graphs(order, "labeled")], dtype=np.int32
+    )
+
+
+def _sha(report) -> str:
+    return hashlib.sha256(report.json_lines().encode()).hexdigest()
 
 
 class TestQuadrupleShape:
@@ -179,3 +207,60 @@ class TestTwoTerm:
         assert summary == {"checked": report.checked, "violations": len(report.violations)}
         first = json.loads(lines[0])
         assert set(first) == {"invariant", "order", "terms", "signed_sum"}
+
+
+class TestMaskEngines:
+    """The numpy mask engines in verify against the object-level engines,
+    on tables that violate the relations."""
+
+    @pytest.mark.parametrize("f", [_triangles, _edges])
+    def test_four_term_matches_object_engine(self, f):
+        masked = graph_four_term_masked(f.__name__, _mask_table(f, 4), 4)
+        plain = verify_graph_four_term(f, 4, invariant=f.__name__)
+        assert masked.checked == plain.checked == 64 * 12
+        assert masked.violations == plain.violations
+        assert masked.ok == (f is _edges)
+
+    @pytest.mark.parametrize("f", [_triangles, _edges])
+    def test_two_term_matches_object_engine(self, f):
+        masked = two_term_masked(f.__name__, _mask_table(f, 4), 4)
+        plain = two_term_check(f, 4, invariant=f.__name__)
+        assert masked.checked == plain.checked == 64 * 12
+        assert masked.violations == plain.violations
+        assert not masked.ok
+
+    @pytest.mark.parametrize("chunk", [2048, 5])
+    def test_shards_merge_to_the_whole_run(self, chunk, monkeypatch):
+        monkeypatch.setattr(verify, "_MASK_CHUNK", chunk)
+        table = _mask_table(_triangles, 4)
+        for engine in (graph_four_term_masked, two_term_masked):
+            whole = engine("triangles", table, 4)
+            parts = [engine("triangles", table, 4, shard=(i, 3)) for i in range(3)]
+            assert merge_reports(parts).json_lines() == whole.json_lines()
+
+    def test_graph_parity_sums_reduce_mod_2(self):
+        # digest recorded from the int-subclass parity implementation
+        table = _mask_table(_triangles, 4) & 1
+        report = graph_four_term_masked("triangle-parity", table, 4, mod2=True)
+        assert {v["signed_sum"] for v in report.violations} == {"1"}
+        assert len(report.violations) == 384
+        assert _sha(report) == (
+            "da2418a227c4a2632a132548ad4b2ca2c817b640ca5d4a17f0f4d6bce5eacdce"
+        )
+
+    def test_diagram_parity_sums_reduce_mod_2(self, monkeypatch):
+        # digest recorded from the int-subclass parity implementation
+        def parity(d):
+            return _triangles(SimpleGraph(d.n, interleave_rows(d.word))) & 1
+
+        monkeypatch.setattr(
+            verify,
+            "_diagram_invariant",
+            lambda invariant, k, l: ("triangle-parity", parity, True),
+        )
+        report = verify.suite_four_term_diagrams("triangle-parity", 4)
+        assert {v["signed_sum"] for v in report.violations} == {"1"}
+        assert len(report.violations) == 288
+        assert _sha(report) == (
+            "d64e58da699c84cddf231664b76269bc1524d62f33f026de270326adbcc7082c"
+        )

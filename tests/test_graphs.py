@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,9 +14,11 @@ from chordlab.graphs import (
     cycle_sign,
     directed_intersection_graph,
     enumerate_cycles,
+    edge_mask_rows,
     enumerate_graphs,
     format_graph,
     gf2_rank,
+    gf2_rank_batch,
     graph_canonical_mask,
     graph_prime,
     graph_tilde,
@@ -27,6 +30,7 @@ from chordlab.graphs import (
     prime_mask,
     realize_diagram,
     tilde_mask,
+    tilde_masks,
 )
 from chordlab.invariants import FIVE_WHEEL, THREE_PRISM
 
@@ -176,6 +180,23 @@ class TestGF2:
         rnd.shuffle(perm)
         assert gf2_rank(g.rows, 5) == gf2_rank(g.relabeled(perm).rows, 5)
 
+    @given(st.data())
+    def test_batch_matches_scalar(self, data):
+        n_cols = data.draw(st.integers(0, 6))
+        k = data.draw(st.integers(0, 6))
+        row = st.integers(0, (1 << n_cols) - 1)
+        mats = data.draw(
+            st.lists(st.lists(row, min_size=k, max_size=k), min_size=1, max_size=12)
+        )
+        batch = np.array(mats, dtype=np.int64).reshape(len(mats), k).T
+        got = gf2_rank_batch(batch, n_cols)
+        assert got.tolist() == [gf2_rank(m, n_cols) for m in mats]
+
+    def test_batch_leaves_input_unchanged(self):
+        rows = np.array([[3, 1], [3, 1]], dtype=np.int64)
+        assert gf2_rank_batch(rows, 2).tolist() == [1, 1]
+        assert rows.tolist() == [[3, 1], [3, 1]]
+
 
 class TestPrimeAndTilde:
     def test_prime_examples(self):
@@ -225,6 +246,17 @@ class TestPrimeAndTilde:
             a, b = rng.sample(range(n), 2)
             assert prime_mask(n, mask, a, b) == graph_prime(g, a, b).edge_mask()
             assert tilde_mask(n, mask, a, b) == graph_tilde(g, a, b).edge_mask()
+
+    def test_batched_mask_helpers_match_scalar(self):
+        for n in range(2, 6):
+            masks = np.arange(1 << (n * (n - 1) // 2))
+            rows = edge_mask_rows(n, masks)
+            for m in masks.tolist():
+                assert tuple(rows[:, m]) == SimpleGraph.from_edge_mask(n, m).rows
+            for a, b in itertools.permutations(range(n), 2):
+                assert tilde_masks(n, masks, a, b).tolist() == [
+                    tilde_mask(n, m, a, b) for m in masks.tolist()
+                ]
 
     def test_pair_index_matches_edge_mask(self):
         tab = pair_index_table(4)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from chordlab.diagrams import diagram_product, parse_diagram, random_diagram
@@ -21,6 +22,7 @@ from chordlab.invariants import (
     project_primitive_value,
     r_k,
     r_k_graph,
+    r_k_graph_batch,
     r_k_oriented,
     r_k_via_wc,
     sl2,
@@ -178,6 +180,30 @@ class TestGraphExtension:
         assert r_k_graph(SimpleGraph(3, (0, 0, 0)), 2) == 0
         padded = k4.disjoint_union(SimpleGraph(1, (0,)))
         assert r_k_graph(padded, 2) == 1
+
+    def _assert_batch_matches_scalar(self, n, masks):
+        got = r_k_graph_batch(n, np.array(masks, dtype=np.int64), n // 2)
+        assert got.dtype == np.int32
+        assert got.tolist() == [
+            r_k_graph(SimpleGraph.from_edge_mask(n, m), n // 2) for m in masks
+        ]
+
+    def test_batch_matches_scalar_order4_exhaustive(self):
+        self._assert_batch_matches_scalar(4, list(range(64)))
+
+    def test_batch_matches_scalar_order6_sample(self):
+        rng = random.Random(2024)
+        masks = [rng.randrange(1 << 15) for _ in range(200)]
+        masks += [FIVE_WHEEL.edge_mask(), THREE_PRISM.edge_mask()]
+        self._assert_batch_matches_scalar(6, masks)
+        wheel_prism = np.array(masks[-2:], dtype=np.int64)
+        assert r_k_graph_batch(6, wheel_prism, 3).tolist() == [-3, -1]
+
+    def test_batch_rejects_other_sizes(self):
+        with pytest.raises(ValueError):
+            r_k_graph_batch(5, np.arange(4), 2)
+        with pytest.raises(ValueError):
+            r_k_graph_batch(2, np.arange(2), 1)
 
     def test_sl2_on_graph_requires_realizability(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import random
 from math import prod
 
+import numpy as np
 import pytest
 
 from chordlab.partitions import partition_log_full, partition_weight, set_partitions
@@ -64,3 +65,14 @@ def test_log_transform_matches_direct_sum_polynomials():
 def test_log_transform_rejects_empty():
     with pytest.raises(ValueError):
         partition_log_full([1], 0)
+
+
+def test_batched_numpy_values_match_per_lane():
+    rng = random.Random(11)
+    n, lanes = 5, 7
+    rows = [[rng.choice((-1, 0, 1)) for _ in range(lanes)] for _ in range(1 << n)]
+    batch = [np.array(r, dtype=np.int32) for r in rows]
+    got = partition_log_full(batch, n)
+    assert got.dtype == np.int32
+    for lane in range(lanes):
+        assert int(got[lane]) == partition_log_full([r[lane] for r in rows], n)
