@@ -125,6 +125,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print(f"parse error: input is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except (ParamError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS

@@ -150,31 +150,56 @@ def canonical_word_bytes(word: Sequence[int]) -> bytes:
     """Minimum over rotations of the first-appearance relabeled word.
 
     Equal byte strings exactly characterize diagrams that agree up to
-    basepoint rotation and chord relabeling.
+    basepoint rotation and chord relabeling.  Labels are letters from
+    "A" up to 26 chords, raw label bytes beyond.
+
+    Rotations are compared on a rotation-local integer key instead of
+    relabeled words: in rotation r, a chord's first end reads m and its
+    second end reads the forward offset to its partner.  Among second
+    ends a smaller label means an earlier first end and so a smaller
+    forward offset, and a new label exceeds every old one as m exceeds
+    every offset; the two orders agree.  The least rotation is found by
+    eliminating candidates position by position, and only the winner is
+    relabeled.
     """
     m = len(word)
-    if m == 0:
-        return b""
-    n = m // 2
-    best: bytes | None = None
-    base = ord("A") if n <= 26 else 0
-    labels = [-1] * (max(word) + 1)
-    for r in range(m):
-        for k in range(len(labels)):
-            labels[k] = -1
-        out = bytearray(m)
-        nxt = 0
-        for k in range(m):
-            ch = word[r + k - m] if r + k >= m else word[r + k]
-            lab = labels[ch]
-            if lab < 0:
-                lab = labels[ch] = nxt
-                nxt += 1
-            out[k] = base + lab
-        b = bytes(out)
-        if best is None or b < best:
-            best = b
-    return best
+    if m <= 4:
+        if m == 0:
+            return b""
+        if m == 2:
+            return b"AA"
+        return b"ABAB" if word[0] == word[2] else b"AABB"
+    # forward offset of every position to its partner, doubled so that
+    # rotation r reads position k at ff[r + k]
+    ff = [0] * m
+    first: dict = {}
+    for p, ch in enumerate(word):
+        q = first.pop(ch, -1)
+        if q < 0:
+            first[ch] = p
+        else:
+            ff[q] = p - q
+            ff[p] = m - p + q
+    ff += ff
+    cands: Sequence[int] = range(m)
+    for k in range(1, m):
+        # offset >= m - k: the partner lies before position k in rotation
+        # r, so this is a second end; any other position is a first end
+        lim = m - k
+        best = m
+        for r in cands:
+            v = ff[r + k]
+            if lim <= v < best:
+                best = v
+        if best < m:
+            cands = [r for r in cands if ff[r + k] == best]
+            if len(cands) == 1:
+                break
+    r = cands[0]
+    labels: dict = {}
+    rot = word[r:] + word[:r]
+    base = ord("A") if m <= 52 else 0
+    return bytes([base + labels.setdefault(ch, len(labels)) for ch in rot])
 
 
 def canonical_code(d: ChordDiagram) -> bytes:
@@ -317,7 +342,8 @@ def _share_segments(d: ChordDiagram, share: Share):
     (s1, l1), (s2, l2) = share.arcs
     if m == 0:
         return (), (), (), ()
-    seg = lambda start, length: tuple(d.word[(start + t) % m] for t in range(length))
+    twice = d.word + d.word
+    seg = lambda start, length: twice[start : start + length]
     a1 = seg(s1, l1)
     g1_len = (s2 - s1 - l1) % m
     g1 = seg((s1 + l1) % m, g1_len)
@@ -349,14 +375,26 @@ def _check_share(d: ChordDiagram, share: Share) -> None:
 def mutated_word(d: ChordDiagram, share: Share, kind: MutationKind) -> tuple[int, ...]:
     """Re-glued word with original chord ids preserved (not normalized)."""
     _check_share(d, share)
-    a1, g1, a2, g2 = _share_segments(d, share)
-    rev = lambda seg: tuple(reversed(seg))
+    return _reglue(_share_segments(d, share), kind)
+
+
+def mutated_words(
+    d: ChordDiagram, share: Share
+) -> list[tuple[MutationKind, tuple[int, ...]]]:
+    """:func:`mutated_word` for every kind in turn, checking the share once."""
+    _check_share(d, share)
+    segments = _share_segments(d, share)
+    return [(kind, _reglue(segments, kind)) for kind in MutationKind]
+
+
+def _reglue(segments, kind: MutationKind) -> tuple[int, ...]:
+    a1, g1, a2, g2 = segments
     if kind is MutationKind.ROTATION:
         return a2 + g1 + a1 + g2
     if kind is MutationKind.REFLECTION_VERTICAL:
-        return rev(a1) + g1 + rev(a2) + g2
+        return a1[::-1] + g1 + a2[::-1] + g2
     if kind is MutationKind.REFLECTION_HORIZONTAL:
-        return rev(a2) + g1 + rev(a1) + g2
+        return a2[::-1] + g1 + a1[::-1] + g2
     raise ValueError(f"unknown mutation kind: {kind!r}")
 
 

@@ -85,7 +85,10 @@ def diagram_four_term(
     The intersection graphs of the four terms form the graph 4-term
     quadruple at the ordered pair (chord at p+1, chord at p).
     """
-    words = four_term_words(d.word, p)
+    return _diagram_quadruple(four_term_words(d.word, p), signs)
+
+
+def _diagram_quadruple(words, signs) -> RelationQuadruple:
     return RelationQuadruple(
         flavor="diagram",
         terms=tuple((ChordDiagram(w), s) for w, s in zip(words, signs)),
@@ -190,6 +193,15 @@ def sampled_four_term(
 ) -> Iterator[RelationQuadruple]:
     """`count` 4-term instances: a random diagram of the order, then a
     random neighboring-end position on it, all drawn from one seed."""
+    for words in sampled_four_term_words(order, count, seed):
+        yield _diagram_quadruple(words, signs)
+
+
+def sampled_four_term_words(
+    order: int, count: int, seed: int
+) -> Iterator[tuple[list, list, list, list]]:
+    """The four raw words of each instance :func:`sampled_four_term`
+    draws, in the same order."""
     rng = random.Random(seed)
     done = 0
     while done < count:
@@ -198,7 +210,7 @@ def sampled_four_term(
         if not positions:
             continue
         p = positions[rng.randrange(len(positions))]
-        yield diagram_four_term(d, p, signs)
+        yield four_term_words(d.word, p)
         done += 1
 
 

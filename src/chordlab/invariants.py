@@ -56,7 +56,10 @@ def _signed_hamiltonian_sum(w: Sequence[Sequence[int]]) -> int:
                 if wv[u] and not mask >> u & 1:
                     paths[mask | 1 << u][u] += val * wv[u]
     total = sum(paths[full - 1][v] * w[v][0] for v in range(1, n))
-    assert total % 2 == 0
+    if total % 2:
+        # each cycle is counted once in each direction; for a symmetric or
+        # antisymmetric weight matrix the two counts agree or cancel
+        raise AssertionError(f"signed Hamiltonian sum must be even, got {total}")
     return total // 2
 
 
@@ -211,9 +214,15 @@ def r_k_graph_batch(n: int, masks: np.ndarray, k: int) -> np.ndarray:
     if n != 2 * k:
         raise ValueError("the batched route needs graphs on exactly 2k vertices")
     rows = edge_mask_rows(n, masks)
+    # an adjacency matrix is alternating over GF(2), so its rank is even
+    # and an odd-size one is always degenerate
+    odd = np.zeros(len(masks), dtype=np.int32)
     values: list = [None] * (1 << n)
     for sub in range(1, 1 << n):
         members = [u for u in range(n) if sub >> u & 1]
+        if len(members) % 2:
+            values[sub] = odd
+            continue
         ranks = gf2_rank_batch(rows[members] & sub, n)
         values[sub] = (ranks == len(members)).astype(np.int32)
     return _neg_half(partition_log_full(values, n), "projected indicator")

@@ -334,18 +334,21 @@ def _six_term_step(word: tuple[int, ...]) -> tuple[int, ...]:
         for length, pp, qq in ((inner, i, j), (outer, j, i)):
             if best is None or (length, pp) < (best[0], best[1]):
                 best = (length, pp, qq)
-    assert best is not None and best[0] >= 2, "reduction invariant violated"
+    if best is None or best[0] < 2:
+        raise AssertionError("reduction invariant violated")
     _, p, q = best
     a_near = (p + 1) % m
     b_near = (q - 1) % m
     x, a, b = word[p], word[a_near], word[b_near]
-    assert len({x, a, b}) == 3, "arc extremes must be two distinct chords"
+    if len({x, a, b}) != 3:
+        raise AssertionError("arc extremes must be two distinct chords")
 
     def crosses(u: int, v: int) -> bool:
         (u1, u2), (v1, v2) = pairs[u], pairs[v]
         return (u1 < v1 < u2) != (u1 < v2 < u2)
 
-    assert crosses(x, a) and crosses(x, b), "arc extremes must cross the chord"
+    if not (crosses(x, a) and crosses(x, b)):
+        raise AssertionError("arc extremes must cross the chord")
     a_far = pairs[a][0] if pairs[a][1] == a_near else pairs[a][1]
     b_far = pairs[b][0] if pairs[b][1] == b_near else pairs[b][1]
 

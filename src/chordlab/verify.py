@@ -17,21 +17,19 @@ import numpy as np
 from ._bulk import hamiltonian_cycle_sums
 from .diagrams import (
     ChordDiagram,
-    MutationKind,
     canonical_code,
     canonical_word_bytes,
     enumerate_diagrams,
     find_shares,
-    mutated_word,
+    mutated_words,
     random_diagram,
     word_positions,
 )
 from .fourterm import (
     VerificationReport,
-    diagram_four_term,
     four_term_words,
     neighbor_positions,
-    sampled_four_term,
+    sampled_four_term_words,
 )
 from .graphs import (
     SimpleGraph,
@@ -121,14 +119,18 @@ def suite_four_term_diagrams(
     seed: int = 0,
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
-    """Signed 4-term sums of a named invariant over diagram quadruples."""
+    """Signed 4-term sums of a named invariant over diagram quadruples.
+
+    The quadruples stay raw words: each term's value is looked up by its
+    canonical key, so a diagram is only built once per rotation class.
+    """
     name, f, mod2 = _diagram_invariant(invariant, k, l)
     if invariant == "rk" and mode == "sample" and 2 * k == order:
         if shard is None or shard == (0, 1):
             return rk_four_term_sampled(k, order, count, seed)
     if mode == "exhaustive":
         quads = (
-            diagram_four_term(d, p)
+            four_term_words(d.word, p)
             for idx, d in enumerate(enumerate_diagrams(order, "basepointed"))
             if _shard_keep(shard, idx)
             for p in neighbor_positions(d)
@@ -136,16 +138,32 @@ def suite_four_term_diagrams(
     elif shard is not None and shard != (0, 1):
         raise ValueError("sampled suites are not sharded")
     else:
-        quads = sampled_four_term(order, count, seed)
+        quads = sampled_four_term_words(order, count, seed)
+    value = _per_class(f)
     report = VerificationReport(invariant=name, order=order)
-    for quad in quads:
+    for words in quads:
         report.checked += 1
-        total = quad.signed_sum(f)
+        keys = [canonical_word_bytes(w) for w in words]
+        v = [value(key, w) for key, w in zip(keys, words)]
+        # the quadruple signs (+1, -1, -1, +1) of fourterm.DEFAULT_SIGNS
+        total = v[0] - v[1] - v[2] + v[3]
         if mod2:
             total &= 1
         if total:
-            report.add_violation(quad.term_codes(), total)
+            report.add_violation([key.decode("ascii") for key in keys], total)
     return report.finalize()
+
+
+def _per_class(f):
+    """``f`` as a function of (canonical key, raw word), evaluated once
+    per key; the word becomes a ChordDiagram only on the first call."""
+    values: dict[bytes, object] = {}
+    def value(key: bytes, word: Sequence[int]):
+        val = values.get(key)
+        if val is None:
+            val = values[key] = f(ChordDiagram(word))
+        return val
+    return value
 
 
 def rk_four_term_sampled(
@@ -158,22 +176,13 @@ def rk_four_term_sampled(
     """
     if order != 2 * k:
         raise ValueError("batched mode requires order == 2k")
-    rng = random.Random(seed)
     report = VerificationReport(invariant=f"r{k}", order=order)
     quads: list[tuple] = []
     mats = np.zeros((4 * count, order, order), dtype=np.int8)
-    idx = 0
-    while idx < count:
-        d = random_diagram(order, rng)
-        positions = neighbor_positions(d)
-        if not positions:
-            continue
-        p = positions[rng.randrange(len(positions))]
-        words = four_term_words(d.word, p)
+    for idx, words in enumerate(sampled_four_term_words(order, count, seed)):
         for t, wd in enumerate(words):
             mats[4 * idx + t] = dense_sign_matrix(wd)
         quads.append(tuple(words))
-        idx += 1
     vals = hamiltonian_cycle_sums(mats)
     sums = vals[0::4] - vals[1::4] - vals[2::4] + vals[3::4]
     report.checked = count
@@ -311,24 +320,28 @@ def suite_mutation(
     """Mutations must preserve the labeled intersection graph and R_k."""
     report = VerificationReport(invariant="mutation", order=order)
     k = order // 2 if order % 2 == 0 and order >= 4 else None
+    rk = _per_class(lambda d: r_k(d, k))
     for idx, d in enumerate(enumerate_diagrams(order, "up-to-rotation")):
         if not _shard_keep(shard, idx):
             continue
         base_rows = interleave_rows(d.word)
         base_rk = r_k(d, k) if k else None
+        # different shares often re-glue to the same word
+        verdicts: dict[tuple[int, ...], bool] = {}
         for share in find_shares(d):
-            for kind in MutationKind:
-                w = mutated_word(d, share, kind)
+            for kind, w in mutated_words(d, share):
                 report.checked += 1
-                mutated = ChordDiagram(w)
-                bad = interleave_rows(w) != base_rows
-                if not bad and k:
-                    bad = r_k(mutated, k) != base_rk
+                bad = verdicts.get(w)
+                if bad is None:
+                    bad = interleave_rows(w) != base_rows
+                    if not bad and k:
+                        bad = rk(canonical_word_bytes(w), w) != base_rk
+                    verdicts[w] = bad
                 if bad:
                     report.add_violation(
                         [
                             canonical_code(d).decode("ascii"),
-                            canonical_code(mutated).decode("ascii"),
+                            canonical_word_bytes(w).decode("ascii"),
                             f"share={sorted(share.chords)}",
                             kind.value,
                         ],
@@ -509,16 +522,11 @@ def _diagram_invariant(invariant: str, k: int | None, l: int | None):
         return f"r{k}", lambda d: r_k(d, k), False
     if invariant == "el-parity":
         require_at_least("el-parity", "l", l, MIN_L)
-        cache: dict[bytes, int] = {}
-        def f(d: ChordDiagram) -> int:
-            code = canonical_code(d)
-            val = cache.get(code)
-            if val is None:
-                val = cache[code] = e_l_parity(
-                    SimpleGraph(d.n, interleave_rows(d.word)), l
-                )
-            return val
-        return f"e{l}-parity", f, True
+        return (
+            f"e{l}-parity",
+            lambda d: e_l_parity(SimpleGraph(d.n, interleave_rows(d.word)), l),
+            True,
+        )
     if invariant == "sl2":
         return "sl2", sl2_recursive, False
     raise ValueError(f"unknown diagram invariant: {invariant!r}")

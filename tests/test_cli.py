@@ -87,6 +87,17 @@ class TestEval:
         assert err.startswith("i/o error: ") and str(missing) in err
         assert err.count("\n") == 1
 
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(bytes([0xFF, 0xFE, 0x41, 0x42, 0x0A]))
+        code, out, err = run(
+            capsys, "eval", "--invariant", "sl2", "--file", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: input is not UTF-8 text: ")
+        assert err.count("\n") == 1
+
     def test_order_ceiling_exit_3(self, capsys):
         word = "".join(chr(65 + i) for i in range(9)) * 2
         code, _, _ = run(capsys, "eval", "--invariant", "sl2", word)
@@ -187,6 +198,8 @@ class TestVerify:
             ("verify", "wc-identity", "--k", "2"),
             ("verify", "four-term-graphs", "--n", "4", "--k", "2"),
             ("verify", "two-term", "--invariant", "edge-count", "--n", "4"),
+            ("verify", "four-term-diagrams", "--n", "4", "--k", "2", "--exhaustive"),
+            ("verify", "mutation", "--n", "5"),
         ):
             first_code, first, _ = run(capsys, *base)
             second_code, second, _ = run(capsys, *base, "--jobs", "2")

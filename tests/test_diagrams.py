@@ -2,13 +2,17 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordlab.diagrams import (
     ChordDiagram,
     DiagramError,
     MutationKind,
+    _matchings,
     apply_mutation,
     canonical_code,
+    canonical_word_bytes,
     diagram_product,
     enumerate_diagrams,
     find_shares,
@@ -23,6 +27,34 @@ from chordlab.graphs import intersection_graph
 
 def double_factorial(m: int) -> int:
     return factorial(2 * m) // (2**m * factorial(m))
+
+
+def reference_canonical_word_bytes(word) -> bytes:
+    """The O(m^2) key: relabel every rotation, keep the least bytes."""
+    m = len(word)
+    if m == 0:
+        return b""
+    base = ord("A") if m // 2 <= 26 else 0
+    best = None
+    for r in range(m):
+        labels: dict = {}
+        rot = word[r:] + word[:r]
+        b = bytes(base + labels.setdefault(ch, len(labels)) for ch in rot)
+        if best is None or b < best:
+            best = b
+    return best
+
+
+@st.composite
+def raw_words(draw, max_order=12):
+    """Double-occurrence words with arbitrary distinct nonnegative labels."""
+    n = draw(st.integers(0, max_order))
+    labels = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n, unique=True))
+    slots = draw(st.permutations(range(2 * n)))
+    word = [0] * (2 * n)
+    for i, lab in enumerate(labels):
+        word[slots[2 * i]] = word[slots[2 * i + 1]] = lab
+    return tuple(word)
 
 
 def crossings(d):
@@ -96,6 +128,37 @@ class TestCanonicalCode:
             relabeled = ChordDiagram(perm[c] for c in d.word)
             rotated = relabeled.rotated(rng.randrange(2 * n))
             assert canonical_code(rotated) == canonical_code(d)
+
+
+class TestCanonicalKeyAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(raw_words())
+    def test_matches_reference(self, word):
+        assert canonical_word_bytes(word) == reference_canonical_word_bytes(word)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_words(), st.data())
+    def test_invariant_under_rotation_and_relabeling(self, word, data):
+        r = data.draw(st.integers(0, max(len(word) - 1, 0)))
+        chords = sorted(set(word))
+        image = data.draw(st.permutations(chords))
+        shift = dict(zip(chords, (x + 7 for x in image)))
+        moved = tuple(shift[ch] for ch in word[r:] + word[:r])
+        assert canonical_word_bytes(moved) == canonical_word_bytes(word)
+
+    def test_every_word_up_to_order_6(self):
+        for n in range(7):
+            for word in _matchings(2 * n):
+                assert canonical_word_bytes(word) == (
+                    reference_canonical_word_bytes(word)
+                )
+
+    def test_raw_label_bytes_beyond_26_chords(self):
+        rng = random.Random(11)
+        for n in (27, 30):
+            word = random_diagram(n, rng).word
+            assert canonical_word_bytes(word) == reference_canonical_word_bytes(word)
+            assert canonical_word_bytes(word)[0] == 0
 
 
 class TestEnumeration:

@@ -1,21 +1,27 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from chordlab import invariants
 from chordlab.diagrams import diagram_product, parse_diagram, random_diagram
 from chordlab.graphs import (
     SimpleGraph,
     cycle_sign,
     directed_intersection_graph,
     enumerate_cycles,
+    gf2_rank_batch,
     intersection_graph,
     realize_diagram,
 )
 from chordlab.invariants import (
     FIVE_WHEEL,
     THREE_PRISM,
+    _signed_hamiltonian_sum,
     _wc_primitive_part,
     conjecture_check,
     e_l_parity,
@@ -57,6 +63,31 @@ class TestRk:
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             r_k(K4_DIAGRAM, 1)
+
+    def test_odd_signed_cycle_total_raises(self):
+        # a directed 3-cycle: not antisymmetric, and the total counts the
+        # cycle in one direction only
+        w = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        with pytest.raises(AssertionError, match="must be even, got 1"):
+            _signed_hamiltonian_sum(w)
+
+    def test_invariant_checks_survive_optimized_mode(self):
+        # explicit raises, not assert statements: they still fire under -O
+        code = (
+            "from chordlab.invariants import _signed_hamiltonian_sum\n"
+            "from chordlab.sl2 import _six_term_step\n"
+            "for call in (lambda: _signed_hamiltonian_sum("
+            "[[0, 1, 0], [0, 0, 1], [1, 0, 0]]), "
+            "lambda: _six_term_step((0, 0, 1, 1))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except AssertionError:\n"
+            "        continue\n"
+            "    raise SystemExit('no error under -O')\n"
+        )
+        src = os.path.dirname(os.path.dirname(invariants.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-O", "-c", code], check=True, env=env)
 
     def test_dp_agrees_with_explicit_cycle_signs(self, diagram_classes):
         # the Hamiltonian DP fast path against per-cycle enumeration
@@ -190,6 +221,17 @@ class TestGraphExtension:
 
     def test_batch_matches_scalar_order4_exhaustive(self):
         self._assert_batch_matches_scalar(4, list(range(64)))
+
+    def test_batch_ranks_only_even_subsets(self, monkeypatch):
+        sizes = []
+        def counting(rows, n_cols):
+            sizes.append(len(rows))
+            return gf2_rank_batch(rows, n_cols)
+        monkeypatch.setattr(invariants, "gf2_rank_batch", counting)
+        r_k_graph_batch(6, np.arange(64, dtype=np.int64), 3)
+        # C(6,2) + C(6,4) + C(6,6) vertex subsets, never an odd one
+        assert len(sizes) == 15 + 15 + 1
+        assert all(size % 2 == 0 for size in sizes)
 
     def test_batch_matches_scalar_order6_sample(self):
         rng = random.Random(2024)
