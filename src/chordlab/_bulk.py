@@ -18,11 +18,12 @@ def hamiltonian_cycle_sums(wmats: np.ndarray, chunk: int = 4096) -> np.ndarray:
     weights this is twice the signed cycle count; with 0/1 adjacency it
     is twice the plain count.  Returns int64 of shape (B,), halved.
     """
-    wmats = np.asarray(wmats, dtype=np.int64)
-    batch, n, _ = wmats.shape
-    out = np.empty(batch, dtype=np.int64)
-    for lo in range(0, batch, chunk):
-        out[lo : lo + chunk] = _chunk_sums(wmats[lo : lo + chunk])
+    wmats = np.asarray(wmats)
+    out = np.empty(len(wmats), dtype=np.int64)
+    # one chunk at a time in int64, so no int64 copy of the whole batch
+    for lo in range(0, len(wmats), chunk):
+        w = wmats[lo : lo + chunk].astype(np.int64)
+        out[lo : lo + chunk] = _chunk_sums(w)
     return out
 
 

@@ -87,13 +87,6 @@ def word_positions(word: Sequence[int]) -> list[tuple[int, int]]:
     return pairs
 
 
-def chords_cross(word: Sequence[int], a: int, b: int) -> bool:
-    """Whether chords a and b interleave on the circle."""
-    pairs = word_positions(word)
-    (a1, a2), (b1, b2) = pairs[a], pairs[b]
-    return (a1 < b1 < a2) != (a1 < b2 < a2)
-
-
 def parse_diagram(text: str) -> ChordDiagram:
     """Parse a letter word ("ABAB") or a position pair list ("1-3,2-4").
 
@@ -220,8 +213,7 @@ def enumerate_diagrams(n: int, mode: str = "basepointed") -> Iterator[ChordDiagr
         yield from (ChordDiagram(w) for w in _matchings(2 * n))
     elif mode == "up-to-rotation":
         codes = {canonical_word_bytes(w) for w in _matchings(2 * n)}
-        for code in sorted(codes):
-            yield parse_diagram(code.decode("ascii")) if n > 0 else ChordDiagram(())
+        yield from (ChordDiagram(code) for code in sorted(codes))
     else:
         raise ValueError(f"unknown mode: {mode!r}")
 

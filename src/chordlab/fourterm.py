@@ -202,6 +202,10 @@ def sampled_four_term_words(
 ) -> Iterator[tuple[list, list, list, list]]:
     """The four raw words of each instance :func:`sampled_four_term`
     draws, in the same order."""
+    # below two chords no diagram has neighboring ends of distinct chords,
+    # so the draw below would never finish
+    if order < 2:
+        raise ValueError(f"4-term instances need order >= 2, got {order}")
     rng = random.Random(seed)
     done = 0
     while done < count:

@@ -244,16 +244,15 @@ def directed_rows(word: Sequence[int], begins: Sequence[int]) -> tuple[int, ...]
     """Arrow bit rows from begin positions: chord a points to chord b iff
     b's begin lies on the counterclockwise arc from a's begin to a's end."""
     pairs = word_positions(word)
+    rows = interleave_rows(word)
     m = len(word)
     n = len(pairs)
     arrows = [0] * n
     for a in range(n):
-        a1, a2 = pairs[a]
         ba = begins[a]
-        ea = a1 + a2 - ba
+        ea = sum(pairs[a]) - ba
         for b in range(a + 1, n):
-            b1, b2 = pairs[b]
-            if (a1 < b1 < a2) == (a1 < b2 < a2):
+            if not rows[a] >> b & 1:
                 continue
             bb = begins[b]
             if (bb - ba) % m < (ea - ba) % m:
@@ -447,19 +446,12 @@ def enumerate_graphs(n: int, mode: str = "labeled") -> Iterator[SimpleGraph]:
         return
     if mode != "up-to-iso":
         raise ValueError(f"unknown mode: {mode!r}")
-    maps = _pair_permutations(n)
     seen = bytearray(1 << npairs)
     for mask in range(1 << npairs):
         if seen[mask]:
             continue
         yield SimpleGraph.from_edge_mask(n, mask)
-        for pmap in maps:
-            img = 0
-            rest = mask
-            while rest:
-                low = rest & (-rest)
-                rest ^= low
-                img |= 1 << pmap[low.bit_length() - 1]
+        for img in _orbit_masks(n, mask):
             seen[img] = 1
 
 
@@ -537,18 +529,21 @@ def graph_canonical_mask(g: SimpleGraph) -> int:
     """Minimum edge mask over all vertex relabelings (n <= 8)."""
     if g.n > 8:
         raise GraphError("brute-force canonical labeling is capped at 8 vertices")
-    mask = g.edge_mask()
-    best = mask
-    for pmap in _pair_permutations(g.n):
+    return min(_orbit_masks(g.n, g.edge_mask()))
+
+
+def _orbit_masks(n: int, mask: int) -> list[int]:
+    """Edge masks of the graph under each of the n! vertex relabelings."""
+    out = []
+    for pmap in _pair_permutations(n):
         img = 0
         rest = mask
         while rest:
             low = rest & (-rest)
             rest ^= low
             img |= 1 << pmap[low.bit_length() - 1]
-        if img < best:
-            best = img
-    return best
+        out.append(img)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -570,18 +565,12 @@ def realize_diagram(g: SimpleGraph) -> ChordDiagram | None:
     """
     if g.n > 7:
         raise GraphError("realizability search is capped at 7 vertices")
-    from .diagrams import parse_diagram
-
     code = _realization_by_class(g.n).get(graph_canonical_mask(g))
-    if code is None:
-        return None
-    return parse_diagram(code.decode("ascii")) if g.n else ChordDiagram(())
+    return None if code is None else ChordDiagram(code)
 
 
 def is_intersection_graph(g: SimpleGraph) -> bool:
     """Whether some chord diagram has an isomorphic intersection graph."""
     if g.n > 6:
         raise GraphError("intersection-graph test is capped at 6 vertices")
-    if g.n == 0:
-        return True
     return realize_diagram(g) is not None

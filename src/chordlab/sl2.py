@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .diagrams import ChordDiagram, canonical_word_bytes, word_positions
+from .graphs import interleave_rows
 from .polynomials import IntPolynomial
 
 
@@ -242,20 +243,6 @@ def _pmul_c_minus_1(a: tuple[int, ...]) -> tuple[int, ...]:
     return _padd(_pmul_c(a), _pneg(a))
 
 
-def _crossing_counts(word: Sequence[int]) -> list[int]:
-    pairs = word_positions(word)
-    n = len(pairs)
-    cnt = [0] * n
-    for a in range(n):
-        a1, a2 = pairs[a]
-        for b in range(a + 1, n):
-            b1, b2 = pairs[b]
-            if (a1 < b1 < a2) != (a1 < b2 < a2):
-                cnt[a] += 1
-                cnt[b] += 1
-    return cnt
-
-
 def _delete_chord(word: tuple[int, ...], ch: int) -> tuple[int, ...]:
     labels: dict[int, int] = {}
     return tuple(
@@ -291,10 +278,9 @@ def _sl2_value(word: tuple[int, ...]) -> tuple[int, ...]:
     cached = _SL2_MEMO.get(code)
     if cached is not None:
         return cached
-    m = len(word)
-    cnt = _crossing_counts(word)
     val: tuple[int, ...] | None = None
-    for ch, k in enumerate(cnt):
+    for ch, row in enumerate(interleave_rows(word)):
+        k = row.bit_count()
         if k == 0:
             val = _pmul_c(_sl2_value(_delete_chord(word, ch)))
             break
@@ -342,12 +328,8 @@ def _six_term_step(word: tuple[int, ...]) -> tuple[int, ...]:
     x, a, b = word[p], word[a_near], word[b_near]
     if len({x, a, b}) != 3:
         raise AssertionError("arc extremes must be two distinct chords")
-
-    def crosses(u: int, v: int) -> bool:
-        (u1, u2), (v1, v2) = pairs[u], pairs[v]
-        return (u1 < v1 < u2) != (u1 < v2 < u2)
-
-    if not (crosses(x, a) and crosses(x, b)):
+    row = interleave_rows(word)[x]
+    if not (row >> a & 1 and row >> b & 1):
         raise AssertionError("arc extremes must cross the chord")
     a_far = pairs[a][0] if pairs[a][1] == a_near else pairs[a][1]
     b_far = pairs[b][0] if pairs[b][1] == b_near else pairs[b][1]

@@ -23,7 +23,6 @@ from .diagrams import (
     find_shares,
     mutated_words,
     random_diagram,
-    word_positions,
 )
 from .fourterm import (
     VerificationReport,
@@ -81,28 +80,22 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
 # step-weight matrices and batched evaluation helpers
 
 
-def dense_sign_matrix(word: Sequence[int]) -> list[list[int]]:
-    """Step-weight matrix of the canonically oriented intersection graph."""
-    pairs = word_positions(word)
-    n = len(pairs)
-    w = [[0] * n for _ in range(n)]
-    for a in range(n):
-        a1, a2 = pairs[a]
-        for b in range(a + 1, n):
-            b1, b2 = pairs[b]
-            if (a1 < b1 < a2) == (a1 < b2 < a2):
-                continue
-            if a1 < b1 < a2:
-                w[a][b], w[b][a] = 1, -1
-            else:
-                w[a][b], w[b][a] = -1, 1
-    return w
+def dense_sign_matrix(words) -> np.ndarray:
+    """Step-weight matrices of the canonically oriented intersection graphs
+    of a batch of equal-length words, each with chord labels 0..n-1.
 
-
-def _adjacency_matrix(word: Sequence[int]) -> list[list[int]]:
-    rows = interleave_rows(word)
-    n = len(rows)
-    return [[rows[u] >> v & 1 for v in range(n)] for u in range(n)]
+    Returns int8 of shape (B, n, n).  Chords u and v cross when exactly
+    one end of v lies inside u's span; entry [g, u, v] is then +1 if that
+    end is v's first end and -1 otherwise, so the matrix is antisymmetric.
+    """
+    # each chord's two positions in order: a stable sort by label
+    pos = np.argsort(np.asarray(words), axis=1, kind="stable")
+    lo, hi = pos[:, 0::2], pos[:, 1::2]
+    lo_u, hi_u = lo[:, :, None], hi[:, :, None]
+    lo_v, hi_v = lo[:, None, :], hi[:, None, :]
+    first_in = (lo_u < lo_v) & (lo_v < hi_u)
+    cross = first_in != ((lo_u < hi_v) & (hi_v < hi_u))
+    return cross * (2 * first_in.astype(np.int8) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +164,23 @@ def rk_four_term_sampled(
 ) -> VerificationReport:
     """Batched signed-cycle 4-term check for order == 2k, sampled.
 
-    Builds all four step-weight matrices per sampled quadruple and runs
-    one vectorized Hamiltonian-cycle DP over the whole batch.
+    Builds the step-weight matrices of all four terms of every sampled
+    quadruple in one batch and runs one vectorized Hamiltonian-cycle DP
+    over it.
     """
     if order != 2 * k:
         raise ValueError("batched mode requires order == 2k")
     report = VerificationReport(invariant=f"r{k}", order=order)
-    quads: list[tuple] = []
-    mats = np.zeros((4 * count, order, order), dtype=np.int8)
-    for idx, words in enumerate(sampled_four_term_words(order, count, seed)):
-        for t, wd in enumerate(words):
-            mats[4 * idx + t] = dense_sign_matrix(wd)
-        quads.append(tuple(words))
-    vals = hamiltonian_cycle_sums(mats)
+    words = np.empty((4 * count, 2 * order), dtype=np.int8)
+    for idx, quad in enumerate(sampled_four_term_words(order, count, seed)):
+        words[4 * idx : 4 * idx + 4] = quad
+    vals = hamiltonian_cycle_sums(dense_sign_matrix(words))
     sums = vals[0::4] - vals[1::4] - vals[2::4] + vals[3::4]
     report.checked = count
     for bad in np.nonzero(sums)[0]:
         codes = [
-            canonical_word_bytes(tuple(w)).decode("ascii") for w in quads[bad]
+            canonical_word_bytes(tuple(w)).decode("ascii")
+            for w in words[4 * bad : 4 * bad + 4].tolist()
         ]
         report.add_violation(codes, int(sums[bad]))
     return report.finalize()
@@ -359,6 +351,7 @@ def suite_parity(
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
     """R_k and the 2k-cycle count must have equal parity."""
+    require_at_least("parity", "k", k, MIN_K)
     report = VerificationReport(invariant=f"r{k}-vs-e{2 * k}-parity", order=order)
     if mode == "exhaustive":
         cache: dict[bytes, bool] = {}
@@ -378,18 +371,17 @@ def suite_parity(
     if order != 2 * k:
         raise ValueError("sampled parity mode requires order == 2k")
     rng = random.Random(seed)
-    words = [random_diagram(order, rng).word for _ in range(count)]
-    signed = np.zeros((count, order, order), dtype=np.int8)
-    plain = np.zeros((count, order, order), dtype=np.int8)
-    for i, wd in enumerate(words):
-        signed[i] = dense_sign_matrix(wd)
-        plain[i] = _adjacency_matrix(wd)
+    words = np.empty((count, 2 * order), dtype=np.int8)
+    for i in range(count):
+        words[i] = random_diagram(order, rng).word
+    signed = dense_sign_matrix(words)
     rk_vals = hamiltonian_cycle_sums(signed)
-    counts = hamiltonian_cycle_sums(plain)
+    counts = hamiltonian_cycle_sums(np.abs(signed))
     report.checked = count
     for bad in np.nonzero((rk_vals - counts) & 1)[0]:
+        word = tuple(words[bad].tolist())
         report.add_violation(
-            [canonical_word_bytes(words[bad]).decode("ascii")], "parity-differs"
+            [canonical_word_bytes(word).decode("ascii")], "parity-differs"
         )
     return report.finalize()
 
@@ -544,16 +536,10 @@ def _graph_invariant_table(invariant: str, order: int, k: int | None, l: int | N
     if invariant == "el-parity":
         require_at_least("el-parity", "l", l, MIN_L)
         if l == order:
-            # full-length cycles: one vectorized Hamiltonian DP over every
-            # labeled graph at once
-            mats = np.zeros((1 << npairs, order, order), dtype=np.int8)
-            ptab = pair_index_table(order)
-            for u in range(order):
-                for v in range(u + 1, order):
-                    bit = ptab[u][v]
-                    masks = (np.arange(1 << npairs) >> bit) & 1
-                    mats[:, u, v] = masks
-                    mats[:, v, u] = masks
+            # full-length cycles: one vectorized Hamiltonian DP over the
+            # adjacency matrices of every labeled graph at once
+            rows = edge_mask_rows(order, np.arange(1 << npairs)).T
+            mats = (rows[:, :, None] >> np.arange(order) & 1).astype(np.int8)
             table = (hamiltonian_cycle_sums(mats) & 1).astype(np.int32)
         else:
             table = np.array(

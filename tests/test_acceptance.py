@@ -135,7 +135,7 @@ def test_ac06_orientation_independence():
     for order in (6, 8):
         k = order // 2
         words = [random_diagram(order, rng).word for _ in range(1000)]
-        base = np.array([dense_sign_matrix(w) for w in words], dtype=np.int8)
+        base = dense_sign_matrix(words)
         canonical = hamiltonian_cycle_sums(base)
         flipped = np.empty((len(words) * 32, order, order), dtype=np.int8)
         for i in range(len(words)):

@@ -222,6 +222,25 @@ class TestVerify:
         assert code == 3
         assert err == "error: rk requires --k >= 2, got 1\n"
 
+    def test_sampling_below_two_chords_exit_3(self, capsys):
+        for n in ("1", "0"):
+            code, out, err = run(
+                capsys, "verify", "four-term-diagrams", "--invariant", "sl2",
+                "--n", n, "--sample", "3",
+            )
+            assert code == 3
+            assert out == ""
+            assert err == f"error: 4-term instances need order >= 2, got {n}\n"
+
+    def test_sampled_parity_k_range_exit_3(self, capsys):
+        for n, k in (("2", "1"), ("0", "0")):
+            code, out, err = run(
+                capsys, "verify", "parity", "--n", n, "--k", k, "--sample", "3"
+            )
+            assert code == 3
+            assert out == ""
+            assert err == f"error: parity requires --k >= 2, got {k}\n"
+
     def test_two_term_edge_count_golden(self, capsys):
         # recorded before the mask loops moved to numpy
         code, out, _ = run(

@@ -23,7 +23,7 @@ from chordlab.graphs import (
     graph_tilde,
     interleave_rows,
 )
-from chordlab.invariants import r_k, w_c
+from chordlab.invariants import e_l_parity, r_k, w_c
 from chordlab.polynomials import ZERO
 from chordlab.sl2 import sl2_recursive
 from chordlab import verify
@@ -128,6 +128,15 @@ class TestDiagramFourTerm:
                     assert g2 == graph_prime(g1, b_ch, a_ch)
                     assert g3 == tilde
                     assert g4 == graph_prime(tilde, b_ch, a_ch)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_sampling_below_two_chords_raises(self, order):
+        # no diagram of these orders has neighboring ends of distinct
+        # chords, so sampling must refuse instead of drawing forever
+        with pytest.raises(ValueError, match="order >= 2"):
+            verify_weight_system(sl2_recursive, order, "sample", 3)
+        with pytest.raises(ValueError, match="order >= 2"):
+            verify.suite_four_term_diagrams("sl2", order, mode="sample", count=3)
 
     def test_report_determinism(self):
         kwargs = dict(mode="sample", count=50, seed=123, invariant="r2")
@@ -237,6 +246,16 @@ class TestMaskEngines:
             whole = engine("triangles", table, 4)
             parts = [engine("triangles", table, 4, shard=(i, 3)) for i in range(3)]
             assert merge_reports(parts).json_lines() == whole.json_lines()
+
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_full_length_el_parity_table(self, order):
+        # the batched Hamiltonian route against per-graph cycle parities
+        name, table, mod2 = verify._graph_invariant_table(
+            "el-parity", order, None, order
+        )
+        expected = [e_l_parity(g, order) for g in enumerate_graphs(order, "labeled")]
+        assert (name, mod2) == (f"e{order}-parity", True)
+        assert table.tolist() == expected
 
     def test_graph_parity_sums_reduce_mod_2(self):
         # digest recorded from the int-subclass parity implementation

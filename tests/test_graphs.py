@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chordlab.diagrams import parse_diagram, random_diagram
+from chordlab.diagrams import (
+    ChordDiagram,
+    enumerate_diagrams,
+    parse_diagram,
+    random_diagram,
+    word_positions,
+)
+from chordlab.fourterm import sampled_four_term_words
 from chordlab.graphs import (
     GraphError,
     SimpleGraph,
@@ -22,6 +29,7 @@ from chordlab.graphs import (
     graph_canonical_mask,
     graph_prime,
     graph_tilde,
+    interleave_rows,
     intersection_graph,
     is_intersection_graph,
     orient_chords,
@@ -33,12 +41,31 @@ from chordlab.graphs import (
     tilde_masks,
 )
 from chordlab.invariants import FIVE_WHEEL, THREE_PRISM
+from chordlab.verify import dense_sign_matrix
 
 K2 = SimpleGraph.from_edges(2, [(0, 1)])
 C4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 K4 = SimpleGraph.from_edges(4, list(itertools.combinations(range(4), 2)))
 
 graphs5 = st.integers(0, (1 << 10) - 1).map(lambda m: SimpleGraph.from_edge_mask(5, m))
+
+
+def reference_sign_matrix(word) -> list[list[int]]:
+    """The per-word step-weight builder the batched one replaced."""
+    pairs = word_positions(word)
+    n = len(pairs)
+    w = [[0] * n for _ in range(n)]
+    for a in range(n):
+        a1, a2 = pairs[a]
+        for b in range(a + 1, n):
+            b1, b2 = pairs[b]
+            if (a1 < b1 < a2) == (a1 < b2 < a2):
+                continue
+            if a1 < b1 < a2:
+                w[a][b], w[b][a] = 1, -1
+            else:
+                w[a][b], w[b][a] = -1, 1
+    return w
 
 
 class TestBasics:
@@ -111,6 +138,44 @@ class TestDirectedIntersectionGraph:
         # letters C,D,A,B normalize to ids 0,1,2,3 in first-appearance order
         signs = {cyc: cycle_sign(dg, cyc) for cyc in enumerate_cycles(dg.graph, 4)}
         assert signs == {(0, 1, 2, 3): -1, (0, 1, 3, 2): 1, (0, 2, 1, 3): 1}
+
+
+class TestSignMatrix:
+    @staticmethod
+    def check_batch(words):
+        signed = dense_sign_matrix(words)
+        assert signed.dtype == np.int8
+        reference = np.array([reference_sign_matrix(w) for w in words], dtype=np.int8)
+        assert signed.tobytes() == reference.tobytes()
+        n = len(words[0]) // 2
+        plain = np.array(
+            [[[row >> v & 1 for v in range(n)] for row in interleave_rows(w)]
+             for w in words],
+            dtype=np.int8,
+        )
+        assert (np.abs(signed) == plain).all()
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_matches_reference_on_every_basepointed_word(self, order):
+        self.check_batch([d.word for d in enumerate_diagrams(order, "basepointed")])
+
+    @pytest.mark.parametrize("order", [6, 7, 8])
+    def test_matches_reference_on_raw_four_term_words(self, order):
+        # term words keep their chord ids, so labels are not first-appearance
+        words = [
+            w for quad in sampled_four_term_words(order, 300, order) for w in quad
+        ]
+        assert any(tuple(w) != ChordDiagram(w).word for w in words)
+        self.check_batch(words)
+
+    def test_canonical_orientation_signs(self, diagram_classes):
+        # +1 at [u][v] is the arrow u -> v of the first-endpoint orientation
+        for d in diagram_classes(5):
+            expected = directed_intersection_graph(d).sign_matrix()
+            assert dense_sign_matrix([d.word])[0].tolist() == expected
+
+    def test_empty_batch(self):
+        assert dense_sign_matrix(np.empty((0, 8), dtype=np.int8)).shape == (0, 4, 4)
 
 
 class TestCycles:
@@ -299,6 +364,11 @@ class TestRealizability:
         ]
         expected = {graph_canonical_mask(FIVE_WHEEL), graph_canonical_mask(THREE_PRISM)}
         assert {graph_canonical_mask(g) for g in bad} == expected
+
+    def test_empty_graph_realized_by_empty_diagram(self):
+        empty = SimpleGraph(0, ())
+        assert realize_diagram(empty) == ChordDiagram(())
+        assert is_intersection_graph(empty)
 
     def test_all_five_vertex_graphs_realizable(self):
         assert all(is_intersection_graph(g) for g in enumerate_graphs(5, "up-to-iso"))
