@@ -197,11 +197,18 @@ def sampled_four_term(
         yield _diagram_quadruple(words, signs)
 
 
+def require_sample_count(count: int) -> None:
+    """Raise ValueError unless a sampled run's count is nonnegative."""
+    if count < 0:
+        raise ValueError(f"--sample must be nonnegative, got {count}")
+
+
 def sampled_four_term_words(
     order: int, count: int, seed: int
 ) -> Iterator[tuple[list, list, list, list]]:
     """The four raw words of each instance :func:`sampled_four_term`
     draws, in the same order."""
+    require_sample_count(count)
     # below two chords no diagram has neighboring ends of distinct chords,
     # so the draw below would never finish
     if order < 2:

@@ -547,26 +547,29 @@ def _orbit_masks(n: int, mask: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _realization_by_class(n: int) -> dict[int, bytes]:
-    """Map canonical graph mask -> canonical code of a realizing diagram."""
+def _realization_by_mask(n: int) -> dict[int, tuple[int, bytes]]:
+    """Map the plain intersection-graph edge mask of every order-n diagram
+    class -> (index of its first class in enumeration order, that class's
+    canonical code)."""
     from .diagrams import canonical_code, enumerate_diagrams
 
-    out: dict[int, bytes] = {}
-    for d in enumerate_diagrams(n, "up-to-rotation"):
-        key = graph_canonical_mask(intersection_graph(d))
-        out.setdefault(key, canonical_code(d))
+    out: dict[int, tuple[int, bytes]] = {}
+    for idx, d in enumerate(enumerate_diagrams(n, "up-to-rotation")):
+        out.setdefault(intersection_graph(d).edge_mask(), (idx, canonical_code(d)))
     return out
 
 
 def realize_diagram(g: SimpleGraph) -> ChordDiagram | None:
     """A chord diagram whose intersection graph is isomorphic to g, or None.
 
-    Brute-force search over diagrams of order n; capped at n <= 7.
+    The first diagram class, in enumeration order, whose intersection
+    graph lies in the relabeling orbit of g; capped at n <= 7.
     """
     if g.n > 7:
         raise GraphError("realizability search is capped at 7 vertices")
-    code = _realization_by_class(g.n).get(graph_canonical_mask(g))
-    return None if code is None else ChordDiagram(code)
+    table = _realization_by_mask(g.n)
+    hits = [table[m] for m in set(_orbit_masks(g.n, g.edge_mask())) if m in table]
+    return ChordDiagram(min(hits)[1]) if hits else None
 
 
 def is_intersection_graph(g: SimpleGraph) -> bool:

@@ -5,6 +5,9 @@ projection onto primitive elements for diagrams and graphs.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -25,7 +28,7 @@ from .graphs import (
 )
 from .partitions import partition_log_full
 from .polynomials import IntPolynomial
-from .sl2 import sl2_recursive
+from .sl2 import NormalizationError, _interpolate, _sl2_value, sl2_recursive
 
 sl2 = sl2_recursive
 
@@ -143,14 +146,65 @@ _PROJECTED_MEMO: dict[bytes, IntPolynomial] = {}
 
 
 def sl2_projected(d: ChordDiagram) -> IntPolynomial:
-    """sl2 value of the projection of d onto primitive elements."""
+    """sl2 value of the projection of d onto primitive elements.
+
+    The partition sum of ``project_primitive_value(d, sl2)``, taken on
+    plain ints at each point c = 0, 1, ..., n and interpolated once;
+    every block product has total order n, so the degree is at most n.
+    """
     code = canonical_code(d)
     val = _PROJECTED_MEMO.get(code)
     if val is None:
-        raw = project_primitive_value(d, sl2)
-        val = raw if isinstance(raw, IntPolynomial) else IntPolynomial([raw])
-        _PROJECTED_MEMO[code] = val
+        val = _PROJECTED_MEMO[code] = IntPolynomial(_projected_coefficients(d.word))
     return val
+
+
+def _projected_coefficients(word: tuple[int, ...]) -> Sequence[int]:
+    n = len(word) // 2
+    if n == 0:
+        return _sl2_value(word)
+    # each induced subword's sl2 coefficients, highest degree first
+    subsets: list = [None] * (1 << n)
+    for mask in range(1, 1 << n):
+        labels: dict[int, int] = {}
+        sub = tuple(labels.setdefault(ch, len(labels)) for ch in word if mask >> ch & 1)
+        subsets[mask] = _sl2_value(sub)[::-1]
+    ys = []
+    for c in range(n + 1):
+        values = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            acc = 0
+            for co in subsets[mask]:
+                acc = acc * c + co
+            values[mask] = acc
+        ys.append(partition_log_full(values, n))
+    return _interpolate_naturals(ys)
+
+
+@lru_cache(maxsize=None)
+def _inverse_vandermonde(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(B, q) with B / q the inverse Vandermonde matrix of c = 0, 1, ..., n."""
+    xs = [Fraction(c) for c in range(n + 1)]
+    cols = [
+        _interpolate(xs, [Fraction(int(i == j)) for i in range(n + 1)])
+        for j in range(n + 1)
+    ]
+    q = lcm(*(co.denominator for col in cols for co in col))
+    return tuple(tuple(int(col[i] * q) for col in cols) for i in range(n + 1)), q
+
+
+def _interpolate_naturals(ys: Sequence[int]) -> list[int]:
+    """Integer coefficients (ascending) of the polynomial of degree
+    < len(ys) that takes the value ys[c] at c = 0, 1, ...; raises
+    NormalizationError if they are not all integers."""
+    basis, q = _inverse_vandermonde(len(ys) - 1)
+    out = []
+    for row in basis:
+        co, rem = divmod(sum(b * y for b, y in zip(row, ys)), q)
+        if rem:
+            raise NormalizationError(f"non-integer interpolant through {list(ys)}")
+        out.append(co)
+    return out
 
 
 class ConjectureResult(NamedTuple):

@@ -279,7 +279,8 @@ def _sl2_value(word: tuple[int, ...]) -> tuple[int, ...]:
     if cached is not None:
         return cached
     val: tuple[int, ...] | None = None
-    for ch, row in enumerate(interleave_rows(word)):
+    rows = interleave_rows(word)
+    for ch, row in enumerate(rows):
         k = row.bit_count()
         if k == 0:
             val = _pmul_c(_sl2_value(_delete_chord(word, ch)))
@@ -288,13 +289,15 @@ def _sl2_value(word: tuple[int, ...]) -> tuple[int, ...]:
             val = _pmul_c_minus_1(_sl2_value(_delete_chord(word, ch)))
             break
     if val is None:
-        val = _six_term_step(word)
+        val = _six_term_step(word, rows)
     _SL2_MEMO[code] = val
     return val
 
 
-def _six_term_step(word: tuple[int, ...]) -> tuple[int, ...]:
+def _six_term_step(word: tuple[int, ...], rows: Sequence[int]) -> tuple[int, ...]:
     """Expand across the six-term relation at a minimal arc.
+
+    ``rows`` are the word's :func:`interleave_rows`.
 
     For the chord x bounding the shortest arc, both extreme endpoints of
     that arc belong to distinct chords a, b crossing x (any chord fully
@@ -328,8 +331,7 @@ def _six_term_step(word: tuple[int, ...]) -> tuple[int, ...]:
     x, a, b = word[p], word[a_near], word[b_near]
     if len({x, a, b}) != 3:
         raise AssertionError("arc extremes must be two distinct chords")
-    row = interleave_rows(word)[x]
-    if not (row >> a & 1 and row >> b & 1):
+    if not (rows[x] >> a & 1 and rows[x] >> b & 1):
         raise AssertionError("arc extremes must cross the chord")
     a_far = pairs[a][0] if pairs[a][1] == a_near else pairs[a][1]
     b_far = pairs[b][0] if pairs[b][1] == b_near else pairs[b][1]

@@ -28,6 +28,7 @@ from .fourterm import (
     VerificationReport,
     four_term_words,
     neighbor_positions,
+    require_sample_count,
     sampled_four_term_words,
 )
 from .graphs import (
@@ -170,6 +171,7 @@ def rk_four_term_sampled(
     """
     if order != 2 * k:
         raise ValueError("batched mode requires order == 2k")
+    require_sample_count(count)
     report = VerificationReport(invariant=f"r{k}", order=order)
     words = np.empty((4 * count, 2 * order), dtype=np.int8)
     for idx, quad in enumerate(sampled_four_term_words(order, count, seed)):
@@ -370,6 +372,7 @@ def suite_parity(
         return report.finalize()
     if order != 2 * k:
         raise ValueError("sampled parity mode requires order == 2k")
+    require_sample_count(count)
     rng = random.Random(seed)
     words = np.empty((count, 2 * order), dtype=np.int8)
     for i in range(count):
@@ -401,6 +404,7 @@ def suite_conjecture(
     if mode == "exhaustive":
         diagrams = enumerate_diagrams(order, "basepointed")
     else:
+        require_sample_count(count)
         rng = random.Random(seed)
         diagrams = (random_diagram(order, rng) for _ in range(count))
     cache: dict[bytes, tuple[bool, str]] = {}
@@ -453,6 +457,7 @@ def suite_oracle_equivalence(
     if mode == "exhaustive":
         diagrams = enumerate_diagrams(order, "basepointed")
     else:
+        require_sample_count(count)
         rng = random.Random(seed)
         diagrams = (random_diagram(order, rng) for _ in range(count))
     for idx, d in enumerate(diagrams):

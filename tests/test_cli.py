@@ -156,6 +156,12 @@ class TestTable1:
         assert not any(ln.endswith("MISMATCH") for ln in lines)
         assert lines[-1] == "table1: ok"
 
+    def test_stdout_bytes_pinned(self, capsys):
+        _, out, _ = run(capsys, "table1")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2494e898b5415a6d9fa987c33515d9f1c07bf865b1a721769f6c25f00fb2265b"
+        )
+
     def test_strict_published_exit_1(self, capsys):
         code, out, _ = run(capsys, "table1", "--strict-published")
         assert code == 1
@@ -231,6 +237,19 @@ class TestVerify:
             assert code == 3
             assert out == ""
             assert err == f"error: 4-term instances need order >= 2, got {n}\n"
+
+    def test_negative_sample_exit_3(self, capsys):
+        for argv in (
+            ("conjecture", "--k", "3"),
+            ("four-term-diagrams", "--invariant", "sl2", "--n", "5"),
+            ("four-term-diagrams", "--n", "8", "--k", "4"),
+            ("parity", "--n", "8", "--k", "4"),
+            ("oracle-equivalence", "--n", "4"),
+        ):
+            code, out, err = run(capsys, "verify", *argv, "--sample", "-3")
+            assert code == 3
+            assert out == ""
+            assert err == "error: --sample must be nonnegative, got -3\n"
 
     def test_sampled_parity_k_range_exit_3(self, capsys):
         for n, k in (("2", "1"), ("0", "0")):

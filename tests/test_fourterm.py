@@ -138,6 +138,19 @@ class TestDiagramFourTerm:
         with pytest.raises(ValueError, match="order >= 2"):
             verify.suite_four_term_diagrams("sl2", order, mode="sample", count=3)
 
+    def test_negative_sample_count_raises(self):
+        runs = (
+            lambda: verify_weight_system(sl2_recursive, 4, "sample", -3),
+            lambda: verify.suite_four_term_diagrams("sl2", 5, mode="sample", count=-3),
+            lambda: verify.rk_four_term_sampled(2, 4, -3, 0),
+            lambda: verify.suite_parity(4, 2, mode="sample", count=-3),
+            lambda: verify.suite_conjecture(3, mode="sample", count=-3),
+            lambda: verify.suite_oracle_equivalence(4, mode="sample", count=-3),
+        )
+        for run in runs:
+            with pytest.raises(ValueError, match="nonnegative, got -3"):
+                run()
+
     def test_report_determinism(self):
         kwargs = dict(mode="sample", count=50, seed=123, invariant="r2")
         a = verify_weight_system(lambda d: r_k(d, 2), 4, **kwargs)

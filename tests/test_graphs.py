@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from chordlab.graphs import (
     tilde_masks,
 )
 from chordlab.invariants import FIVE_WHEEL, THREE_PRISM
+from chordlab.table1 import ROWS
 from chordlab.verify import dense_sign_matrix
 
 K2 = SimpleGraph.from_edges(2, [(0, 1)])
@@ -372,3 +374,41 @@ class TestRealizability:
 
     def test_all_five_vertex_graphs_realizable(self):
         assert all(is_intersection_graph(g) for g in enumerate_graphs(5, "up-to-iso"))
+
+    def test_orbit_lookup_matches_class_table(self):
+        for n in range(6):
+            for g in enumerate_graphs(n, "labeled"):
+                assert realize_diagram(g) == _realize_by_class_reference(g)
+        rng = random.Random(6)
+        for _ in range(400):
+            g = SimpleGraph.from_edge_mask(6, rng.randrange(1 << 15))
+            assert realize_diagram(g) == _realize_by_class_reference(g)
+
+    def test_table_rows_keep_their_realizing_diagrams(self):
+        got = [
+            str(realize_diagram(SimpleGraph.from_edges(row.vertices, row.edges)))
+            for row in ROWS
+        ]
+        assert got == [
+            "ABACDBCD",
+            "ABCADCBD",
+            "ABCADBCD",
+            "ABCDABCD",
+            "ABCADCEDFEBF",
+            "ABCADCEFDBEF",
+            "ABCDEFABCDEF",
+        ]
+
+
+@lru_cache(maxsize=None)
+def _class_table(n: int) -> dict:
+    table: dict = {}
+    for d in enumerate_diagrams(n, "up-to-rotation"):
+        table.setdefault(graph_canonical_mask(intersection_graph(d)), d)
+    return table
+
+
+def _realize_by_class_reference(g: SimpleGraph):
+    """Reference realization: canonically label every class's intersection
+    graph and keep the first class in enumeration order per label."""
+    return _class_table(g.n).get(graph_canonical_mask(g))

@@ -21,6 +21,8 @@ from chordlab.graphs import (
 from chordlab.invariants import (
     FIVE_WHEEL,
     THREE_PRISM,
+    _interpolate_naturals,
+    _projected_coefficients,
     _signed_hamiltonian_sum,
     _wc_primitive_part,
     conjecture_check,
@@ -39,6 +41,7 @@ from chordlab.invariants import (
 )
 from chordlab.partitions import partition_weight, set_partitions
 from chordlab.polynomials import C, IntPolynomial, ZERO
+from chordlab.sl2 import NormalizationError
 
 K4_DIAGRAM = parse_diagram("ABCDABCD")
 
@@ -75,13 +78,15 @@ class TestRk:
         # explicit raises, not assert statements: they still fire under -O
         code = (
             "from chordlab.invariants import _signed_hamiltonian_sum\n"
+            "from chordlab.invariants import _interpolate_naturals\n"
             "from chordlab.sl2 import _six_term_step\n"
             "for call in (lambda: _signed_hamiltonian_sum("
             "[[0, 1, 0], [0, 0, 1], [1, 0, 0]]), "
-            "lambda: _six_term_step((0, 0, 1, 1))):\n"
+            "lambda: _six_term_step((0, 0, 1, 1), (0, 0)), "
+            "lambda: _interpolate_naturals([0, 0, 1])):\n"
             "    try:\n"
             "        call()\n"
-            "    except AssertionError:\n"
+            "    except (AssertionError, ArithmeticError):\n"
             "        continue\n"
             "    raise SystemExit('no error under -O')\n"
         )
@@ -140,6 +145,26 @@ class TestProjection:
 
     def test_single_chord(self):
         assert project_primitive_value(parse_diagram("AA"), sl2) == C
+
+    def test_point_route_matches_polynomial_route(self, diagram_classes):
+        # the integer-point route behind sl2_projected against the
+        # ring-generic partition sum over IntPolynomial values
+        def check(d):
+            got = IntPolynomial(_projected_coefficients(d.word))
+            assert got == project_primitive_value(d, sl2)
+
+        for n in range(7):
+            for d in diagram_classes(n):
+                check(d)
+        rng = random.Random(7)
+        for _ in range(40):
+            check(random_diagram(7, rng))
+
+    def test_non_integer_interpolant_raises(self):
+        # c(c - 1) / 2 takes the values 0, 0, 1 at c = 0, 1, 2
+        with pytest.raises(NormalizationError, match="non-integer"):
+            _interpolate_naturals([0, 0, 1])
+        assert _interpolate_naturals([0, 0, 2]) == [0, -1, 1]
 
     def test_products_project_to_zero(self, diagram_classes):
         for d1 in diagram_classes(2):
