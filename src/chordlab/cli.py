@@ -23,7 +23,6 @@ from .diagrams import (
     format_diagram,
     parse_diagram,
 )
-from .fourterm import VerificationReport
 from .graphs import (
     GraphError,
     SimpleGraph,
@@ -92,8 +91,9 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--k", type=int)
     p_verify.add_argument("--l", type=int)
-    p_verify.add_argument("--exhaustive", action="store_true")
-    p_verify.add_argument("--sample", type=int, metavar="N")
+    p_mode = p_verify.add_mutually_exclusive_group()
+    p_mode.add_argument("--exhaustive", action="store_true")
+    p_mode.add_argument("--sample", type=int, metavar="N")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--jobs", type=int, default=None)
 
@@ -269,75 +269,46 @@ def clamp_jobs(jobs: int, cpus: int | None) -> int:
     return min(jobs, cpus or 1)
 
 
+# per suite: the flags it takes ("?" marks an optional one), its default
+# --invariant (which sets an optional --k to order // 2), and its ceilings
+# on the order (--n, else 2k) when sampled and when exhaustive
+_VERIFY_SUITES = {
+    "four-term-diagrams": ("invariant? n k? l? sample?", "rk", MAX_DIAGRAM_ORDER, 6),
+    "four-term-graphs": ("invariant? n k? l?", "rk-graph", None, MAX_GRAPH_ORDER),
+    "two-term": ("invariant? n", "wc", None, MAX_GRAPH_ORDER),
+    "mutation": ("n", None, None, 6),
+    "parity": ("n k sample?", None, MAX_DIAGRAM_ORDER, 6),
+    "conjecture": ("k sample?", None, MAX_DIAGRAM_ORDER, 6),
+    "wc-identity": ("k", None, None, 6),
+    "oracle-equivalence": ("n sample?", None, MAX_DIAGRAM_ORDER, 6),
+    "wheel-prism": ("", None, None, None),
+}
+
+
 def _verify_params(args) -> dict:
-    suite = args.suite
-    mode = "sample" if args.sample else "exhaustive"
+    """Keyword arguments of the suite's function, from its table row."""
+    flags, default, sampled_ceiling, ceiling = _VERIFY_SUITES[args.suite]
     params: dict = {}
-    def need(flag, value):
-        if value is None:
-            raise ParamError(f"suite {suite!r} requires --{flag}")
-        return value
-    if suite == "four-term-diagrams":
-        params = dict(
-            invariant=args.invariant or "rk",
-            order=need("n", args.n),
-            k=args.k,
-            l=args.l,
-            mode=mode,
-            count=args.sample or 0,
-            seed=args.seed,
-        )
-        if params["invariant"] == "rk" and params["k"] is None:
+    for flag in flags.split():
+        name = flag.rstrip("?")
+        value = getattr(args, name)
+        if value is None and name == flag:
+            raise ParamError(f"suite {args.suite!r} requires --{name}")
+        params["order" if name == "n" else name] = value
+    if "invariant" in params:
+        params["invariant"] = params["invariant"] or default
+        if params["invariant"] == default and params.get("k", 0) is None:
             params["k"] = params["order"] // 2
-        _check_order(params["order"], MAX_DIAGRAM_ORDER)
-        if mode == "exhaustive":
-            _check_order(params["order"], 6)
-    elif suite == "four-term-graphs":
-        params = dict(
-            invariant=args.invariant or "rk-graph",
-            order=need("n", args.n),
-            k=args.k,
-            l=args.l,
-        )
-        if params["invariant"] == "rk-graph" and params["k"] is None:
-            params["k"] = params["order"] // 2
-        _check_order(params["order"], MAX_GRAPH_ORDER)
-    elif suite == "two-term":
-        params = dict(invariant=args.invariant or "wc", order=need("n", args.n))
-        _check_order(params["order"], MAX_GRAPH_ORDER)
-    elif suite == "mutation":
-        params = dict(order=need("n", args.n))
-        _check_order(params["order"], 6)
-    elif suite == "parity":
-        params = dict(
-            order=need("n", args.n),
-            k=need("k", args.k),
-            mode=mode,
-            count=args.sample or 0,
-            seed=args.seed,
-        )
-        _check_order(params["order"], MAX_DIAGRAM_ORDER)
-        if mode == "exhaustive":
-            _check_order(params["order"], 6)
-    elif suite == "conjecture":
-        params = dict(
-            k=need("k", args.k), mode=mode, count=args.sample or 0, seed=args.seed
-        )
-        _check_order(2 * params["k"], MAX_DIAGRAM_ORDER)
-        if mode == "exhaustive":
-            _check_order(2 * params["k"], 6)
-    elif suite == "wc-identity":
-        params = dict(k=need("k", args.k))
-        _check_order(2 * params["k"], 6)
-    elif suite == "oracle-equivalence":
-        params = dict(
-            order=need("n", args.n), mode=mode, count=args.sample or 0, seed=args.seed
-        )
-        _check_order(params["order"], MAX_DIAGRAM_ORDER)
-        if mode == "exhaustive":
-            _check_order(params["order"], 6)
-    elif suite == "wheel-prism":
-        params = {}
+    if "sample" in params:
+        count = params.pop("sample")
+        params["mode"] = "exhaustive" if count is None else "sample"
+        params.update(count=count or 0, seed=args.seed)
+    if ceiling is not None:
+        order = params["order"] if "order" in params else 2 * params["k"]
+        if sampled_ceiling is not None:
+            _check_order(order, sampled_ceiling)
+        if params.get("mode", "exhaustive") == "exhaustive":
+            _check_order(order, ceiling)
     return params
 
 
@@ -357,15 +328,6 @@ _SUITE_FUNCS = {
     "oracle-equivalence": verify_mod.suite_oracle_equivalence,
 }
 
-# suites whose principal loop supports sharded workers in exhaustive mode
-_SHARDABLE = set(_SUITE_FUNCS)
-
-
-def _run_shard(suite: str, params: dict, shard: tuple[int, int]):
-    report = _SUITE_FUNCS[suite](**params, shard=shard)
-    # plain tuple for pickling back to the parent
-    return report.invariant, report.order, report.checked, report.violations
-
 
 def _cmd_verify(args) -> int:
     params = _verify_params(args)
@@ -373,25 +335,13 @@ def _cmd_verify(args) -> int:
     info: list[dict] = []
     if args.suite == "wheel-prism":
         report, info = verify_mod.suite_wheel_prism()
-    elif (
-        jobs > 1
-        and args.suite in _SHARDABLE
-        and params.get("mode", "exhaustive") == "exhaustive"
-    ):
+    elif jobs > 1 and params.get("mode", "exhaustive") == "exhaustive":
         with ProcessPoolExecutor(max_workers=jobs) as pool:
+            suite = _SUITE_FUNCS[args.suite]
             futures = [
-                pool.submit(_run_shard, args.suite, params, (i, jobs))
-                for i in range(jobs)
+                pool.submit(suite, **params, shard=(i, jobs)) for i in range(jobs)
             ]
-            parts = [f.result() for f in futures]
-        report = verify_mod.merge_reports(
-            [
-                VerificationReport(
-                    invariant=inv, order=order, checked=checked, violations=viol
-                )
-                for inv, order, checked, viol in parts
-            ]
-        )
+            report = verify_mod.merge_reports([f.result() for f in futures])
     else:
         report = _SUITE_FUNCS[args.suite](**params)
     for rec in info:

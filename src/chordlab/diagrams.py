@@ -2,9 +2,10 @@
 
 A chord diagram of order n is stored as a double-occurrence word of
 length 2n read counterclockwise from a fixed basepoint; chord ids are
-normalized to 0..n-1 in order of first appearance.  Diagrams compare
-equal up to rotation of the basepoint (the circle's orientation is
-fixed, so reflections are *not* quotiented out).
+normalized to 0..n-1 in order of first appearance.  ``==`` compares
+these basepointed words; :func:`canonical_code` identifies rotation
+classes (the circle's orientation is fixed, so reflections are *not*
+quotiented out).
 """
 
 from __future__ import annotations

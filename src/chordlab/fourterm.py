@@ -11,15 +11,16 @@ fails under the flipped flank.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .diagrams import (
     ChordDiagram,
     DiagramError,
-    canonical_code,
+    canonical_word_bytes,
     enumerate_diagrams,
     random_diagram,
 )
@@ -45,11 +46,6 @@ class RelationQuadruple:
             val = sign * f(obj)
             total = val if total is None else total + val
         return total
-
-    def term_codes(self) -> list[str]:
-        if self.flavor == "diagram":
-            return [canonical_code(obj).decode("ascii") for obj, _ in self.terms]
-        return [format_graph(obj) for obj, _ in self.terms]
 
 
 def four_term_words(word: Sequence[int], p: int) -> tuple[list, list, list, list]:
@@ -85,10 +81,7 @@ def diagram_four_term(
     The intersection graphs of the four terms form the graph 4-term
     quadruple at the ordered pair (chord at p+1, chord at p).
     """
-    return _diagram_quadruple(four_term_words(d.word, p), signs)
-
-
-def _diagram_quadruple(words, signs) -> RelationQuadruple:
+    words = four_term_words(d.word, p)
     return RelationQuadruple(
         flavor="diagram",
         terms=tuple((ChordDiagram(w), s) for w, s in zip(words, signs)),
@@ -151,10 +144,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _is_zero(value) -> bool:
-    return not value
-
-
 def verify_weight_system(
     f: Callable[[ChordDiagram], object],
     order: int,
@@ -168,33 +157,77 @@ def verify_weight_system(
 
     mode="exhaustive" runs every (diagram, neighboring-end position) at
     the given order; mode="sample" draws `count` quadruples with the
-    given seed.  Violations are data, not errors; the report is
-    deterministic byte-for-byte under a fixed seed.
+    given seed.  f must be a function of the rotation class: it is
+    called once per class, on the first diagram of the class met.
+    Violations are data, not errors; the report is deterministic
+    byte-for-byte under a fixed seed.
     """
-    report = VerificationReport(invariant=invariant, order=order)
-    if mode == "exhaustive":
-        for d in enumerate_diagrams(order, "basepointed"):
-            for p in neighbor_positions(d):
-                quad = diagram_four_term(d, p, signs)
-                _check(report, quad, f)
-    elif mode == "sample":
-        for quad in sampled_four_term(order, count, seed, signs):
-            _check(report, quad, f)
-    else:
-        raise ValueError(f"unknown mode: {mode!r}")
-    return report.finalize()
+    quads = four_term_instances(order, mode, count, seed)
+    return four_term_sums(quads, f, invariant, order, signs)
 
 
-def sampled_four_term(
+def sharded(items: Iterable, shard: tuple[int, int] | None = None) -> Iterator:
+    """The items at indexes i with i % count == index for
+    ``shard=(index, count)``; every item without a shard."""
+    index, count = shard or (0, 1)
+    return itertools.islice(items, index, None, count)
+
+
+def four_term_instances(
     order: int,
-    count: int,
-    seed: int,
+    mode: str = "exhaustive",
+    count: int = 0,
+    seed: int = 0,
+    shard: tuple[int, int] | None = None,
+) -> Iterator[tuple[list, list, list, list]]:
+    """The four raw words of each diagram 4-term instance of the order.
+
+    mode="exhaustive" takes every neighboring-end position of every
+    basepointed diagram, the diagrams split by ``shard``; mode="sample"
+    draws `count` instances from the seed, the instances split by it.
+    """
+    if mode == "exhaustive":
+        return (
+            four_term_words(d.word, p)
+            for d in sharded(enumerate_diagrams(order, "basepointed"), shard)
+            for p in neighbor_positions(d)
+        )
+    if mode != "sample":
+        raise ValueError(f"unknown mode: {mode!r}")
+    return sharded(sampled_four_term_words(order, count, seed), shard)
+
+
+def four_term_sums(
+    quads: Iterable[Sequence[Sequence[int]]],
+    f: Callable[[ChordDiagram], object],
+    invariant: str,
+    order: int,
     signs: tuple[int, int, int, int] = DEFAULT_SIGNS,
-) -> Iterator[RelationQuadruple]:
-    """`count` 4-term instances: a random diagram of the order, then a
-    random neighboring-end position on it, all drawn from one seed."""
-    for words in sampled_four_term_words(order, count, seed):
-        yield _diagram_quadruple(words, signs)
+    mod2: bool = False,
+) -> VerificationReport:
+    """Signed sums of f over raw-word quadruples, one check each.
+
+    Each term's value is looked up by its canonical key, so f is called
+    once per rotation class and a word becomes a ChordDiagram only for
+    that call.  With ``mod2`` the sums are reduced mod 2 (for 0/1
+    parity invariants).
+    """
+    values: dict[bytes, object] = {}
+    report = VerificationReport(invariant=invariant, order=order)
+    for words in quads:
+        report.checked += 1
+        keys = [canonical_word_bytes(w) for w in words]
+        total = 0
+        for key, word, sign in zip(keys, words, signs):
+            val = values.get(key)
+            if val is None:
+                val = values[key] = f(ChordDiagram(word))
+            total += sign * val
+        if mod2:
+            total &= 1
+        if total:
+            report.add_violation([key.decode("ascii") for key in keys], total)
+    return report.finalize()
 
 
 def require_sample_count(count: int) -> None:
@@ -206,8 +239,9 @@ def require_sample_count(count: int) -> None:
 def sampled_four_term_words(
     order: int, count: int, seed: int
 ) -> Iterator[tuple[list, list, list, list]]:
-    """The four raw words of each instance :func:`sampled_four_term`
-    draws, in the same order."""
+    """`count` 4-term instances as raw words: a random diagram of the
+    order, then a random neighboring-end position on it, all drawn from
+    one seed."""
     require_sample_count(count)
     # below two chords no diagram has neighboring ends of distinct chords,
     # so the draw below would never finish
@@ -238,12 +272,12 @@ def verify_graph_four_term(
     """
     report = VerificationReport(invariant=invariant, order=order)
     for g in _all_graphs(order):
-        for a in range(order):
-            for b in range(order):
-                if a == b:
-                    continue
-                quad = graph_four_term(g, a, b, signs)
-                _check(report, quad, f)
+        for a, b in itertools.permutations(range(order), 2):
+            quad = graph_four_term(g, a, b, signs)
+            report.checked += 1
+            total = quad.signed_sum(f)
+            if total:
+                report.add_violation([format_graph(t) for t, _ in quad.terms], total)
     return report.finalize()
 
 
@@ -258,17 +292,12 @@ def two_term_check(
     """
     report = VerificationReport(invariant=invariant, order=order)
     for g in _all_graphs(order):
-        for a in range(order):
-            for b in range(order):
-                if a == b:
-                    continue
-                tilde = graph_tilde(g, a, b)
-                report.checked += 1
-                diff = f(g) - f(tilde)
-                if not _is_zero(diff):
-                    report.add_violation(
-                        [format_graph(g), format_graph(tilde)], diff
-                    )
+        for a, b in itertools.permutations(range(order), 2):
+            tilde = graph_tilde(g, a, b)
+            report.checked += 1
+            diff = f(g) - f(tilde)
+            if diff:
+                report.add_violation([format_graph(g), format_graph(tilde)], diff)
     return report.finalize()
 
 
@@ -276,10 +305,3 @@ def _all_graphs(order: int):
     from .graphs import enumerate_graphs
 
     return enumerate_graphs(order, "labeled")
-
-
-def _check(report: VerificationReport, quad: RelationQuadruple, f: Callable) -> None:
-    report.checked += 1
-    total = quad.signed_sum(f)
-    if not _is_zero(total):
-        report.add_violation(quad.term_codes(), total)

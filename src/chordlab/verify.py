@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,10 +26,11 @@ from .diagrams import (
 )
 from .fourterm import (
     VerificationReport,
-    four_term_words,
-    neighbor_positions,
+    four_term_instances,
+    four_term_sums,
     require_sample_count,
     sampled_four_term_words,
+    sharded,
 )
 from .graphs import (
     SimpleGraph,
@@ -43,6 +44,7 @@ from .graphs import (
 from .invariants import (
     MIN_K,
     MIN_L,
+    conjecture_check,
     e_l_parity,
     r_k,
     r_k_graph_batch,
@@ -62,10 +64,6 @@ SUITE_NAMES = (
     "oracle-equivalence",
     "wheel-prism",
 )
-
-
-def _shard_keep(shard: tuple[int, int] | None, index: int) -> bool:
-    return shard is None or index % shard[1] == shard[0]
 
 
 def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
@@ -113,51 +111,14 @@ def suite_four_term_diagrams(
     seed: int = 0,
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
-    """Signed 4-term sums of a named invariant over diagram quadruples.
-
-    The quadruples stay raw words: each term's value is looked up by its
-    canonical key, so a diagram is only built once per rotation class.
-    """
+    """Signed 4-term sums of a named invariant over diagram quadruples,
+    through the one diagram engine :func:`fourterm.four_term_sums`."""
     name, f, mod2 = _diagram_invariant(invariant, k, l)
     if invariant == "rk" and mode == "sample" and 2 * k == order:
         if shard is None or shard == (0, 1):
             return rk_four_term_sampled(k, order, count, seed)
-    if mode == "exhaustive":
-        quads = (
-            four_term_words(d.word, p)
-            for idx, d in enumerate(enumerate_diagrams(order, "basepointed"))
-            if _shard_keep(shard, idx)
-            for p in neighbor_positions(d)
-        )
-    elif shard is not None and shard != (0, 1):
-        raise ValueError("sampled suites are not sharded")
-    else:
-        quads = sampled_four_term_words(order, count, seed)
-    value = _per_class(f)
-    report = VerificationReport(invariant=name, order=order)
-    for words in quads:
-        report.checked += 1
-        keys = [canonical_word_bytes(w) for w in words]
-        v = [value(key, w) for key, w in zip(keys, words)]
-        # the quadruple signs (+1, -1, -1, +1) of fourterm.DEFAULT_SIGNS
-        total = v[0] - v[1] - v[2] + v[3]
-        if mod2:
-            total &= 1
-        if total:
-            report.add_violation([key.decode("ascii") for key in keys], total)
-    return report.finalize()
-
-
-def _per_class(f):
-    """``f`` as a function of (canonical key, raw word), evaluated once
-    per key; the word becomes a ChordDiagram only on the first call."""
-    values: dict[bytes, object] = {}
-    def value(key: bytes, word: Sequence[int]):
-        val = values.get(key)
-        if val is None:
-            val = values[key] = f(ChordDiagram(word))
-        return val
-    return value
+    quads = four_term_instances(order, mode, count, seed, shard)
+    return four_term_sums(quads, f, name, order, mod2=mod2)
 
 
 def rk_four_term_sampled(
@@ -314,10 +275,9 @@ def suite_mutation(
     """Mutations must preserve the labeled intersection graph and R_k."""
     report = VerificationReport(invariant="mutation", order=order)
     k = order // 2 if order % 2 == 0 and order >= 4 else None
-    rk = _per_class(lambda d: r_k(d, k))
-    for idx, d in enumerate(enumerate_diagrams(order, "up-to-rotation")):
-        if not _shard_keep(shard, idx):
-            continue
+    # R_k by canonical key: a mutant becomes a ChordDiagram once per class
+    rk_by_class: dict[bytes, int] = {}
+    for d in sharded(enumerate_diagrams(order, "up-to-rotation"), shard):
         base_rows = interleave_rows(d.word)
         base_rk = r_k(d, k) if k else None
         # different shares often re-glue to the same word
@@ -329,7 +289,10 @@ def suite_mutation(
                 if bad is None:
                     bad = interleave_rows(w) != base_rows
                     if not bad and k:
-                        bad = rk(canonical_word_bytes(w), w) != base_rk
+                        key = canonical_word_bytes(w)
+                        if key not in rk_by_class:
+                            rk_by_class[key] = r_k(ChordDiagram(w), k)
+                        bad = rk_by_class[key] != base_rk
                     verdicts[w] = bad
                 if bad:
                     report.add_violation(
@@ -344,6 +307,46 @@ def suite_mutation(
     return report.finalize()
 
 
+def _diagram_source(
+    order: int,
+    mode: str = "exhaustive",
+    count: int = 0,
+    seed: int = 0,
+    shard: tuple[int, int] | None = None,
+) -> Iterator[ChordDiagram]:
+    """Every basepointed diagram of the order (mode="exhaustive"), or
+    `count` random ones drawn from the seed; split by ``shard``."""
+    if mode == "exhaustive":
+        return sharded(enumerate_diagrams(order, "basepointed"), shard)
+    require_sample_count(count)
+    rng = random.Random(seed)
+    return sharded((random_diagram(order, rng) for _ in range(count)), shard)
+
+
+def _per_class_suite(
+    invariant: str,
+    order: int,
+    diagrams: Iterator[ChordDiagram],
+    verdict: Callable[[ChordDiagram], str | None],
+) -> VerificationReport:
+    """One check per diagram, one verdict per rotation class.
+
+    ``verdict(d)`` is None when d's class passes, else the text recorded
+    as the violation's signed sum; it runs on the first diagram of each
+    class met.
+    """
+    report = VerificationReport(invariant=invariant, order=order)
+    verdicts: dict[bytes, str | None] = {}
+    for d in diagrams:
+        report.checked += 1
+        code = canonical_code(d)
+        if code not in verdicts:
+            verdicts[code] = verdict(d)
+        if verdicts[code] is not None:
+            report.add_violation([code.decode("ascii")], verdicts[code])
+    return report.finalize()
+
+
 def suite_parity(
     order: int,
     k: int,
@@ -354,33 +357,24 @@ def suite_parity(
 ) -> VerificationReport:
     """R_k and the 2k-cycle count must have equal parity."""
     require_at_least("parity", "k", k, MIN_K)
-    report = VerificationReport(invariant=f"r{k}-vs-e{2 * k}-parity", order=order)
+    name = f"r{k}-vs-e{2 * k}-parity"
     if mode == "exhaustive":
-        cache: dict[bytes, bool] = {}
-        for idx, d in enumerate(enumerate_diagrams(order, "basepointed")):
-            if not _shard_keep(shard, idx):
-                continue
-            report.checked += 1
-            code = canonical_code(d)
-            ok = cache.get(code)
-            if ok is None:
-                g = SimpleGraph(d.n, interleave_rows(d.word))
-                ok = r_k(d, k) & 1 == e_l_parity(g, 2 * k)
-                cache[code] = ok
-            if not ok:
-                report.add_violation([code.decode("ascii")], "parity-differs")
-        return report.finalize()
+        def verdict(d):
+            g = SimpleGraph(d.n, interleave_rows(d.word))
+            same = r_k(d, k) & 1 == e_l_parity(g, 2 * k)
+            return None if same else "parity-differs"
+        diagrams = _diagram_source(order, shard=shard)
+        return _per_class_suite(name, order, diagrams, verdict)
     if order != 2 * k:
         raise ValueError("sampled parity mode requires order == 2k")
-    require_sample_count(count)
-    rng = random.Random(seed)
+    diagrams = _diagram_source(order, mode, count, seed)
     words = np.empty((count, 2 * order), dtype=np.int8)
-    for i in range(count):
-        words[i] = random_diagram(order, rng).word
+    for i, d in enumerate(diagrams):
+        words[i] = d.word
     signed = dense_sign_matrix(words)
     rk_vals = hamiltonian_cycle_sums(signed)
     counts = hamiltonian_cycle_sums(np.abs(signed))
-    report.checked = count
+    report = VerificationReport(invariant=name, order=order, checked=count)
     for bad in np.nonzero((rk_vals - counts) & 1)[0]:
         word = tuple(words[bad].tolist())
         report.add_violation(
@@ -397,52 +391,23 @@ def suite_conjecture(
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
     """Coefficient of c^k in the projected sl2 value equals 2 R_k."""
-    from .invariants import conjecture_check
-
-    order = 2 * k
-    report = VerificationReport(invariant=f"conjecture-k{k}", order=order)
-    if mode == "exhaustive":
-        diagrams = enumerate_diagrams(order, "basepointed")
-    else:
-        require_sample_count(count)
-        rng = random.Random(seed)
-        diagrams = (random_diagram(order, rng) for _ in range(count))
-    cache: dict[bytes, tuple[bool, str]] = {}
-    for idx, d in enumerate(diagrams):
-        if not _shard_keep(shard, idx):
-            continue
-        report.checked += 1
-        code = canonical_code(d)
-        hit = cache.get(code)
-        if hit is None:
-            res = conjecture_check(d, k)
-            hit = cache[code] = (res.equal, f"lhs={res.lhs} rhs={res.rhs}")
-        if not hit[0]:
-            report.add_violation([code.decode("ascii")], hit[1])
-    return report.finalize()
+    def verdict(d):
+        res = conjecture_check(d, k)
+        return None if res.equal else f"lhs={res.lhs} rhs={res.rhs}"
+    diagrams = _diagram_source(2 * k, mode, count, seed, shard)
+    return _per_class_suite(f"conjecture-k{k}", 2 * k, diagrams, verdict)
 
 
 def suite_wc_identity(
     k: int, shard: tuple[int, int] | None = None
 ) -> VerificationReport:
     """R_k equals the halved projected-indicator route on every
-    basepointed 2k-chord diagram (cached per rotation class)."""
-    order = 2 * k
-    report = VerificationReport(invariant=f"rk-wc-identity-k{k}", order=order)
-    cache: dict[bytes, tuple[int, int]] = {}
-    for idx, d in enumerate(enumerate_diagrams(order, "basepointed")):
-        if not _shard_keep(shard, idx):
-            continue
-        report.checked += 1
-        code = canonical_code(d)
-        pair = cache.get(code)
-        if pair is None:
-            pair = cache[code] = (r_k(d, k), r_k_via_wc(d, k))
-        if pair[0] != pair[1]:
-            report.add_violation(
-                [code.decode("ascii")], f"rk={pair[0]} via_wc={pair[1]}"
-            )
-    return report.finalize()
+    basepointed 2k-chord diagram."""
+    def verdict(d):
+        rk, via_wc = r_k(d, k), r_k_via_wc(d, k)
+        return None if rk == via_wc else f"rk={rk} via_wc={via_wc}"
+    diagrams = _diagram_source(2 * k, shard=shard)
+    return _per_class_suite(f"rk-wc-identity-k{k}", 2 * k, diagrams, verdict)
 
 
 def suite_oracle_equivalence(
@@ -453,24 +418,11 @@ def suite_oracle_equivalence(
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
     """Contraction oracle equals the recursive sl2 evaluation."""
-    report = VerificationReport(invariant="sl2-oracle-vs-recursive", order=order)
-    if mode == "exhaustive":
-        diagrams = enumerate_diagrams(order, "basepointed")
-    else:
-        require_sample_count(count)
-        rng = random.Random(seed)
-        diagrams = (random_diagram(order, rng) for _ in range(count))
-    for idx, d in enumerate(diagrams):
-        if not _shard_keep(shard, idx):
-            continue
-        report.checked += 1
-        a = sl2_oracle(d)
-        b = sl2_recursive(d)
-        if a != b:
-            report.add_violation(
-                [canonical_code(d).decode("ascii")], f"oracle={a} recursive={b}"
-            )
-    return report.finalize()
+    def verdict(d):
+        a, b = sl2_oracle(d), sl2_recursive(d)
+        return None if a == b else f"oracle={a} recursive={b}"
+    diagrams = _diagram_source(order, mode, count, seed, shard)
+    return _per_class_suite("sl2-oracle-vs-recursive", order, diagrams, verdict)
 
 
 def suite_wheel_prism() -> tuple[VerificationReport, list[dict]]:

@@ -206,6 +206,9 @@ class TestVerify:
             ("verify", "two-term", "--invariant", "edge-count", "--n", "4"),
             ("verify", "four-term-diagrams", "--n", "4", "--k", "2", "--exhaustive"),
             ("verify", "mutation", "--n", "5"),
+            ("verify", "conjecture", "--k", "2", "--exhaustive"),
+            ("verify", "parity", "--n", "5", "--k", "2"),
+            ("verify", "oracle-equivalence", "--n", "4"),
         ):
             first_code, first, _ = run(capsys, *base)
             second_code, second, _ = run(capsys, *base, "--jobs", "2")
@@ -250,6 +253,23 @@ class TestVerify:
             assert code == 3
             assert out == ""
             assert err == "error: --sample must be nonnegative, got -3\n"
+
+    def test_sample_zero_checks_nothing(self, capsys):
+        for argv in (
+            ("conjecture", "--k", "2"),
+            ("parity", "--n", "8", "--k", "4"),
+        ):
+            code, out, err = run(capsys, "verify", *argv, "--sample", "0")
+            assert (code, out, err) == (0, '{"checked": 0, "violations": 0}\n', "")
+
+    def test_exhaustive_and_sample_exclusive_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "parity", "--n", "6", "--k", "3",
+            "--exhaustive", "--sample", "5",
+        )
+        assert code == 3
+        assert out == ""
+        assert "not allowed with argument --exhaustive" in err
 
     def test_sampled_parity_k_range_exit_3(self, capsys):
         for n, k in (("2", "1"), ("0", "0")):

@@ -111,6 +111,10 @@ class TestCanonicalCode:
         d = parse_diagram("ABAB")
         for r in range(4):
             assert canonical_code(d.rotated(r)) == canonical_code(d)
+        # == compares basepointed words; only the codes agree
+        aabb = parse_diagram("AABB")
+        assert aabb != aabb.rotated(1)
+        assert canonical_code(aabb) == canonical_code(aabb.rotated(1))
 
     def test_order4_class_count(self):
         codes = {canonical_code(d) for d in enumerate_diagrams(4, "basepointed")}

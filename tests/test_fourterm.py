@@ -22,6 +22,7 @@ from chordlab.graphs import (
     graph_prime,
     graph_tilde,
     interleave_rows,
+    intersection_graph,
 )
 from chordlab.invariants import e_l_parity, r_k, w_c
 from chordlab.polynomials import ZERO
@@ -37,6 +38,10 @@ from chordlab.verify import (
 
 def _triangles(g: SimpleGraph) -> int:
     return len(enumerate_cycles(g, 3))
+
+
+def _diagram_triangles(d) -> int:
+    return _triangles(intersection_graph(d))
 
 
 def _edges(g: SimpleGraph) -> int:
@@ -296,3 +301,83 @@ class TestMaskEngines:
         assert _sha(report) == (
             "d64e58da699c84cddf231664b76269bc1524d62f33f026de270326adbcc7082c"
         )
+
+
+class TestViolationDigests:
+    """Violation-producing reports of the diagram engines, pinned by
+    (checked, violations, sha256 of json_lines()) as recorded before the
+    diagram 4-term loops and the per-class suite loops were merged."""
+
+    @pytest.mark.parametrize(
+        "run, checked, violations, digest",
+        [
+            (
+                lambda: verify_weight_system(
+                    _diagram_triangles, 4, invariant="triangles"
+                ),
+                720,
+                352,
+                "10f65d881fb05480d526f86b61d8a7b8fb90b09f21f44f8173166f7b276cce5b",
+            ),
+            (
+                lambda: verify_weight_system(
+                    _diagram_triangles, 6, "sample", 300, 5, invariant="triangles"
+                ),
+                300,
+                190,
+                "72b3e09a9bf28c9a2654fcfe85a94fd33e214a3f65aaddc50a6ef64df48ec4c2",
+            ),
+            (
+                lambda: verify_weight_system(
+                    sl2_recursive, 5, "sample", 100, 9, invariant="sl2",
+                    signs=(1, 1, -1, -1),
+                ),
+                100,
+                55,
+                "af7b387320121ae3aa1964a0c13038dd3715c553b900c6e7ffa5933ef9c7f2e6",
+            ),
+        ],
+        ids=["triangles-exhaustive", "triangles-sampled", "sl2-bad-signs"],
+    )
+    def test_weight_system(self, run, checked, violations, digest):
+        report = run()
+        assert (report.checked, len(report.violations)) == (checked, violations)
+        assert _sha(report) == digest
+
+    @pytest.mark.parametrize(
+        "name, broken, run, checked, violations, digest",
+        [
+            (
+                "r_k_via_wc",
+                lambda d, k: 0,
+                lambda: verify.suite_wc_identity(2),
+                105,
+                7,
+                "093e9583a1f1345deaf22131dff457942026d991d32803c18e941232a040b486",
+            ),
+            (
+                "sl2_oracle",
+                lambda d: sl2_recursive(d) + 1,
+                lambda: verify.suite_oracle_equivalence(4),
+                105,
+                105,
+                "6c6c1f0786a6e8f7fbdc53a2f70b666ed64b7af1c3ff7c2e677827783884bb2f",
+            ),
+            (
+                "e_l_parity",
+                lambda g, l: 0,
+                lambda: verify.suite_parity(5, 2),
+                945,
+                191,
+                "308bdefdbc015908f7290447e151afe3043f309c441aeeb8d24337c162b54bf1",
+            ),
+        ],
+        ids=["wc-identity", "oracle-equivalence", "parity"],
+    )
+    def test_per_class_suites(
+        self, monkeypatch, name, broken, run, checked, violations, digest
+    ):
+        monkeypatch.setattr(verify, name, broken)
+        report = run()
+        assert (report.checked, len(report.violations)) == (checked, violations)
+        assert _sha(report) == digest
