@@ -27,7 +27,6 @@ from .fourterm import (
     VerificationReport,
     diagram_four_term,
     graph_four_term,
-    two_term_check,
     verify_weight_system,
 )
 from .graphs import (
@@ -123,7 +122,6 @@ __all__ = [
     "sl2_oracle",
     "sl2_projected",
     "sl2_recursive",
-    "two_term_check",
     "verify_weight_system",
     "w_c",
 ]

@@ -9,21 +9,25 @@ from __future__ import annotations
 
 import numpy as np
 
+# graphs per DP pass, so no int64 copy of the whole batch is made
+_CHUNK = 4096
 
-def hamiltonian_cycle_sums(wmats: np.ndarray, chunk: int = 4096) -> np.ndarray:
+
+def hamiltonian_cycle_sums(wmats: np.ndarray) -> np.ndarray:
     """Sum of edge-weight products over undirected Hamiltonian cycles.
 
     wmats has shape (B, n, n); entry [g, u, v] is the weight of the step
     u -> v in graph g (0 for a non-edge).  With antisymmetric +-1
     weights this is twice the signed cycle count; with 0/1 adjacency it
     is twice the plain count.  Returns int64 of shape (B,), halved.
+
+    Batch form of the DP in :func:`chordlab.invariants._signed_hamiltonian_sum`.
     """
     wmats = np.asarray(wmats)
     out = np.empty(len(wmats), dtype=np.int64)
-    # one chunk at a time in int64, so no int64 copy of the whole batch
-    for lo in range(0, len(wmats), chunk):
-        w = wmats[lo : lo + chunk].astype(np.int64)
-        out[lo : lo + chunk] = _chunk_sums(w)
+    for lo in range(0, len(wmats), _CHUNK):
+        w = wmats[lo : lo + _CHUNK].astype(np.int64)
+        out[lo : lo + _CHUNK] = _chunk_sums(w)
     return out
 
 

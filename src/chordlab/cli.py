@@ -52,9 +52,6 @@ EXIT_PARAMS = 3
 MAX_DIAGRAM_ORDER = 8
 MAX_GRAPH_ORDER = 6
 
-DIAGRAM_INVARIANTS = ("rk", "el-parity", "wc", "sl2", "sl2-recursive", "sl2-projected")
-GRAPH_INVARIANTS = ("wc", "el-parity", "rk-graph")
-
 
 class ParamError(Exception):
     pass
@@ -86,7 +83,7 @@ def _build_parser() -> _Parser:
     )
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("suite", choices=verify_mod.SUITE_NAMES)
+    p_verify.add_argument("suite", choices=_VERIFY_SUITES)
     p_verify.add_argument("--invariant")
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--k", type=int)
@@ -153,55 +150,52 @@ def _gather_inputs(args) -> list[str]:
 
 
 def _graph_code(g: SimpleGraph) -> str:
-    canon = SimpleGraph.from_edge_mask(g.n, graph_canonical_mask(g))
-    rows = format_graph(canon).splitlines()[1:]
-    return f"{g.n}:" + "/".join(rows)
+    return _graph_line(SimpleGraph.from_edge_mask(g.n, graph_canonical_mask(g)))
+
+
+def _diagram_code(d) -> str:
+    return canonical_code(d).decode("ascii")
+
+
+# per input kind: invariant name -> its value on one parsed input
+_DIAGRAM_EVAL = {
+    "rk": lambda d, args: r_k(d, args.k),
+    "el-parity": lambda d, args: e_l_parity(intersection_graph(d), args.l),
+    "wc": lambda d, args: w_c(intersection_graph(d)),
+    "sl2": lambda d, args: sl2_oracle(d),
+    "sl2-recursive": lambda d, args: sl2_recursive(d),
+    "sl2-projected": lambda d, args: sl2_projected(d),
+}
+_GRAPH_EVAL = {
+    "wc": lambda g, args: w_c(g),
+    "el-parity": lambda g, args: e_l_parity(g, args.l),
+    "rk-graph": lambda g, args: r_k_graph(g, args.k),
+}
+# invariant name -> (the flag it requires, that flag's least value)
+_EVAL_FLAGS = {"rk": ("k", MIN_K), "rk-graph": ("k", MIN_K), "el-parity": ("l", MIN_L)}
 
 
 def _cmd_eval(args) -> int:
     name = args.invariant
-    valid = GRAPH_INVARIANTS if args.graph else DIAGRAM_INVARIANTS
-    if name not in valid:
+    kind, table, parse, code_of = (
+        ("graph", _GRAPH_EVAL, parse_graph, _graph_code)
+        if args.graph
+        else ("diagram", _DIAGRAM_EVAL, parse_diagram, _diagram_code)
+    )
+    if name not in table:
         raise ParamError(
-            f"invariant {name!r} not valid for this input kind (choose from {valid})"
+            f"invariant {name!r} not valid for this input kind "
+            f"(choose from {tuple(table)})"
         )
-    if name in ("rk", "rk-graph"):
-        verify_mod.require_at_least(name, "k", args.k, MIN_K)
-    if name == "el-parity":
-        verify_mod.require_at_least(name, "l", args.l, MIN_L)
+    if name in _EVAL_FLAGS:
+        flag, low = _EVAL_FLAGS[name]
+        verify_mod.require_at_least(name, flag, getattr(args, flag), low)
     rows = []
     for text in _gather_inputs(args):
-        if args.graph:
-            g = parse_graph(text)
-            if g.n > MAX_DIAGRAM_ORDER:
-                raise ParamError(f"graph order {g.n} exceeds ceiling {MAX_DIAGRAM_ORDER}")
-            code = _graph_code(g)
-            if name == "wc":
-                value = w_c(g)
-            elif name == "el-parity":
-                value = e_l_parity(g, args.l)
-            else:
-                value = r_k_graph(g, args.k)
-        else:
-            d = parse_diagram(text)
-            if d.n > MAX_DIAGRAM_ORDER:
-                raise ParamError(
-                    f"diagram order {d.n} exceeds ceiling {MAX_DIAGRAM_ORDER}"
-                )
-            code = canonical_code(d).decode("ascii")
-            if name == "rk":
-                value = r_k(d, args.k)
-            elif name == "el-parity":
-                value = e_l_parity(intersection_graph(d), args.l)
-            elif name == "wc":
-                value = w_c(intersection_graph(d))
-            elif name == "sl2":
-                value = sl2_oracle(d)
-            elif name == "sl2-recursive":
-                value = sl2_recursive(d)
-            else:
-                value = sl2_projected(d)
-        rows.append((text, code, value))
+        obj = parse(text)
+        if obj.n > MAX_DIAGRAM_ORDER:
+            raise ParamError(f"{kind} order {obj.n} exceeds ceiling {MAX_DIAGRAM_ORDER}")
+        rows.append((text, code_of(obj), table[name](obj, args)))
     _print_eval(rows, args)
     return EXIT_OK
 
@@ -288,13 +282,20 @@ _VERIFY_SUITES = {
 def _verify_params(args) -> dict:
     """Keyword arguments of the suite's function, from its table row."""
     flags, default, sampled_ceiling, ceiling = _VERIFY_SUITES[args.suite]
+    row = flags.split()
+    taken = [flag.rstrip("?") for flag in row]
+    for name in ("invariant", "n", "k", "l", "sample"):
+        if name not in taken and getattr(args, name) is not None:
+            raise ParamError(f"suite {args.suite!r} does not take --{name}")
     params: dict = {}
-    for flag in flags.split():
+    for flag in row:
         name = flag.rstrip("?")
         value = getattr(args, name)
         if value is None and name == flag:
             raise ParamError(f"suite {args.suite!r} requires --{name}")
         params["order" if name == "n" else name] = value
+    if "k" in row:
+        verify_mod.require_at_least(args.suite, "k", params["k"], MIN_K)
     if "invariant" in params:
         params["invariant"] = params["invariant"] or default
         if params["invariant"] == default and params.get("k", 0) is None:

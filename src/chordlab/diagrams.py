@@ -19,13 +19,10 @@ class DiagramError(ValueError):
     """Raised for malformed diagram words or invalid surgery arguments."""
 
 
-def _normalize(word: Sequence) -> tuple[int, ...]:
+def _normalize(word: Iterable) -> tuple[int, ...]:
     """Relabel chord ids to 0..n-1 in order of first appearance."""
     labels: dict = {}
-    out = []
-    for ch in word:
-        out.append(labels.setdefault(ch, len(labels)))
-    return tuple(out)
+    return tuple([labels.setdefault(ch, len(labels)) for ch in word])
 
 
 @dataclass(frozen=True)
@@ -374,8 +371,11 @@ def mutated_word(d: ChordDiagram, share: Share, kind: MutationKind) -> tuple[int
 def mutated_words(
     d: ChordDiagram, share: Share
 ) -> list[tuple[MutationKind, tuple[int, ...]]]:
-    """:func:`mutated_word` for every kind in turn, checking the share once."""
-    _check_share(d, share)
+    """:func:`mutated_word` for every kind in turn.
+
+    The share is not checked: it must come from ``find_shares(d)``,
+    whose shares are closed by construction.
+    """
     segments = _share_segments(d, share)
     return [(kind, _reglue(segments, kind)) for kind in MutationKind]
 

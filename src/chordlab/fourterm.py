@@ -24,7 +24,7 @@ from .diagrams import (
     enumerate_diagrams,
     random_diagram,
 )
-from .graphs import SimpleGraph, format_graph, graph_prime, graph_tilde
+from .graphs import SimpleGraph, graph_prime, graph_tilde
 
 DEFAULT_SIGNS = (1, -1, -1, 1)
 
@@ -257,51 +257,3 @@ def sampled_four_term_words(
         p = positions[rng.randrange(len(positions))]
         yield four_term_words(d.word, p)
         done += 1
-
-
-def verify_graph_four_term(
-    f: Callable[[SimpleGraph], object],
-    order: int,
-    invariant: str = "f",
-    signs: tuple[int, int, int, int] = DEFAULT_SIGNS,
-) -> VerificationReport:
-    """Signed sums of f over all labeled graphs and ordered vertex pairs.
-
-    Object-level reference; the exhaustive suites run the edge-mask
-    engine `verify.graph_four_term_masked` on a value table instead.
-    """
-    report = VerificationReport(invariant=invariant, order=order)
-    for g in _all_graphs(order):
-        for a, b in itertools.permutations(range(order), 2):
-            quad = graph_four_term(g, a, b, signs)
-            report.checked += 1
-            total = quad.signed_sum(f)
-            if total:
-                report.add_violation([format_graph(t) for t, _ in quad.terms], total)
-    return report.finalize()
-
-
-def two_term_check(
-    f: Callable[[SimpleGraph], object],
-    order: int,
-    invariant: str = "f",
-) -> VerificationReport:
-    """Check f(g) == f(g~) for all labeled graphs and ordered pairs.
-
-    Object-level reference for `verify.two_term_masked`.
-    """
-    report = VerificationReport(invariant=invariant, order=order)
-    for g in _all_graphs(order):
-        for a, b in itertools.permutations(range(order), 2):
-            tilde = graph_tilde(g, a, b)
-            report.checked += 1
-            diff = f(g) - f(tilde)
-            if diff:
-                report.add_violation([format_graph(g), format_graph(tilde)], diff)
-    return report.finalize()
-
-
-def _all_graphs(order: int):
-    from .graphs import enumerate_graphs
-
-    return enumerate_graphs(order, "labeled")

@@ -65,27 +65,17 @@ class SimpleGraph:
         ]
 
     def edge_mask(self) -> int:
-        """Edges packed into one int, bit index = lexicographic pair rank."""
-        mask = 0
-        k = 0
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if self.rows[u] >> v & 1:
-                    mask |= 1 << k
-                k += 1
-        return mask
+        """Edges packed into one int, bit index from :func:`pair_index_table`."""
+        ptab = pair_index_table(self.n)
+        return sum(1 << ptab[u][v] for u, v in self.edges())
 
     @staticmethod
     def from_edge_mask(n: int, mask: int) -> "SimpleGraph":
-        rows = [0] * n
-        k = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                if mask >> k & 1:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                k += 1
-        return SimpleGraph(n, tuple(rows))
+        ptab = pair_index_table(n)
+        return SimpleGraph.from_edges(
+            n,
+            [(u, v) for u in range(n) for v in range(u + 1, n) if mask >> ptab[u][v] & 1],
+        )
 
     def induced(self, vertices: Sequence[int]) -> "SimpleGraph":
         """Subgraph induced on the given vertices (relabeled in order)."""
@@ -309,21 +299,6 @@ def enumerate_cycles(g: SimpleGraph, length: int) -> list[tuple[int, ...]]:
     return out
 
 
-def count_cycles_naive(g: SimpleGraph, length: int) -> int:
-    """Independent oracle: closed vertex sequences deduped by symmetry."""
-    seen = set()
-    for perm in itertools.permutations(range(g.n), length):
-        if all(
-            g.has_edge(perm[i], perm[(i + 1) % length]) for i in range(length)
-        ):
-            best = min(
-                min(seq[i:] + seq[:i] for i in range(length))
-                for seq in (perm, perm[::-1])
-            )
-            seen.add(best)
-    return len(seen)
-
-
 def cycle_sign(dg: DirectedIntersectionGraph, cycle: Sequence[int]) -> int:
     """+1 iff the number of arrows pointing either way around is even.
 
@@ -509,18 +484,13 @@ def tilde_masks(n: int, masks: np.ndarray, a: int, b: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _pair_permutations(n: int) -> tuple[tuple[int, ...], ...]:
     """For each vertex permutation, the induced map on pair indices."""
-    index = {}
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            index[u, v] = k
-            k += 1
+    ptab = pair_index_table(n)
     maps = []
     for perm in itertools.permutations(range(n)):
-        pmap = [0] * k
-        for (u, v), i in index.items():
-            pu, pv = perm[u], perm[v]
-            pmap[i] = index[(pu, pv) if pu < pv else (pv, pu)]
+        pmap = [0] * (n * (n - 1) // 2)
+        for u in range(n):
+            for v in range(u + 1, n):
+                pmap[ptab[u][v]] = ptab[perm[u]][perm[v]]
         maps.append(tuple(pmap))
     return tuple(maps)
 

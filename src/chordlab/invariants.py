@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .diagrams import ChordDiagram, canonical_code, induced_subdiagram
+from .diagrams import ChordDiagram, _normalize, canonical_code, induced_subdiagram
 from .graphs import (
     SimpleGraph,
     cycle_sign,
@@ -43,7 +43,10 @@ MIN_L = 4
 
 
 def _signed_hamiltonian_sum(w: Sequence[Sequence[int]]) -> int:
-    """Signed count of Hamiltonian cycles from a +-1 step-weight matrix."""
+    """Signed count of Hamiltonian cycles from a +-1 step-weight matrix.
+
+    Scalar form of the DP in :func:`chordlab._bulk.hamiltonian_cycle_sums`.
+    """
     n = len(w)
     full = 1 << n
     paths = [[0] * n for _ in range(full)]
@@ -162,13 +165,12 @@ def sl2_projected(d: ChordDiagram) -> IntPolynomial:
 def _projected_coefficients(word: tuple[int, ...]) -> Sequence[int]:
     n = len(word) // 2
     if n == 0:
-        return _sl2_value(word)
+        return _sl2_value(word).coeffs
     # each induced subword's sl2 coefficients, highest degree first
     subsets: list = [None] * (1 << n)
     for mask in range(1, 1 << n):
-        labels: dict[int, int] = {}
-        sub = tuple(labels.setdefault(ch, len(labels)) for ch in word if mask >> ch & 1)
-        subsets[mask] = _sl2_value(sub)[::-1]
+        sub = _normalize(ch for ch in word if mask >> ch & 1)
+        subsets[mask] = _sl2_value(sub).coeffs[::-1]
     ys = []
     for c in range(n + 1):
         values = [0] * (1 << n)
@@ -392,14 +394,10 @@ def sl2_graph_extension_check() -> list[GraphExtensionReport]:
         # subgraphs are all intersection graphs, the full block is the
         # extension value just computed
         n = target.n
-        subset_values: list = [None] * (1 << n)
-        for mask in range(1, 1 << n):
-            vs = [u for u in range(n) if mask >> u & 1]
-            sub = target.induced(vs)
-            if mask == (1 << n) - 1:
-                subset_values[mask] = value
-            else:
-                subset_values[mask] = sl2_on_graph(sub)
+        subset_values = [None] + [
+            sl2_on_graph(target.induced([u for u in range(n) if mask >> u & 1]))
+            for mask in range(1, (1 << n) - 1)
+        ] + [value]
         primitive = partition_log_full(subset_values, n)
         rk = r_k_graph(target, 3)
         exp_value, exp_prim = SL2_EXTENSION_EXPECTED[name]

@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagrams import ChordDiagram, canonical_word_bytes, word_positions
+from .diagrams import ChordDiagram, _normalize, canonical_word_bytes, word_positions
 from .graphs import interleave_rows
-from .polynomials import IntPolynomial
+from .polynomials import C, ONE, IntPolynomial
 
 
 class NormalizationError(ArithmeticError):
@@ -118,29 +118,6 @@ def _trace_mod(word: Sequence[int], lam: int, p: int) -> int:
     return int(np.trace(T, axis1=1, axis2=2).sum() % p)
 
 
-def _trace_exact(word: Sequence[int], lam: int) -> int:
-    """Slow exact reference for the contraction trace (tests only)."""
-    m = lam + 1
-    e, f, h = rep_matrices(lam)
-    opens = [[[2 * x for x in row] for row in e], [[2 * x for x in row] for row in f], h]
-    closes = [f, e, h]
-    n = len(word) // 2
-    total = 0
-    for assign in range(3**n):
-        digits = [(assign // 3**ch) % 3 for ch in range(n)]
-        mat = [[int(i == j) for j in range(m)] for i in range(m)]
-        seen: set[int] = set()
-        for ch in word:
-            M = closes[digits[ch]] if ch in seen else opens[digits[ch]]
-            seen.add(ch)
-            mat = [
-                [sum(mat[i][k] * M[k][j] for k in range(m)) for j in range(m)]
-                for i in range(m)
-            ]
-        total += sum(mat[i][i] for i in range(m))
-    return total
-
-
 def _contraction_trace(word: Sequence[int], lam: int) -> int:
     """Exact contraction trace via CRT over enough primes."""
     n = len(word) // 2
@@ -217,37 +194,8 @@ def sl2_oracle(d: ChordDiagram) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 # recursive evaluation: leaf / isolated-chord rules + six-term relations
 
-_ONE = (1,)
-
-
-def _padd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _pneg(a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in a)
-
-
-def _pmul_c(a: tuple[int, ...]) -> tuple[int, ...]:
-    return (0,) + a if a else a
-
-
-def _pmul_c_minus_1(a: tuple[int, ...]) -> tuple[int, ...]:
-    return _padd(_pmul_c(a), _pneg(a))
-
-
 def _delete_chord(word: tuple[int, ...], ch: int) -> tuple[int, ...]:
-    labels: dict[int, int] = {}
-    return tuple(
-        labels.setdefault(x, len(labels)) for x in word if x != ch
-    )
+    return _normalize(x for x in word if x != ch)
 
 
 def _swap(word: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
@@ -270,23 +218,23 @@ def _word_from_partner(m: int, partner: dict[int, int], removed: frozenset[int])
     return tuple(out)
 
 
-_SL2_MEMO: dict[bytes, tuple[int, ...]] = {b"": _ONE}
+_SL2_MEMO: dict[bytes, IntPolynomial] = {b"": ONE}
 
 
-def _sl2_value(word: tuple[int, ...]) -> tuple[int, ...]:
+def _sl2_value(word: tuple[int, ...]) -> IntPolynomial:
     code = canonical_word_bytes(word)
     cached = _SL2_MEMO.get(code)
     if cached is not None:
         return cached
-    val: tuple[int, ...] | None = None
+    val: IntPolynomial | None = None
     rows = interleave_rows(word)
     for ch, row in enumerate(rows):
         k = row.bit_count()
         if k == 0:
-            val = _pmul_c(_sl2_value(_delete_chord(word, ch)))
+            val = C * _sl2_value(_delete_chord(word, ch))
             break
         if k == 1:
-            val = _pmul_c_minus_1(_sl2_value(_delete_chord(word, ch)))
+            val = (C - 1) * _sl2_value(_delete_chord(word, ch))
             break
     if val is None:
         val = _six_term_step(word, rows)
@@ -294,7 +242,7 @@ def _sl2_value(word: tuple[int, ...]) -> tuple[int, ...]:
     return val
 
 
-def _six_term_step(word: tuple[int, ...], rows: Sequence[int]) -> tuple[int, ...]:
+def _six_term_step(word: tuple[int, ...], rows: Sequence[int]) -> IntPolynomial:
     """Expand across the six-term relation at a minimal arc.
 
     ``rows`` are the word's :func:`interleave_rows`.
@@ -354,10 +302,8 @@ def _six_term_step(word: tuple[int, ...], rows: Sequence[int]) -> tuple[int, ...
     d_nn = _word_from_partner(m, nn, removed)
     d_nf = _word_from_partner(m, nf, removed)
 
-    val = _padd(_sl2_value(d_a), _sl2_value(d_b))
-    val = _padd(val, _pneg(_sl2_value(d_ab)))
-    val = _padd(val, _sl2_value(d_nn))
-    return _padd(val, _pneg(_sl2_value(d_nf)))
+    val = _sl2_value(d_a) + _sl2_value(d_b) - _sl2_value(d_ab)
+    return val + _sl2_value(d_nn) - _sl2_value(d_nf)
 
 
 def sl2_recursive(d: ChordDiagram) -> IntPolynomial:
@@ -368,4 +314,4 @@ def sl2_recursive(d: ChordDiagram) -> IntPolynomial:
     table only ever receives idempotent inserts, which keeps it safe
     under concurrent use.
     """
-    return IntPolynomial(_sl2_value(d.word))
+    return _sl2_value(d.word)

@@ -38,6 +38,7 @@ from .graphs import (
     format_graph,
     gf2_rank_batch,
     interleave_rows,
+    intersection_graph,
     pair_index_table,
     tilde_masks,
 )
@@ -52,18 +53,6 @@ from .invariants import (
     sl2_graph_extension_check,
 )
 from .sl2 import sl2_oracle, sl2_recursive
-
-SUITE_NAMES = (
-    "four-term-diagrams",
-    "four-term-graphs",
-    "two-term",
-    "mutation",
-    "parity",
-    "conjecture",
-    "wc-identity",
-    "oracle-equivalence",
-    "wheel-prism",
-)
 
 
 def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
@@ -360,8 +349,7 @@ def suite_parity(
     name = f"r{k}-vs-e{2 * k}-parity"
     if mode == "exhaustive":
         def verdict(d):
-            g = SimpleGraph(d.n, interleave_rows(d.word))
-            same = r_k(d, k) & 1 == e_l_parity(g, 2 * k)
+            same = r_k(d, k) & 1 == e_l_parity(intersection_graph(d), 2 * k)
             return None if same else "parity-differs"
         diagrams = _diagram_source(order, shard=shard)
         return _per_class_suite(name, order, diagrams, verdict)
@@ -391,6 +379,7 @@ def suite_conjecture(
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
     """Coefficient of c^k in the projected sl2 value equals 2 R_k."""
+    require_at_least("conjecture", "k", k, MIN_K)
     def verdict(d):
         res = conjecture_check(d, k)
         return None if res.equal else f"lhs={res.lhs} rhs={res.rhs}"
@@ -403,6 +392,7 @@ def suite_wc_identity(
 ) -> VerificationReport:
     """R_k equals the halved projected-indicator route on every
     basepointed 2k-chord diagram."""
+    require_at_least("wc-identity", "k", k, MIN_K)
     def verdict(d):
         rk, via_wc = r_k(d, k), r_k_via_wc(d, k)
         return None if rk == via_wc else f"rk={rk} via_wc={via_wc}"
@@ -471,11 +461,7 @@ def _diagram_invariant(invariant: str, k: int | None, l: int | None):
         return f"r{k}", lambda d: r_k(d, k), False
     if invariant == "el-parity":
         require_at_least("el-parity", "l", l, MIN_L)
-        return (
-            f"e{l}-parity",
-            lambda d: e_l_parity(SimpleGraph(d.n, interleave_rows(d.word)), l),
-            True,
-        )
+        return f"e{l}-parity", lambda d: e_l_parity(intersection_graph(d), l), True
     if invariant == "sl2":
         return "sl2", sl2_recursive, False
     raise ValueError(f"unknown diagram invariant: {invariant!r}")

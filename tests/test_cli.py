@@ -1,6 +1,9 @@
 import hashlib
 import json
 
+import pytest
+
+from chordlab import verify
 from chordlab.cli import clamp_jobs, main
 
 
@@ -279,6 +282,31 @@ class TestVerify:
             assert code == 3
             assert out == ""
             assert err == f"error: parity requires --k >= 2, got {k}\n"
+
+    def test_flags_outside_the_suite_row_exit_3(self, capsys):
+        for argv, flag in (
+            (("four-term-graphs", "--n", "4", "--k", "2", "--sample", "3"), "sample"),
+            (("wc-identity", "--k", "2", "--sample", "5"), "sample"),
+            (("wheel-prism", "--n", "3", "--sample", "2"), "n"),
+        ):
+            code, out, err = run(capsys, "verify", *argv)
+            assert (code, out) == (3, "")
+            assert err == f"error: suite {argv[0]!r} does not take --{flag}\n"
+        # the mode and seed flags are accepted by every suite
+        code, out, _ = run(
+            capsys, "verify", "wc-identity", "--k", "2", "--exhaustive", "--seed", "4"
+        )
+        assert code == 0
+        assert json.loads(out) == {"checked": 105, "violations": 0}
+
+    def test_k_below_two_refused_before_the_ceiling(self, capsys):
+        for suite, k in (("conjecture", "1"), ("wc-identity", "1"), ("conjecture", "-1")):
+            code, out, err = run(capsys, "verify", suite, "--k", k)
+            assert (code, out) == (3, "")
+            assert err == f"error: {suite} requires --k >= 2, got {k}\n"
+        for suite in (verify.suite_conjecture, verify.suite_wc_identity):
+            with pytest.raises(ValueError, match="requires --k >= 2, got 1"):
+                suite(1)
 
     def test_two_term_edge_count_golden(self, capsys):
         # recorded before the mask loops moved to numpy

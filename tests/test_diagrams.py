@@ -9,6 +9,7 @@ from chordlab.diagrams import (
     ChordDiagram,
     DiagramError,
     MutationKind,
+    _check_share,
     _matchings,
     apply_mutation,
     canonical_code,
@@ -279,6 +280,13 @@ class TestShares:
                 for ch in share.chords:
                     expected.update(d.endpoints(ch))
                 assert covered == expected
+
+    def test_found_shares_pass_the_share_check(self):
+        # mutated_words trusts find_shares and skips this check
+        for n in range(6):
+            for d in enumerate_diagrams(n, "basepointed"):
+                for share in find_shares(d):
+                    _check_share(d, share)
 
 
 class TestMutations:

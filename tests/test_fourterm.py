@@ -1,23 +1,26 @@
 import hashlib
+import itertools
+from typing import Callable
 
 import numpy as np
 import pytest
 
 from chordlab.diagrams import DiagramError, enumerate_diagrams, parse_diagram
 from chordlab.fourterm import (
+    DEFAULT_SIGNS,
     RelationQuadruple,
+    VerificationReport,
     diagram_four_term,
     four_term_words,
     graph_four_term,
     neighbor_positions,
-    two_term_check,
-    verify_graph_four_term,
     verify_weight_system,
 )
 from chordlab.graphs import (
     SimpleGraph,
     enumerate_cycles,
     enumerate_graphs,
+    format_graph,
     gf2_rank,
     graph_prime,
     graph_tilde,
@@ -34,6 +37,52 @@ from chordlab.verify import (
     suite_four_term_graphs,
     two_term_masked,
 )
+
+
+def verify_graph_four_term(
+    f: Callable[[SimpleGraph], object],
+    order: int,
+    invariant: str = "f",
+    signs: tuple[int, int, int, int] = DEFAULT_SIGNS,
+) -> VerificationReport:
+    """Signed sums of f over all labeled graphs and ordered vertex pairs.
+
+    Object-level reference; the exhaustive suites run the edge-mask
+    engine `verify.graph_four_term_masked` on a value table instead.
+    """
+    report = VerificationReport(invariant=invariant, order=order)
+    for g in _all_graphs(order):
+        for a, b in itertools.permutations(range(order), 2):
+            quad = graph_four_term(g, a, b, signs)
+            report.checked += 1
+            total = quad.signed_sum(f)
+            if total:
+                report.add_violation([format_graph(t) for t, _ in quad.terms], total)
+    return report.finalize()
+
+
+def two_term_check(
+    f: Callable[[SimpleGraph], object],
+    order: int,
+    invariant: str = "f",
+) -> VerificationReport:
+    """Check f(g) == f(g~) for all labeled graphs and ordered pairs.
+
+    Object-level reference for `verify.two_term_masked`.
+    """
+    report = VerificationReport(invariant=invariant, order=order)
+    for g in _all_graphs(order):
+        for a, b in itertools.permutations(range(order), 2):
+            tilde = graph_tilde(g, a, b)
+            report.checked += 1
+            diff = f(g) - f(tilde)
+            if diff:
+                report.add_violation([format_graph(g), format_graph(tilde)], diff)
+    return report.finalize()
+
+
+def _all_graphs(order: int):
+    return enumerate_graphs(order, "labeled")
 
 
 def _triangles(g: SimpleGraph) -> int:

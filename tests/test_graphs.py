@@ -18,7 +18,6 @@ from chordlab.fourterm import sampled_four_term_words
 from chordlab.graphs import (
     GraphError,
     SimpleGraph,
-    count_cycles_naive,
     cycle_sign,
     directed_intersection_graph,
     enumerate_cycles,
@@ -50,6 +49,21 @@ C4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 K4 = SimpleGraph.from_edges(4, list(itertools.combinations(range(4), 2)))
 
 graphs5 = st.integers(0, (1 << 10) - 1).map(lambda m: SimpleGraph.from_edge_mask(5, m))
+
+
+def count_cycles_naive(g: SimpleGraph, length: int) -> int:
+    """Independent oracle: closed vertex sequences deduped by symmetry."""
+    seen = set()
+    for perm in itertools.permutations(range(g.n), length):
+        if all(
+            g.has_edge(perm[i], perm[(i + 1) % length]) for i in range(length)
+        ):
+            best = min(
+                min(seq[i:] + seq[:i] for i in range(length))
+                for seq in (perm, perm[::-1])
+            )
+            seen.add(best)
+    return len(seen)
 
 
 def reference_sign_matrix(word) -> list[list[int]]:
@@ -95,6 +109,16 @@ class TestBasics:
     def test_edge_mask_roundtrip(self):
         for g in (K2, C4, K4, FIVE_WHEEL, THREE_PRISM):
             assert SimpleGraph.from_edge_mask(g.n, g.edge_mask()) == g
+
+    @pytest.mark.parametrize(
+        "edge, bit",
+        [((0, 1), 0), ((0, 2), 1), ((0, 3), 2), ((1, 2), 3), ((1, 3), 4), ((2, 3), 5)],
+    )
+    def test_edge_mask_bit_order(self, edge, bit):
+        # the pair -> bit map pinned independently of pair_index_table
+        g = SimpleGraph.from_edges(4, [edge])
+        assert g.edge_mask() == 1 << bit
+        assert SimpleGraph.from_edge_mask(4, 1 << bit) == g
 
 
 class TestIntersectionGraph:

@@ -1,4 +1,5 @@
 import random
+from typing import Sequence
 
 from chordlab.diagrams import (
     ChordDiagram,
@@ -10,7 +11,6 @@ from chordlab.diagrams import (
 from chordlab.polynomials import C, ONE
 from chordlab.sl2 import (
     _contraction_trace,
-    _trace_exact,
     casimir_eigenvalue,
     rep_matrices,
     sl2_oracle,
@@ -37,6 +37,29 @@ def test_rep_matrices_satisfy_sl2_relations():
 def test_casimir_eigenvalues():
     assert casimir_eigenvalue(1) == 0.75
     assert casimir_eigenvalue(2) == 2
+
+
+def _trace_exact(word: Sequence[int], lam: int) -> int:
+    """Slow exact reference for the contraction trace (tests only)."""
+    m = lam + 1
+    e, f, h = rep_matrices(lam)
+    opens = [[[2 * x for x in row] for row in e], [[2 * x for x in row] for row in f], h]
+    closes = [f, e, h]
+    n = len(word) // 2
+    total = 0
+    for assign in range(3**n):
+        digits = [(assign // 3**ch) % 3 for ch in range(n)]
+        mat = [[int(i == j) for j in range(m)] for i in range(m)]
+        seen: set[int] = set()
+        for ch in word:
+            M = closes[digits[ch]] if ch in seen else opens[digits[ch]]
+            seen.add(ch)
+            mat = [
+                [sum(mat[i][k] * M[k][j] for k in range(m)) for j in range(m)]
+                for i in range(m)
+            ]
+        total += sum(mat[i][i] for i in range(m))
+    return total
 
 
 def test_crt_trace_matches_exact_reference():
