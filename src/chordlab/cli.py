@@ -187,8 +187,12 @@ def _cmd_eval(args) -> int:
             f"invariant {name!r} not valid for this input kind "
             f"(choose from {tuple(table)})"
         )
-    if name in _EVAL_FLAGS:
-        flag, low = _EVAL_FLAGS[name]
+    taken = _EVAL_FLAGS.get(name)
+    for flag in ("k", "l"):
+        if getattr(args, flag) is not None and (taken is None or taken[0] != flag):
+            raise ParamError(f"invariant {name!r} does not take --{flag}")
+    if taken is not None:
+        flag, low = taken
         verify_mod.require_at_least(name, flag, getattr(args, flag), low)
     rows = []
     for text in _gather_inputs(args):

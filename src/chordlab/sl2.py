@@ -4,8 +4,9 @@ Casimir variable c.
 Two independent implementations are provided:
 
 * an oracle that contracts the diagram in the irreducible representations
-  of dimensions 2..n+2 and recovers the polynomial by exact rational
-  interpolation at the Casimir eigenvalues, and
+  of dimensions 2..n+2 (in the weight basis, exact integers) and recovers
+  the polynomial by exact rational interpolation at the Casimir
+  eigenvalues, and
 * a fast recursive evaluator built on the leaf/isolated-chord rules and
   the local six-term relations, memoized on canonical codes.
 
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .diagrams import ChordDiagram, _normalize, canonical_word_bytes, word_positions
 from .graphs import interleave_rows
@@ -54,88 +53,47 @@ def casimir_eigenvalue(lam: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# exact contraction via CRT over word-sized primes
-
-_PRIMES: list[int] = []
-
-
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
-def _primes_with_product_above(bound: int) -> list[int]:
-    """Deterministic 25-bit primes whose product exceeds the bound."""
-    prod = 1
-    out = []
-    candidate = (1 << 25) - 1
-    for p in _PRIMES:
-        out.append(p)
-        prod *= p
-        if prod > bound:
-            return out
-    if _PRIMES:
-        candidate = _PRIMES[-1] - 2
-    while prod <= bound:
-        while not _is_prime(candidate):
-            candidate -= 2
-        _PRIMES.append(candidate)
-        out.append(candidate)
-        prod *= candidate
-        candidate -= 2
-    return out
-
-
-def _trace_mod(word: Sequence[int], lam: int, p: int) -> int:
-    """Sum over chord assignments of the trace of the circular product,
-    with metric weights folded in, reduced mod p."""
-    m = lam + 1
-    e, f, h = rep_matrices(lam)
-    E = np.array(e, dtype=np.int64) % p
-    F = np.array(f, dtype=np.int64) % p
-    H = np.array(h, dtype=np.int64) % p
-    opens = [(2 * E) % p, (2 * F) % p, H]
-    closes = [F, E, H]
-
-    T = np.eye(m, dtype=np.int64)[None, :, :]
-    rank_of: dict[int, int] = {}
-    for ch in word:
-        if ch not in rank_of:
-            rank_of[ch] = len(rank_of)
-            T = np.concatenate([(T @ M) % p for M in opens], axis=0)
-        else:
-            r = rank_of[ch]
-            V = T.reshape(-1, 3, 3**r, m, m)
-            for t in range(3):
-                V[:, t] = (V[:, t] @ closes[t]) % p
-            T = V.reshape(-1, m, m)
-    return int(np.trace(T, axis1=1, axis2=2).sum() % p)
+# exact contraction in the weight basis
 
 
 def _contraction_trace(word: Sequence[int], lam: int) -> int:
-    """Exact contraction trace via CRT over enough primes."""
-    n = len(word) // 2
+    """Sum over chord assignments of the trace of the circular product of
+    (2e, 2f, h) at each chord's first end and (f, e, h) at its second end.
+
+    In the weight basis e, f and h each send a basis vector to a multiple
+    of one basis vector, so a path from start index i sits at i plus the
+    shifts (+1, -1, 0) of the chords it has opened and not closed.  Paths
+    that agree on the open chords merge into one vector of exact ints,
+    one per start index, and the trace is the sum of the final vector.
+    """
     m = lam + 1
-    e_max = max(((k + 1) * (lam - k) for k in range(lam)), default=1)
-    entry = max(2 * e_max, lam, 2)
-    bound = 3**n * m * (m * entry) ** (2 * n)
-    primes = _primes_with_product_above(2 * bound + 1)
-    residues = [_trace_mod(word, lam, p) for p in primes]
-    x, modulus = 0, 1
-    for r, p in zip(residues, primes):
-        # incremental CRT
-        t = ((r - x) * pow(modulus, -1, p)) % p
-        x += modulus * t
-        modulus *= p
-    if x > modulus // 2:
-        x -= modulus
-    return x
+    e, f, h = rep_matrices(lam)
+    up = [e[j][j + 1] for j in range(lam)] + [0]
+    down = [0] + [f[j][j - 1] for j in range(1, m)]
+    diag = [h[j][j] for j in range(m)]
+    opens = ([2 * x for x in up], [2 * x for x in down], diag)
+    closes = (down, up, diag)
+    states: dict[tuple[int, ...], list[int]] = {(): [1] * m}
+    opened: list[int] = []
+    for ch in word:
+        if ch in opened:
+            r = opened.index(ch)
+            del opened[r]
+            moves = [(key, key[:r] + key[r + 1 :], closes[key[r]]) for key in states]
+        else:
+            opened.append(ch)
+            moves = [(key, key + (t,), opens[t]) for key in states for t in range(3)]
+        nxt: dict[tuple[int, ...], list[int]] = {}
+        for key, new_key, fac in moves:
+            s = key.count(0) - key.count(1)
+            # only zero entries can sit off the weights 0..lam: fac is 0 at the ends
+            vec = [x * fac[i + s] if x else 0 for i, x in enumerate(states[key])]
+            if not any(vec):
+                continue
+            old = nxt.get(new_key)
+            nxt[new_key] = vec if old is None else [a + b for a, b in zip(old, vec)]
+        states = nxt
+    return sum(states.get((), ()))
 
 
 def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[Fraction]:

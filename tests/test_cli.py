@@ -70,6 +70,16 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "--invariant", "rk", "ABAB")
         assert code == 3
 
+    def test_flag_the_invariant_does_not_take_exit_3(self, capsys):
+        for argv, name, flag in (
+            (("--invariant", "sl2", "--k", "3", "AA"), "sl2", "k"),
+            (("--invariant", "rk", "--k", "2", "--l", "5", "ABCDABCD"), "rk", "l"),
+            (("--graph", "--invariant", "wc", "--k", "2", "1-2"), "wc", "k"),
+        ):
+            code, out, err = run(capsys, "eval", *argv)
+            assert (code, out) == (3, "")
+            assert err == f"error: invariant {name!r} does not take --{flag}\n"
+
     def test_k_and_l_below_range_exit_3(self, capsys):
         code, _, err = run(capsys, "eval", "--invariant", "rk", "--k", "0", "ABAB")
         assert code == 3

@@ -62,11 +62,25 @@ def _trace_exact(word: Sequence[int], lam: int) -> int:
     return total
 
 
-def test_crt_trace_matches_exact_reference():
-    for word in ["AA", "ABAB", "AABB", "ABCABC"]:
-        d = parse_diagram(word)
+def test_crt_trace_matches_exact_reference(diagram_classes):
+    diagrams = [parse_diagram(word) for word in ["AA", "ABAB", "AABB", "ABCABC"]]
+    diagrams += [d for n in range(5) for d in diagram_classes(n)]
+    for d in diagrams:
         for lam in range(1, d.n + 2):
             assert _contraction_trace(d.word, lam) == _trace_exact(d.word, lam)
+
+
+def test_rep_matrices_are_shifted_diagonals():
+    for lam in range(1, 9):
+        e, f, h = rep_matrices(lam)
+        for i in range(lam + 1):
+            for j in range(lam + 1):
+                if j != i + 1:
+                    assert e[i][j] == 0
+                if j != i - 1:
+                    assert f[i][j] == 0
+                if j != i:
+                    assert h[i][j] == 0
 
 
 class TestKnownValues:
@@ -124,7 +138,7 @@ class TestStructure:
 
 
 def test_oracle_equals_recursive_exhaustive_small(diagram_classes):
-    for n in range(5):
+    for n in range(7):
         for d in diagram_classes(n):
             assert sl2_oracle(d) == sl2_recursive(d)
 
