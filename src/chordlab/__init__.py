@@ -61,6 +61,7 @@ from .invariants import (
     sl2_graph_extension_check,
     sl2_on_graph,
     sl2_projected,
+    sl2_projected_batch,
     w_c,
 )
 from .partitions import partition_log_full, partition_weight, set_partitions
@@ -121,6 +122,7 @@ __all__ = [
     "sl2_on_graph",
     "sl2_oracle",
     "sl2_projected",
+    "sl2_projected_batch",
     "sl2_recursive",
     "verify_weight_system",
     "w_c",

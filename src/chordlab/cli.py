@@ -38,7 +38,7 @@ from .invariants import (
     e_l_parity,
     r_k,
     r_k_graph,
-    sl2_projected,
+    sl2_projected_batch,
     w_c,
 )
 from .polynomials import IntPolynomial
@@ -157,19 +157,24 @@ def _diagram_code(d) -> str:
     return canonical_code(d).decode("ascii")
 
 
-# per input kind: invariant name -> its value on one parsed input
+def _each(f):
+    """A list evaluator from a one-input one."""
+    return lambda objs, args: [f(obj, args) for obj in objs]
+
+
+# per input kind: invariant name -> its values on the list of parsed inputs
 _DIAGRAM_EVAL = {
-    "rk": lambda d, args: r_k(d, args.k),
-    "el-parity": lambda d, args: e_l_parity(intersection_graph(d), args.l),
-    "wc": lambda d, args: w_c(intersection_graph(d)),
-    "sl2": lambda d, args: sl2_oracle(d),
-    "sl2-recursive": lambda d, args: sl2_recursive(d),
-    "sl2-projected": lambda d, args: sl2_projected(d),
+    "rk": _each(lambda d, args: r_k(d, args.k)),
+    "el-parity": _each(lambda d, args: e_l_parity(intersection_graph(d), args.l)),
+    "wc": _each(lambda d, args: w_c(intersection_graph(d))),
+    "sl2": _each(lambda d, args: sl2_oracle(d)),
+    "sl2-recursive": _each(lambda d, args: sl2_recursive(d)),
+    "sl2-projected": lambda ds, args: sl2_projected_batch(ds),
 }
 _GRAPH_EVAL = {
-    "wc": lambda g, args: w_c(g),
-    "el-parity": lambda g, args: e_l_parity(g, args.l),
-    "rk-graph": lambda g, args: r_k_graph(g, args.k),
+    "wc": _each(lambda g, args: w_c(g)),
+    "el-parity": _each(lambda g, args: e_l_parity(g, args.l)),
+    "rk-graph": _each(lambda g, args: r_k_graph(g, args.k)),
 }
 # invariant name -> (the flag it requires, that flag's least value)
 _EVAL_FLAGS = {"rk": ("k", MIN_K), "rk-graph": ("k", MIN_K), "el-parity": ("l", MIN_L)}
@@ -194,13 +199,15 @@ def _cmd_eval(args) -> int:
     if taken is not None:
         flag, low = taken
         verify_mod.require_at_least(name, flag, getattr(args, flag), low)
-    rows = []
-    for text in _gather_inputs(args):
+    texts = _gather_inputs(args)
+    objs = []
+    for text in texts:
         obj = parse(text)
         if obj.n > MAX_DIAGRAM_ORDER:
             raise ParamError(f"{kind} order {obj.n} exceeds ceiling {MAX_DIAGRAM_ORDER}")
-        rows.append((text, code_of(obj), table[name](obj, args)))
-    _print_eval(rows, args)
+        objs.append(obj)
+    values = table[name](objs, args)
+    _print_eval(list(zip(texts, map(code_of, objs), values)), args)
     return EXIT_OK
 
 

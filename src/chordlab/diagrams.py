@@ -208,7 +208,7 @@ def enumerate_diagrams(n: int, mode: str = "basepointed") -> Iterator[ChordDiagr
     if n < 0:
         raise ValueError("n must be nonnegative")
     if mode == "basepointed":
-        yield from (ChordDiagram(w) for w in _matchings(2 * n))
+        yield from map(_trusted_diagram, _matchings(2 * n))
     elif mode == "up-to-rotation":
         codes = {canonical_word_bytes(w) for w in _matchings(2 * n)}
         yield from (ChordDiagram(code) for code in sorted(codes))
@@ -217,22 +217,41 @@ def enumerate_diagrams(n: int, mode: str = "basepointed") -> Iterator[ChordDiagr
 
 
 def _matchings(m: int) -> Iterator[tuple[int, ...]]:
-    """All perfect matchings of positions 0..m-1 as normalized words."""
+    """All perfect matchings of positions 0..m-1 as normalized words:
+    chord ``label`` opens at the first free position and closes at each
+    later free one in turn, so labels follow first appearance."""
+    n = m // 2
+    if n == 0:
+        yield ()
+        return
     word = [-1] * m
-    def fill(next_label: int) -> Iterator[tuple[int, ...]]:
-        try:
-            i = word.index(-1)
-        except ValueError:
+    opens, closes = [0] * n, [0] * n
+    word[0] = label = 0
+    while label >= 0:
+        j = closes[label]
+        if j != opens[label]:
+            word[j] = -1
+        j += 1
+        while j < m and word[j] >= 0:
+            j += 1
+        if j == m:
+            word[opens[label]] = -1
+            label -= 1
+            continue
+        word[j], closes[label] = label, j
+        if label == n - 1:
             yield tuple(word)
-            return
-        word[i] = next_label
-        for j in range(i + 1, m):
-            if word[j] == -1:
-                word[j] = next_label
-                yield from fill(next_label + 1)
-                word[j] = -1
-        word[i] = -1
-    yield from fill(0)
+        else:
+            label += 1
+            i = opens[label] = closes[label] = word.index(-1)
+            word[i] = label
+
+
+def _trusted_diagram(word: tuple[int, ...]) -> ChordDiagram:
+    """ChordDiagram(word) for a normalized word, without validating it."""
+    d = object.__new__(ChordDiagram)
+    object.__setattr__(d, "word", word)
+    return d
 
 
 def random_diagram(n: int, rng) -> ChordDiagram:

@@ -7,12 +7,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .diagrams import ChordDiagram, _normalize, canonical_code, induced_subdiagram
+from .diagrams import ChordDiagram, canonical_code, induced_subdiagram
 from .graphs import (
     SimpleGraph,
     cycle_sign,
@@ -146,41 +146,93 @@ def project_primitive_value(d: ChordDiagram, f: Callable[[ChordDiagram], object]
 
 
 _PROJECTED_MEMO: dict[bytes, IntPolynomial] = {}
+# normalized induced subword (bytes) -> its sl2 coefficients, ascending
+_SUBWORD_MEMO: dict[bytes, tuple[int, ...]] = {}
+_PROJECTION_CHUNK = 32  # words of one order per partition transform
 
 
 def sl2_projected(d: ChordDiagram) -> IntPolynomial:
-    """sl2 value of the projection of d onto primitive elements.
+    """sl2 value of the projection of d onto primitive elements."""
+    return sl2_projected_batch([d])[0]
 
-    The partition sum of ``project_primitive_value(d, sl2)``, taken on
-    plain ints at each point c = 0, 1, ..., n and interpolated once;
-    every block product has total order n, so the degree is at most n.
-    """
-    code = canonical_code(d)
-    val = _PROJECTED_MEMO.get(code)
-    if val is None:
-        val = _PROJECTED_MEMO[code] = IntPolynomial(_projected_coefficients(d.word))
-    return val
+
+def sl2_projected_batch(diagrams: Sequence[ChordDiagram]) -> list[IntPolynomial]:
+    """:func:`sl2_projected` of each diagram, in input order; classes not
+    in the memo are projected once, by order, _PROJECTION_CHUNK at a time."""
+    codes = [canonical_code(d) for d in diagrams]
+    missing = {c: d.word for c, d in zip(codes, diagrams) if c not in _PROJECTED_MEMO}
+    for m in set(map(len, missing.values())):
+        group = [(c, w) for c, w in missing.items() if len(w) == m]
+        for lo in range(0, len(group), _PROJECTION_CHUNK):
+            chunk = group[lo : lo + _PROJECTION_CHUNK]
+            for (c, _), co in zip(chunk, _projected_chunk([w for _, w in chunk])):
+                _PROJECTED_MEMO[c] = IntPolynomial(co)
+    return [_PROJECTED_MEMO[c] for c in codes]
 
 
 def _projected_coefficients(word: tuple[int, ...]) -> Sequence[int]:
-    n = len(word) // 2
+    return _projected_chunk([word])[0]
+
+
+def _projected_chunk(words: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """Ascending coefficients of the projections of normalized words of
+    one order n.
+
+    The partition sum of ``project_primitive_value(d, sl2)`` runs once on
+    int64 lanes, one per (word, point c = 0, 1, ..., n), and each word's
+    n + 1 values are interpolated exactly; every block product has total
+    order n, so the degree is at most n.  Subword values stay exact ints
+    until :func:`_require_int64` has shown that no lane can wrap.
+    """
+    n = len(words[0]) // 2
     if n == 0:
-        return _sl2_value(word).coeffs
-    # each induced subword's sl2 coefficients, highest degree first
-    subsets: list = [None] * (1 << n)
-    for mask in range(1, 1 << n):
-        sub = _normalize(ch for ch in word if mask >> ch & 1)
-        subsets[mask] = _sl2_value(sub).coeffs[::-1]
-    ys = []
-    for c in range(n + 1):
-        values = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            acc = 0
-            for co in subsets[mask]:
-                acc = acc * c + co
-            values[mask] = acc
-        ys.append(partition_log_full(values, n))
-    return _interpolate_naturals(ys)
+        return [[1] for _ in words]
+    index: dict[bytes, int] = {}
+    ids = [
+        index.setdefault(bytes(w).translate(*sub), len(index))
+        for sub in _subword_tables(n)
+        for w in words
+    ]
+    table = np.zeros((len(index), n + 1), dtype=object)
+    for row, key in enumerate(index):
+        if key not in _SUBWORD_MEMO:
+            _SUBWORD_MEMO[key] = _sl2_value(tuple(key)).coeffs
+        table[row, : len(key) // 2 + 1] = _SUBWORD_MEMO[key]
+    exact = table.dot([[c**i for c in range(n + 1)] for i in range(n + 1)])
+    top = [0] * (n + 1)
+    for key, peak in zip(index, np.abs(exact).max(axis=1)):
+        top[len(key) // 2] = max(top[len(key) // 2], peak)
+    _require_int64(top)
+    values = exact.astype(np.int64)[np.reshape(ids, (1 << n, len(words)))]
+    return [_interpolate_naturals(y) for y in partition_log_full(values, n).tolist()]
+
+
+@lru_cache(maxsize=None)
+def _subword_tables(n: int) -> tuple[tuple[bytes, bytes], ...]:
+    """``bytes.translate`` arguments, per chord mask, that cut an order-n
+    normalized word down to the mask's chords and relabel them by rank;
+    ranks keep the order of first appearance, so the result is normalized."""
+    out = []
+    for mask in range(1 << n):
+        kept = [ch for ch in range(n) if mask >> ch & 1]
+        table = bytes(kept.index(ch) if ch in kept else 0 for ch in range(256))
+        out.append((table, bytes(set(range(n)).difference(kept))))
+    return tuple(out)
+
+
+def _require_int64(top: Sequence[int]) -> None:
+    """Raise OverflowError unless :func:`partition_log_full` never wraps
+    int64 on values with |values[s]| <= top[j] for masks s of j chords.
+    Its partial sums for s subtract from values[s] one product
+    log[T] * values[s \\ T] per block T of t < j chords holding the least
+    chord of s, so they and the products stay within
+    L_j = top[j] + sum_t C(j - 1, t - 1) L_t top[j - t]."""
+    bound = [0] * len(top)
+    for j in range(1, len(top)):
+        terms = (comb(j - 1, t - 1) * bound[t] * top[j - t] for t in range(1, j))
+        bound[j] = top[j] + sum(terms)
+    if max(bound) >= 1 << 63:
+        raise OverflowError(f"sl2 projection of order {len(top) - 1} may exceed int64")
 
 
 @lru_cache(maxsize=None)

@@ -57,37 +57,29 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other) -> "IntPolynomial":
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return IntPolynomial(out)
+        return _combine(self.coeffs, _coerce(other).coeffs, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-x for x in self.coeffs])
+        return _trusted([-x for x in self.coeffs])
 
     def __sub__(self, other) -> "IntPolynomial":
-        return self + (-_coerce(other))
+        return _combine(self.coeffs, _coerce(other).coeffs, -1)
 
     def __rsub__(self, other) -> "IntPolynomial":
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other) -> "IntPolynomial":
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, _coerce(other).coeffs
         if not a or not b:
-            return IntPolynomial()
+            return ZERO
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return IntPolynomial(out)
+        return _trusted(out)
 
     __rmul__ = __mul__
 
@@ -121,6 +113,23 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)!r})"
+
+
+def _combine(a: tuple[int, ...], b: tuple[int, ...], sign: int) -> IntPolynomial:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, x in enumerate(b):
+        out[i] += sign * x
+    return _trusted(out)
+
+
+def _trusted(out: list[int]) -> IntPolynomial:
+    """Operator results: ``out`` holds ints only and nothing else holds
+    it, so it is trimmed in place and not copied or checked again."""
+    while out and not out[-1]:
+        out.pop()
+    poly = object.__new__(IntPolynomial)
+    object.__setattr__(poly, "coeffs", tuple(out))
+    return poly
 
 
 def _coerce(x) -> IntPolynomial:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import SimpleGraph, realize_diagram
-from .invariants import r_k, sl2_projected
+from .invariants import r_k, sl2_projected_batch
 from .polynomials import IntPolynomial
 from .sl2 import sl2_recursive
 
@@ -112,12 +112,14 @@ def _cell(name: str, computed, published, misprinted: bool) -> Cell:
 
 def recompute() -> list[RowResult]:
     """Recompute every row from a realizing diagram found by graph search."""
-    results = []
+    diagrams = []
     for row in ROWS:
-        g = SimpleGraph.from_edges(row.vertices, row.edges)
-        d = realize_diagram(g)
+        d = realize_diagram(SimpleGraph.from_edges(row.vertices, row.edges))
         if d is None:
             raise RuntimeError(f"no realizing diagram for table row {row.index}")
+        diagrams.append(d)
+    results = []
+    for row, d, projected in zip(ROWS, diagrams, sl2_projected_batch(diagrams)):
         cells = (
             _cell(
                 "sl2",
@@ -127,7 +129,7 @@ def recompute() -> list[RowResult]:
             ),
             _cell(
                 "projected",
-                sl2_projected(d),
+                projected,
                 IntPolynomial(row.projected_coeffs),
                 "projected" in row.sign_misprints,
             ),

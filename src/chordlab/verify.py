@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -45,12 +46,12 @@ from .graphs import (
 from .invariants import (
     MIN_K,
     MIN_L,
-    conjecture_check,
     e_l_parity,
     r_k,
     r_k_graph_batch,
     r_k_via_wc,
     sl2_graph_extension_check,
+    sl2_projected_batch,
 )
 from .sl2 import sl2_oracle, sl2_recursive
 
@@ -312,27 +313,32 @@ def _diagram_source(
     return sharded((random_diagram(order, rng) for _ in range(count)), shard)
 
 
+_CLASS_WINDOW = 128  # diagrams read per batch verdict: bounds memory
+
+
 def _per_class_suite(
     invariant: str,
     order: int,
     diagrams: Iterator[ChordDiagram],
-    verdict: Callable[[ChordDiagram], str | None],
+    verdict: Callable[[list[ChordDiagram]], list[str | None]],
 ) -> VerificationReport:
     """One check per diagram, one verdict per rotation class.
 
-    ``verdict(d)`` is None when d's class passes, else the text recorded
-    as the violation's signed sum; it runs on the first diagram of each
-    class met.
+    ``verdict(ds)`` holds, per class representative in ``ds``, None when
+    the class passes, else the text recorded as the violation's signed
+    sum.  It runs once per window of _CLASS_WINDOW diagrams, on the first
+    diagram met of each class that is new in the window.
     """
     report = VerificationReport(invariant=invariant, order=order)
     verdicts: dict[bytes, str | None] = {}
-    for d in diagrams:
-        report.checked += 1
-        code = canonical_code(d)
-        if code not in verdicts:
-            verdicts[code] = verdict(d)
-        if verdicts[code] is not None:
-            report.add_violation([code.decode("ascii")], verdicts[code])
+    diagrams = iter(diagrams)
+    while window := [(canonical_code(d), d) for d in islice(diagrams, _CLASS_WINDOW)]:
+        fresh = {code: d for code, d in window[::-1] if code not in verdicts}
+        verdicts.update(zip(fresh, verdict(list(fresh.values()))))
+        report.checked += len(window)
+        for code, _ in window:
+            if verdicts[code] is not None:
+                report.add_violation([code.decode("ascii")], verdicts[code])
     return report.finalize()
 
 
@@ -348,9 +354,10 @@ def suite_parity(
     require_at_least("parity", "k", k, MIN_K)
     name = f"r{k}-vs-e{2 * k}-parity"
     if mode == "exhaustive":
-        def verdict(d):
-            same = r_k(d, k) & 1 == e_l_parity(intersection_graph(d), 2 * k)
-            return None if same else "parity-differs"
+        def verdict(ds):
+            graphs = [intersection_graph(d) for d in ds]
+            same = [r_k(d, k) & 1 == e_l_parity(g, 2 * k) for d, g in zip(ds, graphs)]
+            return [None if ok else "parity-differs" for ok in same]
         diagrams = _diagram_source(order, shard=shard)
         return _per_class_suite(name, order, diagrams, verdict)
     if order != 2 * k:
@@ -380,9 +387,10 @@ def suite_conjecture(
 ) -> VerificationReport:
     """Coefficient of c^k in the projected sl2 value equals 2 R_k."""
     require_at_least("conjecture", "k", k, MIN_K)
-    def verdict(d):
-        res = conjecture_check(d, k)
-        return None if res.equal else f"lhs={res.lhs} rhs={res.rhs}"
+    def verdict(ds):
+        projected = sl2_projected_batch(ds)
+        pairs = [(p.coefficient(k), 2 * r_k(d, k)) for d, p in zip(ds, projected)]
+        return [None if a == b else f"lhs={a} rhs={b}" for a, b in pairs]
     diagrams = _diagram_source(2 * k, mode, count, seed, shard)
     return _per_class_suite(f"conjecture-k{k}", 2 * k, diagrams, verdict)
 
@@ -393,9 +401,9 @@ def suite_wc_identity(
     """R_k equals the halved projected-indicator route on every
     basepointed 2k-chord diagram."""
     require_at_least("wc-identity", "k", k, MIN_K)
-    def verdict(d):
-        rk, via_wc = r_k(d, k), r_k_via_wc(d, k)
-        return None if rk == via_wc else f"rk={rk} via_wc={via_wc}"
+    def verdict(ds):
+        pairs = [(r_k(d, k), r_k_via_wc(d, k)) for d in ds]
+        return [None if a == b else f"rk={a} via_wc={b}" for a, b in pairs]
     diagrams = _diagram_source(2 * k, shard=shard)
     return _per_class_suite(f"rk-wc-identity-k{k}", 2 * k, diagrams, verdict)
 
@@ -408,9 +416,9 @@ def suite_oracle_equivalence(
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
     """Contraction oracle equals the recursive sl2 evaluation."""
-    def verdict(d):
-        a, b = sl2_oracle(d), sl2_recursive(d)
-        return None if a == b else f"oracle={a} recursive={b}"
+    def verdict(ds):
+        pairs = [(sl2_oracle(d), sl2_recursive(d)) for d in ds]
+        return [None if a == b else f"oracle={a} recursive={b}" for a, b in pairs]
     diagrams = _diagram_source(order, mode, count, seed, shard)
     return _per_class_suite("sl2-oracle-vs-recursive", order, diagrams, verdict)
 

@@ -5,7 +5,12 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from chordlab.diagrams import DiagramError, enumerate_diagrams, parse_diagram
+from chordlab.diagrams import (
+    DiagramError,
+    canonical_code,
+    enumerate_diagrams,
+    parse_diagram,
+)
 from chordlab.fourterm import (
     DEFAULT_SIGNS,
     RelationQuadruple,
@@ -27,7 +32,7 @@ from chordlab.graphs import (
     interleave_rows,
     intersection_graph,
 )
-from chordlab.invariants import e_l_parity, r_k, w_c
+from chordlab.invariants import e_l_parity, r_k, sl2_projected, w_c
 from chordlab.polynomials import ZERO
 from chordlab.sl2 import sl2_recursive
 from chordlab import verify
@@ -430,3 +435,56 @@ class TestViolationDigests:
         report = run()
         assert (report.checked, len(report.violations)) == (checked, violations)
         assert _sha(report) == digest
+
+
+class TestPerClassWindows:
+    """The per-class suites read diagrams in windows and give each
+    window's new classes one batch verdict; the report must not depend
+    on the window size."""
+
+    @staticmethod
+    def _verdict(d):
+        # a class function: only the canonical code is read
+        code = canonical_code(d)
+        return None if code[1:2] == b"A" else f"second={code[1:2].decode()}"
+
+    @pytest.mark.parametrize("window", [1, 7, 1024])
+    def test_windows_match_one_pass(self, monkeypatch, window):
+        monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
+        reference = VerificationReport(invariant="synthetic", order=5)
+        for d in enumerate_diagrams(5, "basepointed"):
+            reference.checked += 1
+            if self._verdict(d) is not None:
+                reference.add_violation([canonical_code(d).decode()], self._verdict(d))
+        reference.finalize()
+        seen = []
+
+        def batch(ds):
+            seen.extend(canonical_code(d) for d in ds)
+            return [self._verdict(d) for d in ds]
+
+        report = verify._per_class_suite(
+            "synthetic", 5, enumerate_diagrams(5, "basepointed"), batch
+        )
+        assert report.violations == reference.violations
+        assert report.json_lines() == reference.json_lines()
+        # one verdict per class, never repeated across windows
+        assert len(seen) == len(set(seen)) == len(
+            list(enumerate_diagrams(5, "up-to-rotation"))
+        )
+
+    @pytest.mark.parametrize("window", [5, 1024])
+    def test_conjecture_violations_do_not_depend_on_the_window(
+        self, monkeypatch, window
+    ):
+        monkeypatch.setattr(verify, "r_k", lambda d, k: 1)
+        monkeypatch.setattr(verify, "_CLASS_WINDOW", 1024)
+        whole = verify.suite_conjecture(2).json_lines()
+        monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
+        report = verify.suite_conjecture(2)
+        assert report.json_lines() == whole
+        expected = [
+            d for d in enumerate_diagrams(4, "basepointed")
+            if sl2_projected(d).coefficient(2) != 2
+        ]
+        assert (report.checked, len(report.violations)) == (105, len(expected))

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordlab import invariants
 from chordlab.diagrams import diagram_product, parse_diagram, random_diagram
@@ -37,6 +39,7 @@ from chordlab.invariants import (
     sl2_graph_extension_check,
     sl2_on_graph,
     sl2_projected,
+    sl2_projected_batch,
     w_c,
 )
 from chordlab.partitions import partition_weight, set_partitions
@@ -79,11 +82,14 @@ class TestRk:
         code = (
             "from chordlab.invariants import _signed_hamiltonian_sum\n"
             "from chordlab.invariants import _interpolate_naturals\n"
+            "from chordlab.invariants import _SUBWORD_MEMO, _projected_coefficients\n"
             "from chordlab.sl2 import _six_term_step\n"
+            "_SUBWORD_MEMO[bytes([0, 0])] = (0, 1 << 40)\n"
             "for call in (lambda: _signed_hamiltonian_sum("
             "[[0, 1, 0], [0, 0, 1], [1, 0, 0]]), "
             "lambda: _six_term_step((0, 0, 1, 1), (0, 0)), "
-            "lambda: _interpolate_naturals([0, 0, 1])):\n"
+            "lambda: _interpolate_naturals([0, 0, 1]), "
+            "lambda: _projected_coefficients((0, 0, 1, 1))):\n"
             "    try:\n"
             "        call()\n"
             "    except (AssertionError, ArithmeticError):\n"
@@ -159,6 +165,46 @@ class TestProjection:
         rng = random.Random(7)
         for _ in range(40):
             check(random_diagram(7, rng))
+
+    @pytest.fixture
+    def cold_memos(self, monkeypatch):
+        # batches must compute, not answer from memos filled by other tests
+        monkeypatch.setattr(invariants, "_PROJECTED_MEMO", {})
+        monkeypatch.setattr(invariants, "_SUBWORD_MEMO", {})
+
+    def test_batch_matches_polynomial_route(self, diagram_classes, cold_memos):
+        # every class of order <= 5 (orders 0 and 1 too), rotated and so
+        # non-canonical words, and duplicates, in one batch
+        ds = [d for n in range(6) for d in diagram_classes(n)]
+        ds += [d.rotated(3) for d in ds[::4]] + ds[::9]
+        random.Random(5).shuffle(ds)
+        assert sl2_projected_batch(ds) == [project_primitive_value(d, sl2) for d in ds]
+
+    def test_batches_longer_than_a_chunk(self, cold_memos):
+        rng = random.Random(8)
+        size = invariants._PROJECTION_CHUNK + 5
+        ds = [random_diagram(n, rng) for n in (7, 8) for _ in range(size)]
+        rng.shuffle(ds)
+        assert sl2_projected_batch(ds) == [project_primitive_value(d, sl2) for d in ds]
+
+    @pytest.mark.parametrize("coeffs", [(0, 1 << 62), (0, 1 << 40)])
+    def test_int64_guard_raises(self, monkeypatch, coeffs):
+        # a single-chord value past int64 at c = 2, then one that fits
+        # but whose partition transform could wrap: both are refused
+        monkeypatch.setitem(invariants._SUBWORD_MEMO, bytes([0, 0]), coeffs)
+        with pytest.raises(OverflowError, match="exceed int64"):
+            _projected_coefficients((0, 0, 1, 1))
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(7, 8), st.integers(1, 6), st.integers(0, 2**32))
+    def test_batch_property_orders_7_8(self, n, split, seed):
+        rng = random.Random(seed)
+        d = random_diagram(n, rng)
+        product = diagram_product(
+            random_diagram(split, rng), random_diagram(n - split, rng)
+        )
+        got = sl2_projected_batch([d, product])
+        assert got == [project_primitive_value(d, sl2), ZERO]
 
     def test_non_integer_interpolant_raises(self):
         # c(c - 1) / 2 takes the values 0, 0, 1 at c = 0, 1, 2
