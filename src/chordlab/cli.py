@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
     p_mode.add_argument("--exhaustive", action="store_true")
     p_mode.add_argument("--sample", type=int, metavar="N")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--jobs", type=int, default=None)
+    p_verify.add_argument("--jobs", type=int, default=1)
 
     p_enum = sub.add_parser("enumerate", help="list diagrams or graphs")
     p_enum.add_argument("kind", choices=("diagrams", "graphs"))
@@ -259,13 +259,9 @@ def _cmd_table1(args) -> int:
 
 
 def _default_jobs(args) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        jobs = int(os.environ.get("CHORDLAB_JOBS", "1"))
-    if jobs < 1:
+    if args.jobs < 1:
         raise ParamError("--jobs must be at least 1")
-    return clamp_jobs(jobs, os.cpu_count())
+    return clamp_jobs(args.jobs, os.cpu_count())
 
 
 def clamp_jobs(jobs: int, cpus: int | None) -> int:
@@ -329,33 +325,22 @@ def _check_order(n: int, ceiling: int) -> None:
         raise ParamError(f"order {n} outside brute-force ceiling {ceiling}")
 
 
-_SUITE_FUNCS = {
-    "four-term-diagrams": verify_mod.suite_four_term_diagrams,
-    "four-term-graphs": verify_mod.suite_four_term_graphs,
-    "two-term": verify_mod.suite_two_term,
-    "mutation": verify_mod.suite_mutation,
-    "parity": verify_mod.suite_parity,
-    "conjecture": verify_mod.suite_conjecture,
-    "wc-identity": verify_mod.suite_wc_identity,
-    "oracle-equivalence": verify_mod.suite_oracle_equivalence,
-}
-
-
 def _cmd_verify(args) -> int:
     params = _verify_params(args)
     jobs = _default_jobs(args)
     info: list[dict] = []
+    # looked up when it runs, so a rebound verify.suite_* is the one called
+    suite = getattr(verify_mod, "suite_" + args.suite.replace("-", "_"))
     if args.suite == "wheel-prism":
-        report, info = verify_mod.suite_wheel_prism()
+        report, info = suite()
     elif jobs > 1 and params.get("mode", "exhaustive") == "exhaustive":
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            suite = _SUITE_FUNCS[args.suite]
             futures = [
                 pool.submit(suite, **params, shard=(i, jobs)) for i in range(jobs)
             ]
             report = verify_mod.merge_reports([f.result() for f in futures])
     else:
-        report = _SUITE_FUNCS[args.suite](**params)
+        report = suite(**params)
     for rec in info:
         print(json.dumps(rec, sort_keys=True))
     print(report.json_lines())

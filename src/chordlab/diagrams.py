@@ -65,9 +65,6 @@ class ChordDiagram:
         r %= m
         return ChordDiagram(self.word[r:] + self.word[:r])
 
-    def code(self) -> bytes:
-        return canonical_code(self)
-
     def __str__(self) -> str:
         return format_diagram(self)
 

@@ -41,11 +41,7 @@ class RelationQuadruple:
             raise ValueError("a quadruple has four terms with signs summing to 0")
 
     def signed_sum(self, f: Callable):
-        total = None
-        for obj, sign in self.terms:
-            val = sign * f(obj)
-            total = val if total is None else total + val
-        return total
+        return sum(sign * f(obj) for obj, sign in self.terms)
 
 
 def four_term_words(word: Sequence[int], p: int) -> tuple[list, list, list, list]:
@@ -163,7 +159,8 @@ def verify_weight_system(
     byte-for-byte under a fixed seed.
     """
     quads = four_term_instances(order, mode, count, seed)
-    return four_term_sums(quads, f, invariant, order, signs)
+    evaluate, combine = by_class(lambda ds: [f(d) for d in ds]), signed_sum(signs)
+    return relation_sums(invariant, order, quads, evaluate, combine, _CLASS_WINDOW)
 
 
 def sharded(items: Iterable, shard: tuple[int, int] | None = None) -> Iterator:
@@ -197,37 +194,69 @@ def four_term_instances(
     return sharded(sampled_four_term_words(order, count, seed), shard)
 
 
-def four_term_sums(
-    quads: Iterable[Sequence[Sequence[int]]],
-    f: Callable[[ChordDiagram], object],
+_CLASS_WINDOW = 128  # class-keyed items read per window: bounds memory
+
+
+def relation_sums(
     invariant: str,
     order: int,
-    signs: tuple[int, int, int, int] = DEFAULT_SIGNS,
-    mod2: bool = False,
+    items: Iterable[Sequence[Sequence[int]]],
+    evaluate: Callable[[list], Iterable],
+    combine: Callable[[Sequence], object],
+    window: int,
 ) -> VerificationReport:
-    """Signed sums of f over raw-word quadruples, one check each.
+    """One check per item, the items read in windows of ``window``.
 
-    Each term's value is looked up by its canonical key, so f is called
-    once per rotation class and a word becomes a ChordDiagram only for
-    that call.  With ``mod2`` the sums are reduced mod 2 (for 0/1
-    parity invariants).
+    An item is a tuple of raw words: four for a 4-term quadruple, one
+    for a per-class check.  ``evaluate(batch)`` gives each item's term
+    values for one window; ``combine(values)`` is falsy when the item
+    passes, else the signed sum recorded with the canonical codes of
+    the item's words.  Codes are computed for violating items only.
+    """
+    report = VerificationReport(invariant=invariant, order=order)
+    items = iter(items)
+    while batch := list(itertools.islice(items, window)):
+        report.checked += len(batch)
+        for words, values in zip(batch, evaluate(batch)):
+            if total := combine(values):
+                codes = [canonical_word_bytes(w).decode("ascii") for w in words]
+                report.add_violation(codes, total)
+    return report.finalize()
+
+
+def by_class(values_of: Callable[[list[ChordDiagram]], list]) -> Callable:
+    """An ``evaluate`` for :func:`relation_sums` that looks each word up
+    by its canonical key.
+
+    ``values_of(diagrams)`` gives the value of each diagram of a list.
+    It runs once per window, on the first diagram met of each class not
+    seen before in the run, so it must be a function of the rotation
+    class; a word becomes a ChordDiagram only for that call.
     """
     values: dict[bytes, object] = {}
-    report = VerificationReport(invariant=invariant, order=order)
-    for words in quads:
-        report.checked += 1
-        keys = [canonical_word_bytes(w) for w in words]
-        total = 0
-        for key, word, sign in zip(keys, words, signs):
-            val = values.get(key)
-            if val is None:
-                val = values[key] = f(ChordDiagram(word))
-            total += sign * val
-        if mod2:
-            total &= 1
-        if total:
-            report.add_violation([key.decode("ascii") for key in keys], total)
-    return report.finalize()
+
+    def evaluate(batch):
+        keys = [[canonical_word_bytes(w) for w in words] for words in batch]
+        fresh: dict[bytes, Sequence[int]] = {}
+        for key, w in zip(itertools.chain(*keys), itertools.chain(*batch)):
+            if key not in values:
+                fresh.setdefault(key, w)
+        values.update(zip(fresh, values_of([ChordDiagram(w) for w in fresh.values()])))
+        return [[values[key] for key in item_keys] for item_keys in keys]
+
+    return evaluate
+
+
+def signed_sum(signs: tuple[int, ...] = DEFAULT_SIGNS, mod2: bool = False) -> Callable:
+    """A ``combine`` for :func:`relation_sums`: the signed sum of an
+    item's values, reduced mod 2 with ``mod2`` (for 0/1 parity
+    invariants)."""
+
+    def combine(values):
+        total = sum(sign * val for sign, val in zip(signs, values))
+        return total & 1 if mod2 else total
+
+    return combine
 
 
 def require_sample_count(count: int) -> None:

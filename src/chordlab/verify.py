@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from itertools import islice
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -26,12 +27,14 @@ from .diagrams import (
     random_diagram,
 )
 from .fourterm import (
+    _CLASS_WINDOW,
     VerificationReport,
+    by_class,
     four_term_instances,
-    four_term_sums,
+    relation_sums,
     require_sample_count,
-    sampled_four_term_words,
     sharded,
+    signed_sum,
 )
 from .graphs import (
     SimpleGraph,
@@ -91,6 +94,17 @@ def dense_sign_matrix(words) -> np.ndarray:
 # the named suites
 
 
+_DP_WORDS = 1024  # words per batched DP call: bounds its (2^n, n, words) paths
+
+
+def _cycle_sums(batch) -> list[list[int]]:
+    """Per item of order-2k raw words, each word's R_k: its signed
+    Hamiltonian-cycle sum, by one batched DP over the window's words."""
+    words = np.array(batch, dtype=np.int8)
+    signed = dense_sign_matrix(words.reshape(-1, words.shape[-1]))
+    return hamiltonian_cycle_sums(signed).reshape(len(batch), -1).tolist()
+
+
 def suite_four_term_diagrams(
     invariant: str,
     order: int,
@@ -102,41 +116,26 @@ def suite_four_term_diagrams(
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
     """Signed 4-term sums of a named invariant over diagram quadruples,
-    through the one diagram engine :func:`fourterm.four_term_sums`."""
-    name, f, mod2 = _diagram_invariant(invariant, k, l)
-    if invariant == "rk" and mode == "sample" and 2 * k == order:
-        if shard is None or shard == (0, 1):
-            return rk_four_term_sampled(k, order, count, seed)
-    quads = four_term_instances(order, mode, count, seed, shard)
-    return four_term_sums(quads, f, name, order, mod2=mod2)
+    through the one diagram loop :func:`fourterm.relation_sums`.
 
-
-def rk_four_term_sampled(
-    k: int, order: int, count: int, seed: int
-) -> VerificationReport:
-    """Batched signed-cycle 4-term check for order == 2k, sampled.
-
-    Builds the step-weight matrices of all four terms of every sampled
-    quadruple in one batch and runs one vectorized Hamiltonian-cycle DP
-    over it.
+    Sampled R_k at order 2k is evaluated by the batched Hamiltonian DP,
+    every other check by canonical class.
     """
+    name, f, mod2 = _diagram_invariant(invariant, k, l)
+    quads = four_term_instances(order, mode, count, seed, shard)
+    if invariant == "rk" and mode == "sample" and 2 * k == order:
+        evaluate, window = _cycle_sums, _DP_WORDS // 4
+    else:
+        evaluate, window = by_class(lambda ds: [f(d) for d in ds]), _CLASS_WINDOW
+    return relation_sums(name, order, quads, evaluate, signed_sum(mod2=mod2), window)
+
+
+def rk_four_term_sampled(k: int, order: int, count: int, seed: int) -> VerificationReport:
+    """Sampled R_k 4-term check for order == 2k, by the batched
+    Hamiltonian DP over the step-weight matrices of all four terms."""
     if order != 2 * k:
         raise ValueError("batched mode requires order == 2k")
-    require_sample_count(count)
-    report = VerificationReport(invariant=f"r{k}", order=order)
-    words = np.empty((4 * count, 2 * order), dtype=np.int8)
-    for idx, quad in enumerate(sampled_four_term_words(order, count, seed)):
-        words[4 * idx : 4 * idx + 4] = quad
-    vals = hamiltonian_cycle_sums(dense_sign_matrix(words))
-    sums = vals[0::4] - vals[1::4] - vals[2::4] + vals[3::4]
-    report.checked = count
-    for bad in np.nonzero(sums)[0]:
-        codes = [
-            canonical_word_bytes(tuple(w)).decode("ascii")
-            for w in words[4 * bad : 4 * bad + 4].tolist()
-        ]
-        report.add_violation(codes, int(sums[bad]))
-    return report.finalize()
+    return suite_four_term_diagrams("rk", order, k, None, "sample", count, seed)
 
 
 def suite_four_term_graphs(
@@ -148,88 +147,58 @@ def suite_four_term_graphs(
 ) -> VerificationReport:
     """Graph 4-term sums over all labeled graphs of the given order."""
     name, table, mod2 = _graph_invariant_table(invariant, order, k, l)
-    return graph_four_term_masked(name, table, order, mod2=mod2, shard=shard)
-
-
-def graph_four_term_masked(
-    name: str,
-    table: np.ndarray,
-    order: int,
-    mod2: bool = False,
-    shard: tuple[int, int] | None = None,
-) -> VerificationReport:
-    """Signed 4-term sums of an edge-mask value table, every labeled graph
-    and ordered vertex pair.
-
-    For one ordered pair (a, b) at a time the prime and tilde moves run
-    over a whole chunk of masks as numpy gathers; graphs are only
-    materialized to describe violations.  With ``mod2`` the signed sum
-    is reduced mod 2 (for 0/1 parity invariants).
-    """
-    report = VerificationReport(invariant=name, order=order)
-    ptab = pair_index_table(order)
-    for masks in _mask_chunks(order, shard):
-        report.checked += len(masks) * order * (order - 1)
-        base = table[masks]
-        for a, b in itertools.permutations(range(order), 2):
-            edge = 1 << ptab[a][b]
-            m3 = tilde_masks(order, masks, a, b)
-            total = base - table[masks ^ edge] - table[m3] + table[m3 ^ edge]
-            if mod2:
-                total &= 1
-            for i in np.flatnonzero(total):
-                m, t = int(masks[i]), int(m3[i])
-                report.add_violation(
-                    [_graph_text(order, x) for x in (m, m ^ edge, t, t ^ edge)],
-                    int(total[i]),
-                )
-    return report.finalize()
+    return masked_relation(name, table, order, _four_term_masks, mod2, shard)
 
 
 def suite_two_term(
-    invariant: str,
-    order: int,
-    shard: tuple[int, int] | None = None,
+    invariant: str, order: int, shard: tuple[int, int] | None = None
 ) -> VerificationReport:
     """f(g) == f(g~) for all labeled graphs and ordered vertex pairs."""
-    if invariant == "wc":
-        table = _mask_table(
-            order, lambda m: gf2_rank_batch(edge_mask_rows(order, m), order) == order
-        )
-    elif invariant == "gf2-rank":
-        table = _mask_table(
-            order, lambda m: gf2_rank_batch(edge_mask_rows(order, m), order)
-        )
-    elif invariant == "edge-count":
-        npairs = order * (order - 1) // 2
-        table = _mask_table(
-            order, lambda m: sum((m >> i & 1 for i in range(npairs)), 0 * m)
-        )
-    else:
-        raise ValueError(f"unknown two-term invariant: {invariant!r}")
-    return two_term_masked(invariant, table, order, shard)
+    name, table, mod2 = _graph_invariant_table(invariant, order, None, None)
+    return masked_relation(name, table, order, _two_term_masks, mod2, shard)
 
 
-def two_term_masked(
+def _four_term_masks(order: int, masks: np.ndarray, a: int, b: int):
+    """The signed terms (g, g', g~, g~') of the graph 4-term relation at
+    the ordered pair (a, b), for every edge mask of an array."""
+    edge = 1 << pair_index_table(order)[a][b]
+    tilde = tilde_masks(order, masks, a, b)
+    return (1, masks), (-1, masks ^ edge), (-1, tilde), (1, tilde ^ edge)
+
+
+def _two_term_masks(order: int, masks: np.ndarray, a: int, b: int):
+    """The signed terms (g, g~) of the 2-term relation at (a, b)."""
+    return (1, masks), (-1, tilde_masks(order, masks, a, b))
+
+
+def masked_relation(
     name: str,
     table: np.ndarray,
     order: int,
+    terms: Callable,
+    mod2: bool = False,
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
-    """Compare an edge-mask value table across every tilde move, one
-    ordered vertex pair at a time over chunks of masks."""
+    """Signed sums of an edge-mask value table over a graph relation, for
+    every labeled graph and ordered vertex pair.
+
+    ``terms(order, masks, a, b)`` gives the (sign, masks) pairs of the
+    relation at the ordered pair (a, b) for a chunk of masks; its moves
+    run as numpy gathers, and graphs are only materialized to describe
+    violations.  With ``mod2`` the signed sum is reduced mod 2 (for 0/1
+    parity invariants).
+    """
     report = VerificationReport(invariant=name, order=order)
     for masks in _mask_chunks(order, shard):
         report.checked += len(masks) * order * (order - 1)
-        base = table[masks]
         for a, b in itertools.permutations(range(order), 2):
-            other = tilde_masks(order, masks, a, b)
-            diff = base - table[other]
-            for i in np.flatnonzero(diff):
-                report.add_violation(
-                    [_graph_text(order, int(m[i])) for m in (masks, other)],
-                    int(diff[i]),
-                )
+            signed = terms(order, masks, a, b)
+            total = sum(sign * table[m] for sign, m in signed)
+            if mod2:
+                total &= 1
+            for i in np.flatnonzero(total):
+                texts = [_graph_text(order, int(m[i])) for _, m in signed]
+                report.add_violation(texts, int(total[i]))
     return report.finalize()
 
 
@@ -313,9 +282,6 @@ def _diagram_source(
     return sharded((random_diagram(order, rng) for _ in range(count)), shard)
 
 
-_CLASS_WINDOW = 128  # diagrams read per batch verdict: bounds memory
-
-
 def _per_class_suite(
     invariant: str,
     order: int,
@@ -329,17 +295,17 @@ def _per_class_suite(
     sum.  It runs once per window of _CLASS_WINDOW diagrams, on the first
     diagram met of each class that is new in the window.
     """
-    report = VerificationReport(invariant=invariant, order=order)
-    verdicts: dict[bytes, str | None] = {}
-    diagrams = iter(diagrams)
-    while window := [(canonical_code(d), d) for d in islice(diagrams, _CLASS_WINDOW)]:
-        fresh = {code: d for code, d in window[::-1] if code not in verdicts}
-        verdicts.update(zip(fresh, verdict(list(fresh.values()))))
-        report.checked += len(window)
-        for code, _ in window:
-            if verdicts[code] is not None:
-                report.add_violation([code.decode("ascii")], verdicts[code])
-    return report.finalize()
+    items = ((d.word,) for d in diagrams)
+    evaluate = by_class(verdict)
+    return relation_sums(invariant, order, items, evaluate, itemgetter(0), _CLASS_WINDOW)
+
+
+def _parity_verdicts(batch) -> list[list[str | None]]:
+    """Per order-2k diagram item, whether R_k and the 2k-cycle count
+    differ in parity: signed and plain batched DPs over the window."""
+    signed = dense_sign_matrix(np.array(batch, dtype=np.int8)[:, 0])
+    odd = (hamiltonian_cycle_sums(signed) - hamiltonian_cycle_sums(np.abs(signed))) & 1
+    return [["parity-differs" if bad else None] for bad in odd.tolist()]
 
 
 def suite_parity(
@@ -350,7 +316,8 @@ def suite_parity(
     seed: int = 0,
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
-    """R_k and the 2k-cycle count must have equal parity."""
+    """R_k and the 2k-cycle count must have equal parity: by class when
+    exhaustive, by the batched Hamiltonian DP when sampled."""
     require_at_least("parity", "k", k, MIN_K)
     name = f"r{k}-vs-e{2 * k}-parity"
     if mode == "exhaustive":
@@ -358,24 +325,11 @@ def suite_parity(
             graphs = [intersection_graph(d) for d in ds]
             same = [r_k(d, k) & 1 == e_l_parity(g, 2 * k) for d, g in zip(ds, graphs)]
             return [None if ok else "parity-differs" for ok in same]
-        diagrams = _diagram_source(order, shard=shard)
-        return _per_class_suite(name, order, diagrams, verdict)
+        return _per_class_suite(name, order, _diagram_source(order, shard=shard), verdict)
     if order != 2 * k:
         raise ValueError("sampled parity mode requires order == 2k")
-    diagrams = _diagram_source(order, mode, count, seed)
-    words = np.empty((count, 2 * order), dtype=np.int8)
-    for i, d in enumerate(diagrams):
-        words[i] = d.word
-    signed = dense_sign_matrix(words)
-    rk_vals = hamiltonian_cycle_sums(signed)
-    counts = hamiltonian_cycle_sums(np.abs(signed))
-    report = VerificationReport(invariant=name, order=order, checked=count)
-    for bad in np.nonzero((rk_vals - counts) & 1)[0]:
-        word = tuple(words[bad].tolist())
-        report.add_violation(
-            [canonical_word_bytes(word).decode("ascii")], "parity-differs"
-        )
-    return report.finalize()
+    items = ((d.word,) for d in _diagram_source(order, mode, count, seed, shard))
+    return relation_sums(name, order, items, _parity_verdicts, itemgetter(0), _DP_WORDS)
 
 
 def suite_conjecture(
@@ -477,28 +431,32 @@ def _diagram_invariant(invariant: str, k: int | None, l: int | None):
 
 def _graph_invariant_table(invariant: str, order: int, k: int | None, l: int | None):
     """(report name, int32 table over all edge masks, whether mod 2)."""
-    npairs = order * (order - 1) // 2
+    name, mod2, npairs = invariant, False, order * (order - 1) // 2
     if invariant == "rk-graph":
         require_at_least("rk-graph", "k", k, MIN_K)
         if order != 2 * k:
             raise ValueError("rk-graph 4-term check runs at order == 2k")
-        table = _mask_table(order, lambda masks: r_k_graph_batch(order, masks, k))
-        return f"r{k}-graph", table, False
-    if invariant == "el-parity":
+        name, build = f"r{k}-graph", lambda masks: r_k_graph_batch(order, masks, k)
+    elif invariant == "el-parity":
         require_at_least("el-parity", "l", l, MIN_L)
-        if l == order:
-            # full-length cycles: one vectorized Hamiltonian DP over the
-            # adjacency matrices of every labeled graph at once
-            rows = edge_mask_rows(order, np.arange(1 << npairs)).T
-            mats = (rows[:, :, None] >> np.arange(order) & 1).astype(np.int8)
-            table = (hamiltonian_cycle_sums(mats) & 1).astype(np.int32)
-        else:
-            table = np.array(
-                [
-                    e_l_parity(SimpleGraph.from_edge_mask(order, m), l)
-                    for m in range(1 << npairs)
-                ],
-                dtype=np.int32,
-            )
-        return f"e{l}-parity", table, True
-    raise ValueError(f"unknown graph invariant: {invariant!r}")
+        name, build, mod2 = f"e{l}-parity", partial(_el_parities, order, l), True
+    elif invariant in ("wc", "gf2-rank"):
+        def build(masks):
+            rank = gf2_rank_batch(edge_mask_rows(order, masks), order)
+            return rank == order if invariant == "wc" else rank
+    elif invariant == "edge-count":
+        build = lambda masks: sum((masks >> i & 1 for i in range(npairs)), 0 * masks)
+    else:
+        raise ValueError(f"unknown graph invariant: {invariant!r}")
+    return name, _mask_table(order, build), mod2
+
+
+def _el_parities(order: int, l: int, masks: np.ndarray):
+    """The l-cycle parities of a chunk of edge masks."""
+    if l != order:
+        return [e_l_parity(SimpleGraph.from_edge_mask(order, int(m)), l) for m in masks]
+    # full-length cycles: one vectorized Hamiltonian DP over the
+    # adjacency matrices of the chunk
+    rows = edge_mask_rows(order, masks).T
+    mats = (rows[:, :, None] >> np.arange(order) & 1).astype(np.int8)
+    return hamiltonian_cycle_sums(mats) & 1

@@ -329,12 +329,6 @@ class TestVerify:
             "53791ba910924fc82f6041b103185d02d4addbf6148b09d4e35e5f45723e99ff"
         )
 
-    def test_jobs_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHORDLAB_JOBS", "2")
-        code, out, _ = run(capsys, "verify", "wc-identity", "--k", "2")
-        assert code == 0
-        assert json.loads(out.splitlines()[-1]) == {"checked": 105, "violations": 0}
-
     def test_bad_jobs_exit_3(self, capsys):
         code, _, _ = run(capsys, "verify", "wc-identity", "--k", "2", "--jobs", "0")
         assert code == 3

@@ -36,12 +36,11 @@ from chordlab.invariants import e_l_parity, r_k, sl2_projected, w_c
 from chordlab.polynomials import ZERO
 from chordlab.sl2 import sl2_recursive
 from chordlab import verify
-from chordlab.verify import (
-    graph_four_term_masked,
-    merge_reports,
-    suite_four_term_graphs,
-    two_term_masked,
-)
+from chordlab.verify import masked_relation, merge_reports, suite_four_term_graphs
+
+# the (sign, masks) terms of the two graph relations, for masked_relation
+FOUR_TERM = verify._four_term_masks
+TWO_TERM = verify._two_term_masks
 
 
 def verify_graph_four_term(
@@ -53,7 +52,7 @@ def verify_graph_four_term(
     """Signed sums of f over all labeled graphs and ordered vertex pairs.
 
     Object-level reference; the exhaustive suites run the edge-mask
-    engine `verify.graph_four_term_masked` on a value table instead.
+    engine `verify.masked_relation` on a value table instead.
     """
     report = VerificationReport(invariant=invariant, order=order)
     for g in _all_graphs(order):
@@ -73,7 +72,7 @@ def two_term_check(
 ) -> VerificationReport:
     """Check f(g) == f(g~) for all labeled graphs and ordered pairs.
 
-    Object-level reference for `verify.two_term_masked`.
+    Object-level reference for `verify.masked_relation` on 2-term terms.
     """
     report = VerificationReport(invariant=invariant, order=order)
     for g in _all_graphs(order):
@@ -291,12 +290,13 @@ class TestTwoTerm:
 
 
 class TestMaskEngines:
-    """The numpy mask engines in verify against the object-level engines,
-    on tables that violate the relations."""
+    """The numpy mask engine in verify, on 4-term and 2-term terms,
+    against the object-level engines on tables that violate the
+    relations."""
 
     @pytest.mark.parametrize("f", [_triangles, _edges])
     def test_four_term_matches_object_engine(self, f):
-        masked = graph_four_term_masked(f.__name__, _mask_table(f, 4), 4)
+        masked = masked_relation(f.__name__, _mask_table(f, 4), 4, FOUR_TERM)
         plain = verify_graph_four_term(f, 4, invariant=f.__name__)
         assert masked.checked == plain.checked == 64 * 12
         assert masked.violations == plain.violations
@@ -304,7 +304,7 @@ class TestMaskEngines:
 
     @pytest.mark.parametrize("f", [_triangles, _edges])
     def test_two_term_matches_object_engine(self, f):
-        masked = two_term_masked(f.__name__, _mask_table(f, 4), 4)
+        masked = masked_relation(f.__name__, _mask_table(f, 4), 4, TWO_TERM)
         plain = two_term_check(f, 4, invariant=f.__name__)
         assert masked.checked == plain.checked == 64 * 12
         assert masked.violations == plain.violations
@@ -314,9 +314,12 @@ class TestMaskEngines:
     def test_shards_merge_to_the_whole_run(self, chunk, monkeypatch):
         monkeypatch.setattr(verify, "_MASK_CHUNK", chunk)
         table = _mask_table(_triangles, 4)
-        for engine in (graph_four_term_masked, two_term_masked):
-            whole = engine("triangles", table, 4)
-            parts = [engine("triangles", table, 4, shard=(i, 3)) for i in range(3)]
+        for terms in (FOUR_TERM, TWO_TERM):
+            whole = masked_relation("triangles", table, 4, terms)
+            parts = [
+                masked_relation("triangles", table, 4, terms, shard=(i, 3))
+                for i in range(3)
+            ]
             assert merge_reports(parts).json_lines() == whole.json_lines()
 
     @pytest.mark.parametrize("order", [4, 5])
@@ -332,7 +335,7 @@ class TestMaskEngines:
     def test_graph_parity_sums_reduce_mod_2(self):
         # digest recorded from the int-subclass parity implementation
         table = _mask_table(_triangles, 4) & 1
-        report = graph_four_term_masked("triangle-parity", table, 4, mod2=True)
+        report = masked_relation("triangle-parity", table, 4, FOUR_TERM, mod2=True)
         assert {v["signed_sum"] for v in report.violations} == {"1"}
         assert len(report.violations) == 384
         assert _sha(report) == (
@@ -355,6 +358,18 @@ class TestMaskEngines:
         assert _sha(report) == (
             "d64e58da699c84cddf231664b76269bc1524d62f33f026de270326adbcc7082c"
         )
+
+    @pytest.mark.parametrize("window", [1, 7, 1024])
+    def test_diagram_parity_digest_does_not_depend_on_the_window(
+        self, monkeypatch, window
+    ):
+        monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
+        self.test_diagram_parity_sums_reduce_mod_2(monkeypatch)
+
+    @pytest.mark.parametrize("suite", [suite_four_term_graphs, verify.suite_two_term])
+    def test_unknown_graph_invariant(self, suite):
+        with pytest.raises(ValueError, match="^unknown graph invariant: 'nope'$"):
+            suite("nope", 4)
 
 
 class TestViolationDigests:
@@ -488,3 +503,44 @@ class TestPerClassWindows:
             if sl2_projected(d).coefficient(2) != 2
         ]
         assert (report.checked, len(report.violations)) == (105, len(expected))
+
+
+class TestHamiltonianRoute:
+    """The sampled R_k 4-term and parity checks through the batched
+    Hamiltonian DP, under a DP corrupted by matrix content alone (a
+    crossing read as +1 from chord 1 to chord 0), so the reports carry
+    violations.  Digests recorded before the diagram loops were merged."""
+
+    @pytest.fixture(autouse=True)
+    def corrupt_dp(self, monkeypatch):
+        real = verify.hamiltonian_cycle_sums
+
+        def corrupt(mats):
+            mats = np.asarray(mats)
+            return real(mats) + (mats[:, 1, 0] == 1)
+
+        monkeypatch.setattr(verify, "hamiltonian_cycle_sums", corrupt)
+
+    def test_sampled_rk_four_term_digest(self):
+        report = verify.rk_four_term_sampled(4, 8, 3000, 11)
+        assert (report.checked, len(report.violations)) == (3000, 190)
+        assert _sha(report) == (
+            "fb75121189d475fbe7d2641dbdc4f3d968c864e36e296ba559e8950a2f9980fd"
+        )
+
+    def test_sampled_parity_digest(self):
+        report = verify.suite_parity(8, 4, mode="sample", count=2000, seed=13)
+        assert (report.checked, len(report.violations)) == (2000, 912)
+        assert _sha(report) == (
+            "e868ac6d146b555824c7e5faafc4bf9c83f66aee377cf39bc0e42d7ec17bc2d1"
+        )
+
+    def test_sampled_rk_shards_merge_to_the_whole_run(self):
+        def run(shard=None):
+            return verify.suite_four_term_diagrams(
+                "rk", 8, 4, mode="sample", count=3000, seed=11, shard=shard
+            )
+
+        parts = [run((i, 3)) for i in range(3)]
+        assert merge_reports(parts).json_lines() == run().json_lines()
+        assert sum(len(p.violations) for p in parts) == 190
