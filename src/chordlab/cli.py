@@ -308,14 +308,12 @@ def _verify_params(args) -> dict:
         if params["invariant"] == default and params.get("k", 0) is None:
             params["k"] = params["order"] // 2
     if "sample" in params:
-        count = params.pop("sample")
-        params["mode"] = "exhaustive" if count is None else "sample"
-        params.update(count=count or 0, seed=args.seed)
+        params["seed"] = args.seed
     if ceiling is not None:
         order = params["order"] if "order" in params else 2 * params["k"]
         if sampled_ceiling is not None:
             _check_order(order, sampled_ceiling)
-        if params.get("mode", "exhaustive") == "exhaustive":
+        if params.get("sample") is None:
             _check_order(order, ceiling)
     return params
 
@@ -333,7 +331,7 @@ def _cmd_verify(args) -> int:
     suite = getattr(verify_mod, "suite_" + args.suite.replace("-", "_"))
     if args.suite == "wheel-prism":
         report, info = suite()
-    elif jobs > 1 and params.get("mode", "exhaustive") == "exhaustive":
+    elif jobs > 1 and params.get("sample") is None:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(suite, **params, shard=(i, jobs)) for i in range(jobs)

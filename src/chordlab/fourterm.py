@@ -143,22 +143,21 @@ class VerificationReport:
 def verify_weight_system(
     f: Callable[[ChordDiagram], object],
     order: int,
-    mode: str = "exhaustive",
-    count: int = 0,
+    sample: int | None = None,
     seed: int = 0,
     invariant: str = "f",
     signs: tuple[int, int, int, int] = DEFAULT_SIGNS,
 ) -> VerificationReport:
     """Evaluate the signed sum of f over diagram 4-term quadruples.
 
-    mode="exhaustive" runs every (diagram, neighboring-end position) at
-    the given order; mode="sample" draws `count` quadruples with the
-    given seed.  f must be a function of the rotation class: it is
+    With ``sample`` None every (diagram, neighboring-end position) at the
+    given order is run; otherwise ``sample`` quadruples are drawn from
+    the seed.  f must be a function of the rotation class: it is
     called once per class, on the first diagram of the class met.
     Violations are data, not errors; the report is deterministic
     byte-for-byte under a fixed seed.
     """
-    quads = four_term_instances(order, mode, count, seed)
+    quads = four_term_instances(order, sample, seed)
     evaluate, combine = by_class(lambda ds: [f(d) for d in ds]), signed_sum(signs)
     return relation_sums(invariant, order, quads, evaluate, combine, _CLASS_WINDOW)
 
@@ -170,28 +169,54 @@ def sharded(items: Iterable, shard: tuple[int, int] | None = None) -> Iterator:
     return itertools.islice(items, index, None, count)
 
 
+def diagram_source(
+    order: int,
+    sample: int | None = None,
+    seed: int | random.Random = 0,
+    shard: tuple[int, int] | None = None,
+) -> Iterator[ChordDiagram]:
+    """Every basepointed diagram of the order when ``sample`` is None,
+    else ``sample`` random ones drawn from the seed; split by ``shard``.
+
+    A random.Random passed as ``seed`` is drawn from as it stands, so a
+    caller can interleave its own draws with the diagrams'.
+    """
+    if sample is None:
+        return sharded(enumerate_diagrams(order, "basepointed"), shard)
+    if sample < 0:
+        raise ValueError(f"--sample must be nonnegative, got {sample}")
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    return sharded((random_diagram(order, rng) for _ in range(sample)), shard)
+
+
 def four_term_instances(
     order: int,
-    mode: str = "exhaustive",
-    count: int = 0,
+    sample: int | None = None,
     seed: int = 0,
     shard: tuple[int, int] | None = None,
 ) -> Iterator[tuple[list, list, list, list]]:
     """The four raw words of each diagram 4-term instance of the order.
 
-    mode="exhaustive" takes every neighboring-end position of every
-    basepointed diagram, the diagrams split by ``shard``; mode="sample"
-    draws `count` instances from the seed, the instances split by it.
+    With ``sample`` None every neighboring-end position of every
+    basepointed diagram is taken, the diagrams split by ``shard``;
+    otherwise ``sample`` instances are drawn from the seed (a random
+    diagram, then a random neighboring-end position on it), the
+    instances split by ``shard``.
     """
-    if mode == "exhaustive":
+    if sample is None:
         return (
             four_term_words(d.word, p)
-            for d in sharded(enumerate_diagrams(order, "basepointed"), shard)
+            for d in diagram_source(order, shard=shard)
             for p in neighbor_positions(d)
         )
-    if mode != "sample":
-        raise ValueError(f"unknown mode: {mode!r}")
-    return sharded(sampled_four_term_words(order, count, seed), shard)
+    rng = random.Random(seed)
+    diagrams = diagram_source(order, sample, rng)
+    # below two chords no diagram has neighboring ends of distinct chords,
+    # so no position could be drawn
+    if order < 2:
+        raise ValueError(f"4-term instances need order >= 2, got {order}")
+    quads = (four_term_words(d.word, rng.choice(neighbor_positions(d))) for d in diagrams)
+    return sharded(quads, shard)
 
 
 _CLASS_WINDOW = 128  # class-keyed items read per window: bounds memory
@@ -257,32 +282,3 @@ def signed_sum(signs: tuple[int, ...] = DEFAULT_SIGNS, mod2: bool = False) -> Ca
         return total & 1 if mod2 else total
 
     return combine
-
-
-def require_sample_count(count: int) -> None:
-    """Raise ValueError unless a sampled run's count is nonnegative."""
-    if count < 0:
-        raise ValueError(f"--sample must be nonnegative, got {count}")
-
-
-def sampled_four_term_words(
-    order: int, count: int, seed: int
-) -> Iterator[tuple[list, list, list, list]]:
-    """`count` 4-term instances as raw words: a random diagram of the
-    order, then a random neighboring-end position on it, all drawn from
-    one seed."""
-    require_sample_count(count)
-    # below two chords no diagram has neighboring ends of distinct chords,
-    # so the draw below would never finish
-    if order < 2:
-        raise ValueError(f"4-term instances need order >= 2, got {order}")
-    rng = random.Random(seed)
-    done = 0
-    while done < count:
-        d = random_diagram(order, rng)
-        positions = neighbor_positions(d)
-        if not positions:
-            continue
-        p = positions[rng.randrange(len(positions))]
-        yield four_term_words(d.word, p)
-        done += 1

@@ -170,10 +170,6 @@ def sl2_projected_batch(diagrams: Sequence[ChordDiagram]) -> list[IntPolynomial]
     return [_PROJECTED_MEMO[c] for c in codes]
 
 
-def _projected_coefficients(word: tuple[int, ...]) -> Sequence[int]:
-    return _projected_chunk([word])[0]
-
-
 def _projected_chunk(words: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """Ascending coefficients of the projections of normalized words of
     one order n.

@@ -9,7 +9,6 @@ and have their reports merged deterministically afterwards.
 from __future__ import annotations
 
 import itertools
-import random
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
@@ -24,15 +23,14 @@ from .diagrams import (
     enumerate_diagrams,
     find_shares,
     mutated_words,
-    random_diagram,
 )
 from .fourterm import (
     _CLASS_WINDOW,
     VerificationReport,
     by_class,
+    diagram_source,
     four_term_instances,
     relation_sums,
-    require_sample_count,
     sharded,
     signed_sum,
 )
@@ -110,8 +108,7 @@ def suite_four_term_diagrams(
     order: int,
     k: int | None = None,
     l: int | None = None,
-    mode: str = "exhaustive",
-    count: int = 0,
+    sample: int | None = None,
     seed: int = 0,
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
@@ -122,20 +119,12 @@ def suite_four_term_diagrams(
     every other check by canonical class.
     """
     name, f, mod2 = _diagram_invariant(invariant, k, l)
-    quads = four_term_instances(order, mode, count, seed, shard)
-    if invariant == "rk" and mode == "sample" and 2 * k == order:
+    quads = four_term_instances(order, sample, seed, shard)
+    if invariant == "rk" and sample is not None and 2 * k == order:
         evaluate, window = _cycle_sums, _DP_WORDS // 4
     else:
         evaluate, window = by_class(lambda ds: [f(d) for d in ds]), _CLASS_WINDOW
     return relation_sums(name, order, quads, evaluate, signed_sum(mod2=mod2), window)
-
-
-def rk_four_term_sampled(k: int, order: int, count: int, seed: int) -> VerificationReport:
-    """Sampled R_k 4-term check for order == 2k, by the batched
-    Hamiltonian DP over the step-weight matrices of all four terms."""
-    if order != 2 * k:
-        raise ValueError("batched mode requires order == 2k")
-    return suite_four_term_diagrams("rk", order, k, None, "sample", count, seed)
 
 
 def suite_four_term_graphs(
@@ -154,6 +143,9 @@ def suite_two_term(
     invariant: str, order: int, shard: tuple[int, int] | None = None
 ) -> VerificationReport:
     """f(g) == f(g~) for all labeled graphs and ordered vertex pairs."""
+    # these two need a --k or --l, which two-term does not take
+    if invariant in ("rk-graph", "el-parity"):
+        raise ValueError(f"two-term checks wc, gf2-rank or edge-count, not {invariant}")
     name, table, mod2 = _graph_invariant_table(invariant, order, None, None)
     return masked_relation(name, table, order, _two_term_masks, mod2, shard)
 
@@ -266,22 +258,6 @@ def suite_mutation(
     return report.finalize()
 
 
-def _diagram_source(
-    order: int,
-    mode: str = "exhaustive",
-    count: int = 0,
-    seed: int = 0,
-    shard: tuple[int, int] | None = None,
-) -> Iterator[ChordDiagram]:
-    """Every basepointed diagram of the order (mode="exhaustive"), or
-    `count` random ones drawn from the seed; split by ``shard``."""
-    if mode == "exhaustive":
-        return sharded(enumerate_diagrams(order, "basepointed"), shard)
-    require_sample_count(count)
-    rng = random.Random(seed)
-    return sharded((random_diagram(order, rng) for _ in range(count)), shard)
-
-
 def _per_class_suite(
     invariant: str,
     order: int,
@@ -311,8 +287,7 @@ def _parity_verdicts(batch) -> list[list[str | None]]:
 def suite_parity(
     order: int,
     k: int,
-    mode: str = "exhaustive",
-    count: int = 0,
+    sample: int | None = None,
     seed: int = 0,
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
@@ -320,22 +295,21 @@ def suite_parity(
     exhaustive, by the batched Hamiltonian DP when sampled."""
     require_at_least("parity", "k", k, MIN_K)
     name = f"r{k}-vs-e{2 * k}-parity"
-    if mode == "exhaustive":
+    if sample is None:
         def verdict(ds):
             graphs = [intersection_graph(d) for d in ds]
             same = [r_k(d, k) & 1 == e_l_parity(g, 2 * k) for d, g in zip(ds, graphs)]
             return [None if ok else "parity-differs" for ok in same]
-        return _per_class_suite(name, order, _diagram_source(order, shard=shard), verdict)
+        return _per_class_suite(name, order, diagram_source(order, shard=shard), verdict)
     if order != 2 * k:
         raise ValueError("sampled parity mode requires order == 2k")
-    items = ((d.word,) for d in _diagram_source(order, mode, count, seed, shard))
+    items = ((d.word,) for d in diagram_source(order, sample, seed, shard))
     return relation_sums(name, order, items, _parity_verdicts, itemgetter(0), _DP_WORDS)
 
 
 def suite_conjecture(
     k: int,
-    mode: str = "exhaustive",
-    count: int = 0,
+    sample: int | None = None,
     seed: int = 0,
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
@@ -345,7 +319,7 @@ def suite_conjecture(
         projected = sl2_projected_batch(ds)
         pairs = [(p.coefficient(k), 2 * r_k(d, k)) for d, p in zip(ds, projected)]
         return [None if a == b else f"lhs={a} rhs={b}" for a, b in pairs]
-    diagrams = _diagram_source(2 * k, mode, count, seed, shard)
+    diagrams = diagram_source(2 * k, sample, seed, shard)
     return _per_class_suite(f"conjecture-k{k}", 2 * k, diagrams, verdict)
 
 
@@ -358,14 +332,13 @@ def suite_wc_identity(
     def verdict(ds):
         pairs = [(r_k(d, k), r_k_via_wc(d, k)) for d in ds]
         return [None if a == b else f"rk={a} via_wc={b}" for a, b in pairs]
-    diagrams = _diagram_source(2 * k, shard=shard)
+    diagrams = diagram_source(2 * k, shard=shard)
     return _per_class_suite(f"rk-wc-identity-k{k}", 2 * k, diagrams, verdict)
 
 
 def suite_oracle_equivalence(
     order: int,
-    mode: str = "exhaustive",
-    count: int = 0,
+    sample: int | None = None,
     seed: int = 0,
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
@@ -373,7 +346,7 @@ def suite_oracle_equivalence(
     def verdict(ds):
         pairs = [(sl2_oracle(d), sl2_recursive(d)) for d in ds]
         return [None if a == b else f"oracle={a} recursive={b}" for a, b in pairs]
-    diagrams = _diagram_source(order, mode, count, seed, shard)
+    diagrams = diagram_source(order, sample, seed, shard)
     return _per_class_suite("sl2-oracle-vs-recursive", order, diagrams, verdict)
 
 

@@ -41,7 +41,6 @@ from chordlab.polynomials import C, IntPolynomial
 from chordlab.sl2 import sl2_oracle, sl2_recursive
 from chordlab.verify import (
     dense_sign_matrix,
-    rk_four_term_sampled,
     suite_conjecture,
     suite_four_term_diagrams,
     suite_four_term_graphs,
@@ -107,7 +106,7 @@ def test_ac03_four_term_r3_exhaustive():
 
 
 def test_ac04_four_term_r4_sampled():
-    report = rk_four_term_sampled(4, 8, 100_000, seed=0)
+    report = suite_four_term_diagrams("rk", 8, k=4, sample=100_000, seed=0)
     assert report.ok
     assert report.checked == 100_000
     print("AC04 PASS: 4T for R_4 exact on 100000 sampled order-8 quadruples (seed 0)")
@@ -118,7 +117,7 @@ def test_ac05_parity_congruence():
         report = suite_parity(order, k)
         assert report.ok
         assert report.checked == factorial(2 * order) // (2**order * factorial(order))
-    sampled = suite_parity(8, 4, mode="sample", count=10_000, seed=0)
+    sampled = suite_parity(8, 4, sample=10_000, seed=0)
     assert sampled.ok and sampled.checked == 10_000
     print(
         "AC05 PASS: R_k = E_2k (mod 2) exhaustive at (4,2),(6,3) and on 10000 "
@@ -197,7 +196,7 @@ def test_ac09_oracle_vs_recursive():
     for order in range(6):
         report = suite_oracle_equivalence(order)
         assert report.ok
-    sampled = suite_oracle_equivalence(6, mode="sample", count=1000, seed=0)
+    sampled = suite_oracle_equivalence(6, sample=1000, seed=0)
     assert sampled.ok and sampled.checked == 1000
     print(
         "AC09 PASS: contraction oracle equals the recurrence on all diagrams of "
@@ -241,7 +240,7 @@ def test_ac11_coefficient_identity():
         report = suite_conjecture(k)
         assert report.ok
         assert report.checked == expected
-    sampled = suite_conjecture(4, mode="sample", count=1000, seed=0)
+    sampled = suite_conjecture(4, sample=1000, seed=0)
     assert sampled.ok and sampled.checked == 1000
     print(
         "AC11 PASS: [c^k] of the projected sl2 value equals 2 R_k exhaustively "
@@ -313,7 +312,6 @@ def test_ac16_negative_control():
     corrupted = verify_weight_system(
         lambda d: r_k(d, 2),
         4,
-        mode="exhaustive",
         invariant="r2-corrupted-signs",
         signs=(1, -1, 1, -1),
     )

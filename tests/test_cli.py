@@ -318,6 +318,18 @@ class TestVerify:
             with pytest.raises(ValueError, match="requires --k >= 2, got 1"):
                 suite(1)
 
+    def test_two_term_refuses_k_and_l_invariants_exit_3(self, capsys):
+        # two-term takes no --k or --l, so the message must not ask for one
+        for name in ("rk-graph", "el-parity"):
+            code, out, err = run(
+                capsys, "verify", "two-term", "--invariant", name, "--n", "4"
+            )
+            assert (code, out) == (3, "")
+            assert err == (
+                f"error: two-term checks wc, gf2-rank or edge-count, not {name}\n"
+            )
+            assert "--" not in err
+
     def test_two_term_edge_count_golden(self, capsys):
         # recorded before the mask loops moved to numpy
         code, out, _ = run(

@@ -4,6 +4,8 @@ from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chordlab.diagrams import (
     DiagramError,
@@ -16,6 +18,8 @@ from chordlab.fourterm import (
     RelationQuadruple,
     VerificationReport,
     diagram_four_term,
+    diagram_source,
+    four_term_instances,
     four_term_words,
     graph_four_term,
     neighbor_positions,
@@ -162,7 +166,6 @@ class TestDiagramFourTerm:
         report = verify_weight_system(
             sl2_recursive,
             3,
-            mode="exhaustive",
             invariant="sl2",
             signs=(1, -1, 1, -1),
         )
@@ -192,29 +195,56 @@ class TestDiagramFourTerm:
         # no diagram of these orders has neighboring ends of distinct
         # chords, so sampling must refuse instead of drawing forever
         with pytest.raises(ValueError, match="order >= 2"):
-            verify_weight_system(sl2_recursive, order, "sample", 3)
+            verify_weight_system(sl2_recursive, order, sample=3)
         with pytest.raises(ValueError, match="order >= 2"):
-            verify.suite_four_term_diagrams("sl2", order, mode="sample", count=3)
+            verify.suite_four_term_diagrams("sl2", order, sample=3)
 
     def test_negative_sample_count_raises(self):
         runs = (
-            lambda: verify_weight_system(sl2_recursive, 4, "sample", -3),
-            lambda: verify.suite_four_term_diagrams("sl2", 5, mode="sample", count=-3),
-            lambda: verify.rk_four_term_sampled(2, 4, -3, 0),
-            lambda: verify.suite_parity(4, 2, mode="sample", count=-3),
-            lambda: verify.suite_conjecture(3, mode="sample", count=-3),
-            lambda: verify.suite_oracle_equivalence(4, mode="sample", count=-3),
+            lambda: verify_weight_system(sl2_recursive, 4, sample=-3),
+            lambda: verify.suite_four_term_diagrams("sl2", 5, sample=-3),
+            lambda: verify.suite_four_term_diagrams("rk", 4, 2, sample=-3),
+            lambda: verify.suite_parity(4, 2, sample=-3),
+            lambda: verify.suite_conjecture(3, sample=-3),
+            lambda: verify.suite_oracle_equivalence(4, sample=-3),
         )
         for run in runs:
             with pytest.raises(ValueError, match="nonnegative, got -3"):
                 run()
 
     def test_report_determinism(self):
-        kwargs = dict(mode="sample", count=50, seed=123, invariant="r2")
+        kwargs = dict(sample=50, seed=123, invariant="r2")
         a = verify_weight_system(lambda d: r_k(d, 2), 4, **kwargs)
         b = verify_weight_system(lambda d: r_k(d, 2), 4, **kwargs)
         assert a.json_lines() == b.json_lines()
         assert a.checked == 50
+
+
+class TestSources:
+    """The one diagram source and the 4-term instances built on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.none() | st.integers(0, 40),
+        st.integers(0, 2**32),
+        st.integers(1, 4),
+    )
+    @example(order=3, sample=0, seed=0, count=2)  # sample=0 yields nothing
+    def test_shards_partition_the_stream(self, order, sample, seed, count):
+        sources = (
+            (diagram_source, lambda d: d.word),
+            (four_term_instances, lambda quad: tuple(map(tuple, quad))),
+        )
+        for source, key in sources:
+            def items(shard=None):
+                return [key(x) for x in source(order, sample, seed, shard)]
+
+            whole = items()
+            if sample is not None:
+                assert len(whole) == sample
+            parts = [items((index, count)) for index in range(count)]
+            assert sorted(itertools.chain(*parts)) == sorted(whole)
 
 
 class TestGraphFourTerm:
@@ -390,7 +420,7 @@ class TestViolationDigests:
             ),
             (
                 lambda: verify_weight_system(
-                    _diagram_triangles, 6, "sample", 300, 5, invariant="triangles"
+                    _diagram_triangles, 6, 300, 5, invariant="triangles"
                 ),
                 300,
                 190,
@@ -398,7 +428,7 @@ class TestViolationDigests:
             ),
             (
                 lambda: verify_weight_system(
-                    sl2_recursive, 5, "sample", 100, 9, invariant="sl2",
+                    sl2_recursive, 5, 100, 9, invariant="sl2",
                     signs=(1, 1, -1, -1),
                 ),
                 100,
@@ -522,14 +552,14 @@ class TestHamiltonianRoute:
         monkeypatch.setattr(verify, "hamiltonian_cycle_sums", corrupt)
 
     def test_sampled_rk_four_term_digest(self):
-        report = verify.rk_four_term_sampled(4, 8, 3000, 11)
+        report = verify.suite_four_term_diagrams("rk", 8, 4, sample=3000, seed=11)
         assert (report.checked, len(report.violations)) == (3000, 190)
         assert _sha(report) == (
             "fb75121189d475fbe7d2641dbdc4f3d968c864e36e296ba559e8950a2f9980fd"
         )
 
     def test_sampled_parity_digest(self):
-        report = verify.suite_parity(8, 4, mode="sample", count=2000, seed=13)
+        report = verify.suite_parity(8, 4, sample=2000, seed=13)
         assert (report.checked, len(report.violations)) == (2000, 912)
         assert _sha(report) == (
             "e868ac6d146b555824c7e5faafc4bf9c83f66aee377cf39bc0e42d7ec17bc2d1"
@@ -538,7 +568,7 @@ class TestHamiltonianRoute:
     def test_sampled_rk_shards_merge_to_the_whole_run(self):
         def run(shard=None):
             return verify.suite_four_term_diagrams(
-                "rk", 8, 4, mode="sample", count=3000, seed=11, shard=shard
+                "rk", 8, 4, sample=3000, seed=11, shard=shard
             )
 
         parts = [run((i, 3)) for i in range(3)]

@@ -14,7 +14,7 @@ from chordlab.diagrams import (
     random_diagram,
     word_positions,
 )
-from chordlab.fourterm import sampled_four_term_words
+from chordlab.fourterm import four_term_instances
 from chordlab.graphs import (
     GraphError,
     SimpleGraph,
@@ -189,7 +189,7 @@ class TestSignMatrix:
     def test_matches_reference_on_raw_four_term_words(self, order):
         # term words keep their chord ids, so labels are not first-appearance
         words = [
-            w for quad in sampled_four_term_words(order, 300, order) for w in quad
+            w for quad in four_term_instances(order, 300, order) for w in quad
         ]
         assert any(tuple(w) != ChordDiagram(w).word for w in words)
         self.check_batch(words)

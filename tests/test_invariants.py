@@ -24,7 +24,7 @@ from chordlab.invariants import (
     FIVE_WHEEL,
     THREE_PRISM,
     _interpolate_naturals,
-    _projected_coefficients,
+    _projected_chunk,
     _signed_hamiltonian_sum,
     _wc_primitive_part,
     conjecture_check,
@@ -82,14 +82,14 @@ class TestRk:
         code = (
             "from chordlab.invariants import _signed_hamiltonian_sum\n"
             "from chordlab.invariants import _interpolate_naturals\n"
-            "from chordlab.invariants import _SUBWORD_MEMO, _projected_coefficients\n"
+            "from chordlab.invariants import _SUBWORD_MEMO, _projected_chunk\n"
             "from chordlab.sl2 import _six_term_step\n"
             "_SUBWORD_MEMO[bytes([0, 0])] = (0, 1 << 40)\n"
             "for call in (lambda: _signed_hamiltonian_sum("
             "[[0, 1, 0], [0, 0, 1], [1, 0, 0]]), "
             "lambda: _six_term_step((0, 0, 1, 1), (0, 0)), "
             "lambda: _interpolate_naturals([0, 0, 1]), "
-            "lambda: _projected_coefficients((0, 0, 1, 1))):\n"
+            "lambda: _projected_chunk([(0, 0, 1, 1)])[0]):\n"
             "    try:\n"
             "        call()\n"
             "    except (AssertionError, ArithmeticError):\n"
@@ -156,7 +156,7 @@ class TestProjection:
         # the integer-point route behind sl2_projected against the
         # ring-generic partition sum over IntPolynomial values
         def check(d):
-            got = IntPolynomial(_projected_coefficients(d.word))
+            got = IntPolynomial(_projected_chunk([d.word])[0])
             assert got == project_primitive_value(d, sl2)
 
         for n in range(7):
@@ -193,7 +193,7 @@ class TestProjection:
         # but whose partition transform could wrap: both are refused
         monkeypatch.setitem(invariants._SUBWORD_MEMO, bytes([0, 0]), coeffs)
         with pytest.raises(OverflowError, match="exceed int64"):
-            _projected_coefficients((0, 0, 1, 1))
+            _projected_chunk([(0, 0, 1, 1)])[0]
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(7, 8), st.integers(1, 6), st.integers(0, 2**32))

@@ -1,0 +1,53 @@
+"""Graph counts and cycle parities against networkx, an implementation
+independent of chordlab's own routes.  networkx is a test extra only:
+the module is skipped when it is not installed."""
+
+import random
+
+import pytest
+
+from chordlab.graphs import (
+    SimpleGraph,
+    enumerate_graphs,
+    graph_canonical_mask,
+    is_intersection_graph,
+)
+from chordlab.invariants import MIN_L, e_l_parity
+
+nx = pytest.importorskip("networkx")
+
+
+def _to_nx(g: SimpleGraph):
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    return h
+
+
+def test_cycle_parities_match_simple_cycles():
+    rng = random.Random(2013)
+    for _ in range(200):
+        n = rng.randint(4, 8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = SimpleGraph.from_edges(n, [e for e in pairs if rng.random() < 0.5])
+        lengths = [0] * (n + 1)
+        for cycle in nx.simple_cycles(_to_nx(g), length_bound=n):
+            lengths[len(cycle)] += 1
+        for l in range(MIN_L, n + 2):
+            expected = lengths[l] & 1 if l <= n else 0
+            assert e_l_parity(g, l) == expected, (g.edges(), l)
+
+
+def test_six_vertex_classes_match_the_atlas():
+    # the Atlas of Graphs (Read and Wilson) lists 156 graphs on 6 vertices
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 6]
+    atlas_masks = {
+        graph_canonical_mask(SimpleGraph.from_edges(6, h.edges())) for h in atlas
+    }
+    classes = list(enumerate_graphs(6, "up-to-iso"))
+    assert len(atlas) == len(atlas_masks) == len(classes) == 156
+    assert {g.edge_mask() for g in classes} == atlas_masks
+    # exactly two are not circle graphs: the five-wheel and the three-prism
+    outside = [_to_nx(g) for g in classes if not is_intersection_graph(g)]
+    assert len(outside) == 2
+    for target in (nx.wheel_graph(6), nx.circular_ladder_graph(3)):
+        assert sum(nx.is_isomorphic(h, target) for h in outside) == 1
