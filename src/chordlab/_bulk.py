@@ -7,7 +7,7 @@ easily in int64 (they are bounded by (n-1)!).
 
 from __future__ import annotations
 
-import numpy as np
+from ._np import np
 
 # graphs per DP pass, so no int64 copy of the whole batch is made
 _CHUNK = 4096

@@ -9,20 +9,25 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from typing import Iterator
 
 from . import table1 as table1_mod
 from . import verify as verify_mod
 from .diagrams import (
+    MAX_DIAGRAM_ORDER,
+    MAX_EXHAUSTIVE_ORDER,
+    MAX_GRAPH_ORDER,
     DiagramError,
     canonical_code,
     enumerate_diagrams,
     format_diagram,
     parse_diagram,
 )
+from .fourterm import _CLASS_WINDOW
 from .graphs import (
     GraphError,
     SimpleGraph,
@@ -48,9 +53,6 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_PARAMS = 3
-
-MAX_DIAGRAM_ORDER = 8
-MAX_GRAPH_ORDER = 6
 
 
 class ParamError(Exception):
@@ -135,18 +137,22 @@ def main(argv=None) -> int:
 # eval
 
 
-def _gather_inputs(args) -> list[str]:
+@contextlib.contextmanager
+def _inputs(args) -> Iterator[Iterator[str]]:
+    """The input texts: INPUT as given, or the non-blank lines of --file
+    with '#' comments stripped, read as they are consumed."""
     if (args.input is None) == (args.file is None):
         raise ParamError("provide exactly one of INPUT or --file")
     if args.input is not None:
-        return [args.input]
+        yield iter([args.input])
+        return
     if args.file == "-":
         ctx = contextlib.nullcontext(sys.stdin)
     else:
         ctx = open(args.file)
     with ctx as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    return [ln for ln in lines if ln]
+        lines = (ln.split("#", 1)[0].strip() for ln in fh)
+        yield (ln for ln in lines if ln)
 
 
 def _graph_code(g: SimpleGraph) -> str:
@@ -199,19 +205,26 @@ def _cmd_eval(args) -> int:
     if taken is not None:
         flag, low = taken
         verify_mod.require_at_least(name, flag, getattr(args, flag), low)
-    texts = _gather_inputs(args)
-    objs = []
-    for text in texts:
-        obj = parse(text)
-        if obj.n > MAX_DIAGRAM_ORDER:
-            raise ParamError(f"{kind} order {obj.n} exceeds ceiling {MAX_DIAGRAM_ORDER}")
-        objs.append(obj)
-    values = table[name](objs, args)
-    _print_eval(list(zip(texts, map(code_of, objs), values)), args)
-    return EXIT_OK
+    # parsed and evaluated a window at a time, so memory does not grow
+    # with the file; a short window is the last one
+    with _inputs(args) as texts:
+        for start in itertools.count(0, _CLASS_WINDOW):
+            window = list(itertools.islice(texts, _CLASS_WINDOW))
+            objs = []
+            for text in window:
+                obj = parse(text)
+                if obj.n > MAX_DIAGRAM_ORDER:
+                    raise ParamError(
+                        f"{kind} order {obj.n} exceeds ceiling {MAX_DIAGRAM_ORDER}"
+                    )
+                objs.append(obj)
+            values = table[name](objs, args)
+            _print_eval(zip(window, map(code_of, objs), values), args, header=not start)
+            if len(window) < _CLASS_WINDOW:
+                return EXIT_OK
 
 
-def _print_eval(rows, args) -> None:
+def _print_eval(rows, args, header: bool) -> None:
     if args.format == "text":
         for _, code, value in rows:
             out = value.pretty() if isinstance(value, IntPolynomial) else str(value)
@@ -226,7 +239,8 @@ def _print_eval(rows, args) -> None:
             print(json.dumps(rec, sort_keys=True))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["input", "code", "invariant", "value"])
+        if header:
+            writer.writerow(["input", "code", "invariant", "value"])
         for text, code, value in rows:
             out = value.pretty() if isinstance(value, IntPolynomial) else str(value)
             writer.writerow([text, code, args.invariant, out])
@@ -274,14 +288,16 @@ def clamp_jobs(jobs: int, cpus: int | None) -> int:
 # --invariant (which sets an optional --k to order // 2), and its ceilings
 # on the order (--n, else 2k) when sampled and when exhaustive
 _VERIFY_SUITES = {
-    "four-term-diagrams": ("invariant? n k? l? sample?", "rk", MAX_DIAGRAM_ORDER, 6),
+    "four-term-diagrams": (
+        "invariant? n k? l? sample?", "rk", MAX_DIAGRAM_ORDER, MAX_EXHAUSTIVE_ORDER
+    ),
     "four-term-graphs": ("invariant? n k? l?", "rk-graph", None, MAX_GRAPH_ORDER),
     "two-term": ("invariant? n", "wc", None, MAX_GRAPH_ORDER),
-    "mutation": ("n", None, None, 6),
-    "parity": ("n k sample?", None, MAX_DIAGRAM_ORDER, 6),
-    "conjecture": ("k sample?", None, MAX_DIAGRAM_ORDER, 6),
-    "wc-identity": ("k", None, None, 6),
-    "oracle-equivalence": ("n sample?", None, MAX_DIAGRAM_ORDER, 6),
+    "mutation": ("n", None, None, MAX_EXHAUSTIVE_ORDER),
+    "parity": ("n k sample?", None, MAX_DIAGRAM_ORDER, MAX_EXHAUSTIVE_ORDER),
+    "conjecture": ("k sample?", None, MAX_DIAGRAM_ORDER, MAX_EXHAUSTIVE_ORDER),
+    "wc-identity": ("k", None, None, MAX_EXHAUSTIVE_ORDER),
+    "oracle-equivalence": ("n sample?", None, MAX_DIAGRAM_ORDER, MAX_EXHAUSTIVE_ORDER),
     "wheel-prism": ("", None, None, None),
 }
 
@@ -332,6 +348,8 @@ def _cmd_verify(args) -> int:
     if args.suite == "wheel-prism":
         report, info = suite()
     elif jobs > 1 and params.get("sample") is None:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(suite, **params, shard=(i, jobs)) for i in range(jobs)

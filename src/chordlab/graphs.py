@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
+from ._np import np
 from .diagrams import ChordDiagram, word_positions
 
 

@@ -10,9 +10,13 @@ from functools import lru_cache
 from math import comb, lcm
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
-from .diagrams import ChordDiagram, canonical_code, induced_subdiagram
+from ._np import np
+from .diagrams import (
+    ChordDiagram,
+    canonical_code,
+    induced_subdiagram,
+    require_diagram_order,
+)
 from .graphs import (
     SimpleGraph,
     cycle_sign,
@@ -98,6 +102,7 @@ def r_k(d: ChordDiagram, k: int) -> int:
     """
     if k < MIN_K:
         raise ValueError(f"k must be at least {MIN_K}")
+    require_diagram_order(d, "r_k")
     if d.n < 2 * k:
         return 0
     key = (canonical_code(d), k)
@@ -287,8 +292,10 @@ def _wc_primitive_part(g: SimpleGraph) -> int:
 
 
 def _neg_half(total, what: str):
-    """-total / 2 for an int or an integer array; odd entries raise."""
-    if np.any(total % 2):
+    """-total / 2 for an int or an integer array; odd entries raise.
+    An int is tested without numpy, so the scalar routes never load it."""
+    odd = total % 2 if isinstance(total, int) else np.any(total % 2)
+    if odd:
         raise AssertionError(f"{what} must be even, got {total}")
     return -total // 2
 

@@ -21,7 +21,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .diagrams import ChordDiagram, _normalize, canonical_word_bytes, word_positions
+from .diagrams import (
+    ChordDiagram,
+    _normalize,
+    canonical_word_bytes,
+    require_diagram_order,
+    word_positions,
+)
 from .graphs import interleave_rows
 from .polynomials import C, ONE, IntPolynomial
 
@@ -125,8 +131,10 @@ def sl2_oracle(d: ChordDiagram) -> IntPolynomial:
     Contracts the diagram in the n+1 irreducibles of dimension 2..n+2,
     reads off the scalar by which the resulting central element acts,
     and interpolates at the Casimir eigenvalues with exact rationals.
-    Raises NormalizationError instead of ever rounding.
+    Raises NormalizationError instead of ever rounding, and ValueError
+    above :data:`chordlab.diagrams.MAX_DIAGRAM_ORDER`.
     """
+    require_diagram_order(d, "sl2_oracle")
     n = d.n
     if n == 0:
         return IntPolynomial([1])

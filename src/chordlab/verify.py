@@ -13,9 +13,8 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from ._bulk import hamiltonian_cycle_sums
+from ._np import np
 from .diagrams import (
     ChordDiagram,
     canonical_code,

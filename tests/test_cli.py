@@ -1,10 +1,17 @@
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import chordlab
 from chordlab import verify
 from chordlab.cli import clamp_jobs, main
+from chordlab.diagrams import format_diagram, random_diagram
+from chordlab.fourterm import _CLASS_WINDOW
 
 
 def run(capsys, *argv):
@@ -115,6 +122,24 @@ class TestEval:
         word = "".join(chr(65 + i) for i in range(9)) * 2
         code, _, _ = run(capsys, "eval", "--invariant", "sl2", word)
         assert code == 3
+
+    def test_file_spanning_windows_prints_row_by_row_bytes(self, capsys, tmp_path):
+        rng = random.Random(12)
+        words = [
+            format_diagram(random_diagram(rng.randint(1, 5), rng))
+            for _ in range(2 * _CLASS_WINDOW + 3)
+        ]
+        path = tmp_path / "words.txt"
+        path.write_text("\n".join(words) + "\n")
+        argv = ("eval", "--invariant", "sl2-projected", "--format", "csv")
+        code, out, _ = run(capsys, *argv, "--file", str(path))
+        assert code == 0
+        rows = []
+        for word in words:
+            _, one, _ = run(capsys, *argv, word)
+            header, row = one.splitlines(keepends=True)
+            rows.append(row)
+        assert out == header + "".join(rows)
 
     def test_projected_invariant(self, capsys):
         code, out, _ = run(
@@ -356,3 +381,47 @@ class TestVerify:
     def test_unknown_suite_exit_3(self, capsys):
         code, _, _ = run(capsys, "verify", "bogus")
         assert code == 3
+
+
+# run in a fresh interpreter: the integer-only commands must not load
+# numpy (the LazyLoader placeholder named "numpy" is expected, executed
+# numpy submodules are not), and a numpy command after them must print
+# the same bytes as in a process of its own
+_NUMPY_FREE = """
+import contextlib, io, sys
+import chordlab.cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert chordlab.cli.main(list(argv)) == 0, argv
+    return out.getvalue()
+
+for argv in (
+    ("eval", "--invariant", "rk", "--k", "2", "ABCDABCD"),
+    ("eval", "--graph", "--invariant", "rk-graph", "--k", "2", "1-2,2-3,3-4,4-1"),
+    ("verify", "four-term-diagrams", "--n", "4", "--k", "2", "--exhaustive"),
+    ("verify", "mutation", "--n", "4"),
+):
+    run(*argv)
+    loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+    assert not loaded, (argv, loaded[:5])
+sys.stdout.write(run(*sys.argv[1:]))
+"""
+
+
+def test_integer_commands_leave_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(chordlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    projected = ("eval", "--invariant", "sl2-projected", "ABCDEABCDE")
+    lazy = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE, *projected],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert lazy.returncode == 0, lazy.stderr.decode()
+    fresh = subprocess.run(
+        [sys.executable, "-m", "chordlab.cli", *projected],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert fresh.returncode == 0, fresh.stderr.decode()
+    assert lazy.stdout == fresh.stdout != b""

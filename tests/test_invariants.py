@@ -70,6 +70,12 @@ class TestRk:
         with pytest.raises(ValueError):
             r_k(K4_DIAGRAM, 1)
 
+    def test_order_above_the_ceiling_raises(self):
+        order9 = parse_diagram("ABCDEFGHI" * 2)
+        for k in (2, 12):
+            with pytest.raises(ValueError, match="order 9 exceeds ceiling 8"):
+                r_k(order9, k)
+
     def test_odd_signed_cycle_total_raises(self):
         # a directed 3-cycle: not antisymmetric, and the total counts the
         # cycle in one direction only

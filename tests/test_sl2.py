@@ -1,6 +1,8 @@
 import random
 from typing import Sequence
 
+import pytest
+
 from chordlab.diagrams import (
     ChordDiagram,
     diagram_product,
@@ -90,6 +92,10 @@ class TestKnownValues:
 
     def test_empty_diagram(self):
         assert sl2_oracle(ChordDiagram(())) == ONE
+
+    def test_oracle_refuses_orders_above_the_ceiling(self):
+        with pytest.raises(ValueError, match="order 9 exceeds ceiling 8"):
+            sl2_oracle(parse_diagram("ABCDEFGHI" * 2))
 
     def test_crossing_pair(self):
         assert sl2_oracle(parse_diagram("ABAB")) == C * C - C
