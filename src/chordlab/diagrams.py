@@ -19,22 +19,24 @@ class DiagramError(ValueError):
     """Raised for malformed diagram words or invalid surgery arguments."""
 
 
-# resource ceilings, shared by the library and the CLI: the largest order
-# the diagram evaluators accept (the R_k cycle DP keeps 2^n n path counts
-# and the sl2 oracle up to 3^n contraction states), the largest order of
-# the labeled graph tables (2^(n(n-1)/2) graphs), and the largest order
-# checked exhaustively ((2n-1)!! basepointed diagrams)
+# resource ceilings: the largest order the diagram evaluators accept (the
+# R_k cycle DP keeps 2^n n path counts and the sl2 oracle up to 3^n
+# contraction states), the largest order of the labeled graph tables
+# (2^(n(n-1)/2) graphs), and the largest order checked exhaustively
+# ((2n-1)!! basepointed diagrams)
 MAX_DIAGRAM_ORDER = 8
 MAX_GRAPH_ORDER = 6
 MAX_EXHAUSTIVE_ORDER = 6
 
 
-def require_diagram_order(d: ChordDiagram, what: str) -> None:
-    """Raise ValueError if d's order is above :data:`MAX_DIAGRAM_ORDER`."""
-    if d.n > MAX_DIAGRAM_ORDER:
-        raise ValueError(
-            f"{what}: diagram order {d.n} exceeds ceiling {MAX_DIAGRAM_ORDER}"
-        )
+def require_order(what: str, order: int, ceiling: int) -> None:
+    """Raise ValueError unless 0 <= order <= ceiling.
+
+    The one comparison of an order with a resource ceiling; the library
+    makes it where work starts, before anything is enumerated.
+    """
+    if not 0 <= order <= ceiling:
+        raise ValueError(f"{what}: order {order} outside 0..{ceiling}")
 
 
 def _normalize(word: Iterable) -> tuple[int, ...]:

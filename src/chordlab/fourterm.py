@@ -18,11 +18,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .diagrams import (
+    MAX_DIAGRAM_ORDER,
+    MAX_EXHAUSTIVE_ORDER,
     ChordDiagram,
     DiagramError,
     canonical_word_bytes,
     enumerate_diagrams,
     random_diagram,
+    require_order,
 )
 from .graphs import SimpleGraph, graph_prime, graph_tilde
 
@@ -33,7 +36,6 @@ DEFAULT_SIGNS = (1, -1, -1, 1)
 class RelationQuadruple:
     """The four signed terms of one 4-term relation instance."""
 
-    flavor: str  # "diagram" | "graph"
     terms: tuple  # four (object, sign) pairs
 
     def __post_init__(self):
@@ -78,10 +80,7 @@ def diagram_four_term(
     quadruple at the ordered pair (chord at p+1, chord at p).
     """
     words = four_term_words(d.word, p)
-    return RelationQuadruple(
-        flavor="diagram",
-        terms=tuple((ChordDiagram(w), s) for w, s in zip(words, signs)),
-    )
+    return RelationQuadruple(tuple((ChordDiagram(w), s) for w, s in zip(words, signs)))
 
 
 def graph_four_term(
@@ -90,9 +89,7 @@ def graph_four_term(
     """Graph 4-term instance at the ordered vertex pair (a, b)."""
     tilde = graph_tilde(g, a, b)
     terms = (g, graph_prime(g, a, b), tilde, graph_prime(tilde, a, b))
-    return RelationQuadruple(
-        flavor="graph", terms=tuple(zip(terms, signs))
-    )
+    return RelationQuadruple(tuple(zip(terms, signs)))
 
 
 def neighbor_positions(d: ChordDiagram) -> list[int]:
@@ -179,10 +176,15 @@ def diagram_source(
     else ``sample`` random ones drawn from the seed; split by ``shard``.
 
     A random.Random passed as ``seed`` is drawn from as it stands, so a
-    caller can interleave its own draws with the diagrams'.
+    caller can interleave its own draws with the diagrams'.  Raises
+    ValueError, before any diagram is built, above
+    :data:`~chordlab.diagrams.MAX_EXHAUSTIVE_ORDER` when exhaustive and
+    above :data:`~chordlab.diagrams.MAX_DIAGRAM_ORDER` when sampled.
     """
     if sample is None:
+        require_order("exhaustive run", order, MAX_EXHAUSTIVE_ORDER)
         return sharded(enumerate_diagrams(order, "basepointed"), shard)
+    require_order("sampled run", order, MAX_DIAGRAM_ORDER)
     if sample < 0:
         raise ValueError(f"--sample must be nonnegative, got {sample}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)

@@ -542,7 +542,6 @@ def realize_diagram(g: SimpleGraph) -> ChordDiagram | None:
 
 
 def is_intersection_graph(g: SimpleGraph) -> bool:
-    """Whether some chord diagram has an isomorphic intersection graph."""
-    if g.n > 6:
-        raise GraphError("intersection-graph test is capped at 6 vertices")
+    """Whether some chord diagram has an isomorphic intersection graph;
+    capped at n <= 7 by :func:`realize_diagram`, the search it runs."""
     return realize_diagram(g) is not None

@@ -12,11 +12,13 @@ from typing import Callable, NamedTuple, Sequence
 
 from ._np import np
 from .diagrams import (
+    MAX_DIAGRAM_ORDER,
     ChordDiagram,
     canonical_code,
     induced_subdiagram,
-    require_diagram_order,
+    require_order,
 )
+from .fourterm import graph_four_term
 from .graphs import (
     SimpleGraph,
     cycle_sign,
@@ -25,8 +27,6 @@ from .graphs import (
     enumerate_cycles,
     gf2_rank,
     gf2_rank_batch,
-    graph_prime,
-    graph_tilde,
     intersection_graph,
     realize_diagram,
 )
@@ -102,7 +102,7 @@ def r_k(d: ChordDiagram, k: int) -> int:
     """
     if k < MIN_K:
         raise ValueError(f"k must be at least {MIN_K}")
-    require_diagram_order(d, "r_k")
+    require_order("r_k", d.n, MAX_DIAGRAM_ORDER)
     if d.n < 2 * k:
         return 0
     key = (canonical_code(d), k)
@@ -308,7 +308,7 @@ def r_k_via_wc(d: ChordDiagram, k: int) -> int:
     """
     if d.n != 2 * k:
         raise ValueError(f"diagram must have exactly {2 * k} chords, has {d.n}")
-    return _neg_half(_wc_primitive_part(intersection_graph(d)), "projected indicator")
+    return r_k_graph(intersection_graph(d), k)
 
 
 def r_k_graph_batch(n: int, masks: np.ndarray, k: int) -> np.ndarray:
@@ -436,9 +436,7 @@ def sl2_graph_extension_check() -> list[GraphExtensionReport]:
         values = []
         component_ok = True
         for (a, b), triple in resolutions:
-            g2 = graph_prime(target, a, b)
-            g3 = graph_tilde(target, a, b)
-            g4 = graph_prime(g3, a, b)
+            _, (g2, _), (g3, _), (g4, _) = graph_four_term(target, a, b).terms
             values.append(sl2_on_graph(g2) + sl2_on_graph(g3) - sl2_on_graph(g4))
             got = tuple(r_k(realize_diagram(h), 3) for h in (g2, g3, g4))
             if got != triple:

@@ -22,10 +22,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .diagrams import (
+    MAX_DIAGRAM_ORDER,
     ChordDiagram,
     _normalize,
     canonical_word_bytes,
-    require_diagram_order,
+    require_order,
     word_positions,
 )
 from .graphs import interleave_rows
@@ -134,7 +135,7 @@ def sl2_oracle(d: ChordDiagram) -> IntPolynomial:
     Raises NormalizationError instead of ever rounding, and ValueError
     above :data:`chordlab.diagrams.MAX_DIAGRAM_ORDER`.
     """
-    require_diagram_order(d, "sl2_oracle")
+    require_order("sl2_oracle", d.n, MAX_DIAGRAM_ORDER)
     n = d.n
     if n == 0:
         return IntPolynomial([1])
@@ -168,20 +169,6 @@ def _swap(word: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
     w = list(word)
     w[i], w[j] = w[j], w[i]
     return tuple(w)
-
-
-def _word_from_partner(m: int, partner: dict[int, int], removed: frozenset[int]):
-    label: dict[tuple[int, int], int] = {}
-    out = []
-    for pos in range(m):
-        if pos in removed:
-            continue
-        mate = partner[pos]
-        key = (pos, mate) if pos < mate else (mate, pos)
-        if key not in label:
-            label[key] = len(label)
-        out.append(label[key])
-    return tuple(out)
 
 
 _SL2_MEMO: dict[bytes, IntPolynomial] = {b"": ONE}
@@ -254,19 +241,12 @@ def _six_term_step(word: tuple[int, ...], rows: Sequence[int]) -> IntPolynomial:
     d_b = _swap(word, b_near, q)
     d_ab = _swap(d_a, b_near, q)
 
-    partner: dict[int, int] = {}
-    for i, j in pairs:
-        partner[i] = j
-        partner[j] = i
-    removed = frozenset((p, q))
-    nn = dict(partner)
-    nn[a_near], nn[b_near] = b_near, a_near
-    nn[a_far], nn[b_far] = b_far, a_far
-    nf = dict(partner)
-    nf[a_near], nf[b_far] = b_far, a_near
-    nf[b_near], nf[a_far] = a_far, b_near
-    d_nn = _word_from_partner(m, nn, removed)
-    d_nf = _word_from_partner(m, nf, removed)
+    # the re-paired words: fresh labels m and m + 1 on the ends of a and
+    # b, x's two ends dropped
+    nn, nf = list(word), list(word)
+    nn[a_near] = nn[b_near] = nf[a_near] = nf[b_far] = m
+    nn[a_far] = nn[b_far] = nf[b_near] = nf[a_far] = m + 1
+    d_nn, d_nf = (_normalize(ch for ch in w if ch != x) for w in (nn, nf))
 
     val = _sl2_value(d_a) + _sl2_value(d_b) - _sl2_value(d_ab)
     return val + _sl2_value(d_nn) - _sl2_value(d_nf)

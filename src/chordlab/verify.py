@@ -16,12 +16,15 @@ from typing import Callable, Iterator, Sequence
 from ._bulk import hamiltonian_cycle_sums
 from ._np import np
 from .diagrams import (
+    MAX_EXHAUSTIVE_ORDER,
+    MAX_GRAPH_ORDER,
     ChordDiagram,
     canonical_code,
     canonical_word_bytes,
     enumerate_diagrams,
     find_shares,
     mutated_words,
+    require_order,
 )
 from .fourterm import (
     _CLASS_WINDOW,
@@ -117,8 +120,9 @@ def suite_four_term_diagrams(
     Sampled R_k at order 2k is evaluated by the batched Hamiltonian DP,
     every other check by canonical class.
     """
-    name, f, mod2 = _diagram_invariant(invariant, k, l)
+    # the source first, so its ceiling is checked before the invariant
     quads = four_term_instances(order, sample, seed, shard)
+    name, f, mod2 = _diagram_invariant(invariant, k, l)
     if invariant == "rk" and sample is not None and 2 * k == order:
         evaluate, window = _cycle_sums, _DP_WORDS // 4
     else:
@@ -200,19 +204,14 @@ _MASK_CHUNK = 2048
 
 def _mask_chunks(order: int, shard: tuple[int, int] | None = None):
     """Edge masks of every labeled graph of the order kept by the shard,
-    as int64 arrays of at most _MASK_CHUNK masks."""
+    as int64 arrays of at most _MASK_CHUNK masks.  Raises ValueError at
+    the call, above :data:`~chordlab.diagrams.MAX_GRAPH_ORDER`."""
+    require_order("labeled graphs", order, MAX_GRAPH_ORDER)
     index, count = shard or (0, 1)
     total = 1 << order * (order - 1) // 2
     stride = count * _MASK_CHUNK
-    for lo in range(index, total, stride):
-        yield np.arange(lo, min(lo + stride, total), count)
-
-
-def _mask_table(order: int, build) -> np.ndarray:
-    """int32 value table over all edge masks, built chunk by chunk."""
-    return np.concatenate(
-        [np.asarray(build(masks), dtype=np.int32) for masks in _mask_chunks(order)]
-    )
+    lows = range(index, total, stride)
+    return (np.arange(lo, min(lo + stride, total), count) for lo in lows)
 
 
 def _graph_text(order: int, mask: int) -> str:
@@ -223,6 +222,7 @@ def suite_mutation(
     order: int, shard: tuple[int, int] | None = None
 ) -> VerificationReport:
     """Mutations must preserve the labeled intersection graph and R_k."""
+    require_order("mutation", order, MAX_EXHAUSTIVE_ORDER)
     report = VerificationReport(invariant="mutation", order=order)
     k = order // 2 if order % 2 == 0 and order >= 4 else None
     # R_k by canonical key: a mutant becomes a ChordDiagram once per class
@@ -294,15 +294,16 @@ def suite_parity(
     exhaustive, by the batched Hamiltonian DP when sampled."""
     require_at_least("parity", "k", k, MIN_K)
     name = f"r{k}-vs-e{2 * k}-parity"
+    diagrams = diagram_source(order, sample, seed, shard)
     if sample is None:
         def verdict(ds):
             graphs = [intersection_graph(d) for d in ds]
             same = [r_k(d, k) & 1 == e_l_parity(g, 2 * k) for d, g in zip(ds, graphs)]
             return [None if ok else "parity-differs" for ok in same]
-        return _per_class_suite(name, order, diagram_source(order, shard=shard), verdict)
+        return _per_class_suite(name, order, diagrams, verdict)
     if order != 2 * k:
         raise ValueError("sampled parity mode requires order == 2k")
-    items = ((d.word,) for d in diagram_source(order, sample, seed, shard))
+    items = ((d.word,) for d in diagrams)
     return relation_sums(name, order, items, _parity_verdicts, itemgetter(0), _DP_WORDS)
 
 
@@ -402,7 +403,10 @@ def _diagram_invariant(invariant: str, k: int | None, l: int | None):
 
 
 def _graph_invariant_table(invariant: str, order: int, k: int | None, l: int | None):
-    """(report name, int32 table over all edge masks, whether mod 2)."""
+    """(report name, int32 table over all edge masks, whether mod 2); the
+    table is built chunk by chunk, and the chunks are taken first, so an
+    order above the ceiling is refused before the invariant is read."""
+    chunks = _mask_chunks(order)
     name, mod2, npairs = invariant, False, order * (order - 1) // 2
     if invariant == "rk-graph":
         require_at_least("rk-graph", "k", k, MIN_K)
@@ -420,7 +424,8 @@ def _graph_invariant_table(invariant: str, order: int, k: int | None, l: int | N
         build = lambda masks: sum((masks >> i & 1 for i in range(npairs)), 0 * masks)
     else:
         raise ValueError(f"unknown graph invariant: {invariant!r}")
-    return name, _mask_table(order, build), mod2
+    table = np.concatenate([np.asarray(build(m), dtype=np.int32) for m in chunks])
+    return name, table, mod2
 
 
 def _el_parities(order: int, l: int, masks: np.ndarray):

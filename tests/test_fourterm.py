@@ -39,7 +39,7 @@ from chordlab.graphs import (
 from chordlab.invariants import e_l_parity, r_k, sl2_projected, w_c
 from chordlab.polynomials import ZERO
 from chordlab.sl2 import sl2_recursive
-from chordlab import verify
+from chordlab import fourterm, verify
 from chordlab.verify import masked_relation, merge_reports, suite_four_term_graphs
 
 # the (sign, masks) terms of the two graph relations, for masked_relation
@@ -128,7 +128,7 @@ class TestQuadrupleShape:
     def test_bad_signs_rejected(self):
         d = parse_diagram("ABAB")
         with pytest.raises(ValueError):
-            RelationQuadruple(flavor="diagram", terms=((d, 1), (d, 1), (d, -1), (d, 1)))
+            RelationQuadruple(terms=((d, 1), (d, 1), (d, -1), (d, 1)))
 
     def test_wraparound_position(self):
         d = parse_diagram("AABB")
@@ -210,6 +210,34 @@ class TestDiagramFourTerm:
         )
         for run in runs:
             with pytest.raises(ValueError, match="nonnegative, got -3"):
+                run()
+
+    def test_orders_above_the_ceilings_raise_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started above the ceiling")
+
+        for module, name in (
+            (fourterm, "enumerate_diagrams"),
+            (fourterm, "random_diagram"),
+            (verify, "enumerate_diagrams"),
+            (verify, "gf2_rank_batch"),
+        ):
+            monkeypatch.setattr(module, name, no_work)
+        runs = (
+            (lambda: suite_four_term_graphs("wc", 7), "order 7 outside 0..6"),
+            (lambda: verify.suite_two_term("wc", 7), "order 7 outside 0..6"),
+            (lambda: verify.suite_mutation(7), "order 7 outside 0..6"),
+            (lambda: verify.suite_conjecture(4), "order 8 outside 0..6"),
+            (
+                lambda: verify.suite_oracle_equivalence(9, sample=1),
+                "order 9 outside 0..8",
+            ),
+            (lambda: verify_weight_system(no_work, 7), "order 7 outside 0..6"),
+            # the ceiling comes before the sampled parity order test
+            (lambda: verify.suite_parity(9, 4, sample=3), "order 9 outside 0..8"),
+        )
+        for run, message in runs:
+            with pytest.raises(ValueError, match=message):
                 run()
 
     def test_report_determinism(self):
@@ -478,6 +506,41 @@ class TestViolationDigests:
     ):
         monkeypatch.setattr(verify, name, broken)
         report = run()
+        assert (report.checked, len(report.violations)) == (checked, violations)
+        assert _sha(report) == digest
+
+    @pytest.mark.parametrize(
+        "name, broken, order, checked, violations, digest",
+        [
+            (
+                # R_k replaced by the rotation class: every mutant that
+                # leaves its class is recorded
+                "r_k",
+                lambda d, k: canonical_code(d),
+                4,
+                744,
+                68,
+                "ae4c3edce839f39f4daa4b93b718da5ff80b080e310417d92c1ae9bfe3c4a991",
+            ),
+            (
+                # no R_k at odd order: the rows alone decide
+                "interleave_rows",
+                lambda word: word.index(word[0], 1),
+                5,
+                6354,
+                4410,
+                "287c2bbf7506c1e46b6524f15111304b56d4a35628dce0c01bff903e4340a144",
+            ),
+        ],
+        ids=["rk-by-class", "rows"],
+    )
+    def test_mutation(
+        self, monkeypatch, name, broken, order, checked, violations, digest
+    ):
+        # recorded before the suite checked its own ceiling: each record
+        # holds the two canonical codes, the share and the mutation kind
+        monkeypatch.setattr(verify, name, broken)
+        report = verify.suite_mutation(order)
         assert (report.checked, len(report.violations)) == (checked, violations)
         assert _sha(report) == digest
 

@@ -391,6 +391,15 @@ class TestRealizability:
         expected = {graph_canonical_mask(FIVE_WHEEL), graph_canonical_mask(THREE_PRISM)}
         assert {graph_canonical_mask(g) for g in bad} == expected
 
+    def test_seven_vertices_tested_eight_refused(self):
+        # the test has the 7-vertex cap of realize_diagram, the search it runs
+        path = SimpleGraph.from_edges(7, [(i, i + 1) for i in range(6)])
+        wheel_plus_one = SimpleGraph.from_edges(7, FIVE_WHEEL.edges())
+        assert is_intersection_graph(path)
+        assert not is_intersection_graph(wheel_plus_one)
+        with pytest.raises(GraphError, match="capped at 7 vertices"):
+            is_intersection_graph(SimpleGraph.from_edges(8, []))
+
     def test_empty_graph_realized_by_empty_diagram(self):
         empty = SimpleGraph(0, ())
         assert realize_diagram(empty) == ChordDiagram(())

@@ -73,7 +73,7 @@ class TestRk:
     def test_order_above_the_ceiling_raises(self):
         order9 = parse_diagram("ABCDEFGHI" * 2)
         for k in (2, 12):
-            with pytest.raises(ValueError, match="order 9 exceeds ceiling 8"):
+            with pytest.raises(ValueError, match="order 9 outside 0..8"):
                 r_k(order9, k)
 
     def test_odd_signed_cycle_total_raises(self):
@@ -101,6 +101,14 @@ class TestRk:
             "    except (AssertionError, ArithmeticError):\n"
             "        continue\n"
             "    raise SystemExit('no error under -O')\n"
+            # the library's resource ceilings are raises too
+            "from chordlab.fourterm import diagram_source\n"
+            "try:\n"
+            "    diagram_source(7)\n"
+            "except ValueError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('no ceiling error under -O')\n"
         )
         src = os.path.dirname(os.path.dirname(invariants.__file__))
         env = {**os.environ, "PYTHONPATH": src}

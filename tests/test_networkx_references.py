@@ -2,6 +2,7 @@
 independent of chordlab's own routes.  networkx is a test extra only:
 the module is skipped when it is not installed."""
 
+import itertools
 import random
 
 import pytest
@@ -51,3 +52,28 @@ def test_six_vertex_classes_match_the_atlas():
     assert len(outside) == 2
     for target in (nx.wheel_graph(6), nx.circular_ladder_graph(3)):
         assert sum(nx.is_isomorphic(h, target) for h in outside) == 1
+
+
+def test_seven_vertex_atlas_sample():
+    # the Atlas lists 1,044 graphs on 7 vertices; a seeded sample of 60 is
+    # checked against the 6-vertex obstructions, recognized by networkx
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+    assert len(atlas) == 1044
+    obstructions = (nx.wheel_graph(6), nx.circular_ladder_graph(3))
+    circle = obstructed = 0
+    for h in random.Random(2013).sample(atlas, 60):
+        g = SimpleGraph.from_edges(7, h.edges())
+        is_circle = is_intersection_graph(g)
+        circle += is_circle
+        found = False
+        for vs in itertools.combinations(range(7), 6):
+            blocked = any(nx.is_isomorphic(h.subgraph(vs), t) for t in obstructions)
+            # the five-wheel and the three-prism are the only 6-vertex
+            # graphs that are not circle graphs
+            assert is_intersection_graph(g.induced(vs)) != blocked
+            found |= blocked
+        # circle graphs are closed under induced subgraphs
+        assert not (found and is_circle)
+        obstructed += found
+    # two of the five sampled non-circle graphs have no 6-vertex obstruction
+    assert (circle, obstructed) == (55, 3)

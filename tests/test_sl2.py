@@ -94,7 +94,7 @@ class TestKnownValues:
         assert sl2_oracle(ChordDiagram(())) == ONE
 
     def test_oracle_refuses_orders_above_the_ceiling(self):
-        with pytest.raises(ValueError, match="order 9 exceeds ceiling 8"):
+        with pytest.raises(ValueError, match="order 9 outside 0..8"):
             sl2_oracle(parse_diagram("ABCDEFGHI" * 2))
 
     def test_crossing_pair(self):
