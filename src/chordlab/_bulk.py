@@ -1,55 +1,73 @@
 """Batched Hamiltonian-cycle sums over many small graphs at once.
 
 Used by the verification harness for order-8 sampled suites, where a
-per-graph Python DP would dominate the runtime.  Signed path counts fit
-easily in int64 (they are bounded by (n-1)!).
+per-graph Python DP would dominate the runtime.  Signed path counts, at
+most (n-1)! < 2^31 for n <= 13, are pulled level by level in int32.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
+
 from ._np import np
 
-# graphs per DP pass, so no int64 copy of the whole batch is made
+# graphs per DP pass, so no int32 copy of the whole batch is made
 _CHUNK = 4096
 
 
 def hamiltonian_cycle_sums(wmats: np.ndarray) -> np.ndarray:
     """Sum of edge-weight products over undirected Hamiltonian cycles.
 
-    wmats has shape (B, n, n); entry [g, u, v] is the weight of the step
-    u -> v in graph g (0 for a non-edge).  With antisymmetric +-1
-    weights this is twice the signed cycle count; with 0/1 adjacency it
-    is twice the plain count.  Returns int64 of shape (B,), halved.
-
-    Batch form of the DP in :func:`chordlab.invariants._signed_hamiltonian_sum`.
+    wmats has shape (B, n, n), n <= 13; entry [g, u, v] is the weight of the
+    step u -> v in graph g: -1, 0 (a non-edge) or 1, else ValueError.  With
+    antisymmetric +-1 weights this is twice the signed cycle count; with 0/1
+    adjacency it is twice the plain count.  Returns int64 of shape (B,),
+    halved.  The pull form of :func:`invariants._signed_hamiltonian_sum`.
     """
     wmats = np.asarray(wmats)
+    n = wmats.shape[-1]
+    least, most = (wmats.min(), wmats.max()) if wmats.size else (0, 0)
+    if n > 13 or wmats.dtype.kind not in "biu" or not -1 <= least <= most <= 1:
+        raise ValueError(f"Hamiltonian DP needs n <= 13 and weights -1, 0, 1; n = {n}")
     out = np.empty(len(wmats), dtype=np.int64)
     for lo in range(0, len(wmats), _CHUNK):
-        w = wmats[lo : lo + _CHUNK].astype(np.int64)
-        out[lo : lo + _CHUNK] = _chunk_sums(w)
+        out[lo : lo + _CHUNK] = _chunk_sums(wmats[lo : lo + _CHUNK], n)
     return out
 
 
-def _chunk_sums(w: np.ndarray) -> np.ndarray:
-    batch, n, _ = w.shape
-    full = 1 << n
-    # paths[mask, v, g]: weighted count of paths 0 -> v visiting exactly mask
-    paths = np.zeros((full, n, batch), dtype=np.int64)
-    paths[1, 0] = 1
-    for mask in range(1, full, 2):
-        for v in range(n):
-            if not mask >> v & 1:
-                continue
-            pv = paths[mask, v]
-            if not pv.any():
-                continue
-            for u in range(n):
-                if not mask >> u & 1:
-                    paths[mask | 1 << u, u] += pv * w[:, v, u]
-    total = np.zeros(batch, dtype=np.int64)
-    for v in range(1, n):
-        total += paths[full - 1, v] * w[:, v, 0]
-    if (total & 1).any():
+@lru_cache(maxsize=None)
+def _plan(n: int) -> list:
+    """Per level of the DP, built on first use: (T, u) pulls from the L
+    states (T - u, v) below, or from the start ({0}, 0) when T = {u}, by
+    (targets, L) source and weight rows; a last state closes each cycle."""
+    index, levels = {((0,), 0): 0}, []
+    for size in range(1, n):
+        targets, sources, weights = {}, [], []
+        for members in combinations(range(1, n), size):
+            for u in members:
+                targets[members, u] = len(targets)
+                rest = tuple(v for v in members if v != u) or (0,)
+                sources.append([index[rest, v] for v in rest])
+                weights.append([v * n + u for v in rest])
+        levels.append((np.array(sources), np.array(weights)))
+        index = targets
+    return levels + [(np.arange(n - 1)[None], np.arange(1, n)[None] * n)]
+
+
+def _chunk_sums(chunk: np.ndarray, n: int) -> np.ndarray:
+    # (n * n, B): the weight of step u -> v in row u * n + v
+    w = np.ascontiguousarray(chunk.reshape(len(chunk), n * n).T, dtype=np.int32)
+    # one buffer for every level, so none allocates ("clip": indices in range)
+    buf = np.empty((4, max(len(s) for s, _ in _plan(n)), len(chunk)), np.int32)
+    paths = np.ones((1, len(chunk)), np.int32)
+    for k, (sources, weights) in enumerate(_plan(n)):
+        nxt, tmp, wt = (buf[i, : len(sources)] for i in ((k + 1) % 2, 2, 3))
+        nxt[:] = 0
+        for src, wrow in zip(sources.T, weights.T):
+            np.take(paths, src, axis=0, out=tmp, mode="clip")
+            nxt += np.multiply(tmp, np.take(w, wrow, axis=0, out=wt, mode="clip"), tmp)
+        paths = nxt
+    if (paths[0] & 1).any():
         raise AssertionError("cycle sum must be even (two traversals each)")
-    return total >> 1
+    return paths[0] >> 1

@@ -279,7 +279,7 @@ def random_diagram(n: int, rng) -> ChordDiagram:
     for ch in range(n):
         word[slots[2 * ch]] = ch
         word[slots[2 * ch + 1]] = ch
-    return ChordDiagram(word)
+    return _trusted_diagram(_normalize(word))
 
 
 def induced_subdiagram(d: ChordDiagram, chords: Iterable[int]) -> ChordDiagram:

@@ -49,7 +49,7 @@ MIN_L = 4
 def _signed_hamiltonian_sum(w: Sequence[Sequence[int]]) -> int:
     """Signed count of Hamiltonian cycles from a +-1 step-weight matrix.
 
-    Scalar form of the DP in :func:`chordlab._bulk.hamiltonian_cycle_sums`.
+    The recurrence of :func:`chordlab._bulk.hamiltonian_cycle_sums` in push form.
     """
     n = len(w)
     full = 1 << n
@@ -116,6 +116,7 @@ def e_l_parity(g: SimpleGraph, l: int) -> int:
     """Parity of the number of l-cycles with l distinct vertices."""
     if l < MIN_L:
         raise ValueError(f"l must be at least {MIN_L}")
+    require_order("e_l_parity", g.n, MAX_DIAGRAM_ORDER)
     if l > g.n:
         return 0
     if l == g.n:
@@ -350,6 +351,7 @@ def r_k_graph(g: SimpleGraph, k: int) -> int:
     """
     if k < MIN_K:
         raise ValueError(f"k must be at least {MIN_K}")
+    require_order("r_k_graph", g.n, MAX_DIAGRAM_ORDER)
     if g.n == 2 * k:
         return _neg_half(_wc_primitive_part(g), "projected indicator")
     if g.n < 2 * k:

@@ -94,7 +94,7 @@ def dense_sign_matrix(words) -> np.ndarray:
 # the named suites
 
 
-_DP_WORDS = 1024  # words per batched DP call: bounds its (2^n, n, words) paths
+_DP_WORDS = 1024  # words per batched DP call: bounds its per-level arrays
 
 
 def _cycle_sums(batch) -> list[list[int]]:

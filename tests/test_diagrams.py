@@ -190,6 +190,23 @@ class TestEnumeration:
         b = random_diagram(6, random.Random(5)).word
         assert a == b
 
+    def test_random_diagram_matches_validated_construction(self):
+        # the same shuffle draws, built through the validating constructor
+        def validated(n, rng):
+            slots = list(range(2 * n))
+            rng.shuffle(slots)
+            word = [0] * (2 * n)
+            for ch in range(n):
+                word[slots[2 * ch]] = word[slots[2 * ch + 1]] = ch
+            return ChordDiagram(word)
+
+        for n in range(1, 9):
+            ours, ref = random.Random(n), random.Random(n)
+            for _ in range(5000):
+                d = random_diagram(n, ours)
+                assert type(d) is ChordDiagram
+                assert d == validated(n, ref)
+
 
 class TestInducedSubdiagram:
     def test_single_chord(self):

@@ -39,7 +39,7 @@ from chordlab.graphs import (
 from chordlab.invariants import e_l_parity, r_k, sl2_projected, w_c
 from chordlab.polynomials import ZERO
 from chordlab.sl2 import sl2_recursive
-from chordlab import fourterm, verify
+from chordlab import fourterm, invariants, verify
 from chordlab.verify import masked_relation, merge_reports, suite_four_term_graphs
 
 # the (sign, masks) terms of the two graph relations, for masked_relation
@@ -238,6 +238,25 @@ class TestDiagramFourTerm:
         )
         for run, message in runs:
             with pytest.raises(ValueError, match=message):
+                run()
+
+    def test_graph_invariants_above_the_ceiling_raise_before_any_work(
+        self, monkeypatch
+    ):
+        def no_work(*args):
+            raise AssertionError("work started above the ceiling")
+
+        for name in (
+            "enumerate_cycles",
+            "_hamiltonian_cycle_count",
+            "_wc_primitive_part",
+        ):
+            monkeypatch.setattr(invariants, name, no_work)
+        g9 = SimpleGraph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)])
+        runs = [lambda l=l: e_l_parity(g9, l) for l in (4, 9, 10)]
+        runs += [lambda k=k: invariants.r_k_graph(g9, k) for k in (2, 4, 5)]
+        for run in runs:
+            with pytest.raises(ValueError, match="order 9 outside 0..8"):
                 run()
 
     def test_report_determinism(self):

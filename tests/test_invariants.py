@@ -90,9 +90,12 @@ class TestRk:
             "from chordlab.invariants import _interpolate_naturals\n"
             "from chordlab.invariants import _SUBWORD_MEMO, _projected_chunk\n"
             "from chordlab.sl2 import _six_term_step\n"
+            "from chordlab._bulk import hamiltonian_cycle_sums\n"
             "_SUBWORD_MEMO[bytes([0, 0])] = (0, 1 << 40)\n"
             "for call in (lambda: _signed_hamiltonian_sum("
             "[[0, 1, 0], [0, 0, 1], [1, 0, 0]]), "
+            "lambda: hamiltonian_cycle_sums("
+            "[[[0, 0, 0]] * 3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]), "
             "lambda: _six_term_step((0, 0, 1, 1), (0, 0)), "
             "lambda: _interpolate_naturals([0, 0, 1]), "
             "lambda: _projected_chunk([(0, 0, 1, 1)])[0]):\n"
