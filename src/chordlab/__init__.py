@@ -40,8 +40,6 @@ from .graphs import (
     format_graph,
     gf2_rank,
     graph_canonical_mask,
-    graph_prime,
-    graph_tilde,
     intersection_graph,
     is_intersection_graph,
     orient_chords,
@@ -100,8 +98,6 @@ __all__ = [
     "gf2_rank",
     "graph_canonical_mask",
     "graph_four_term",
-    "graph_prime",
-    "graph_tilde",
     "induced_subdiagram",
     "intersection_graph",
     "is_intersection_graph",

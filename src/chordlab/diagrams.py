@@ -220,10 +220,10 @@ def enumerate_diagrams(n: int, mode: str = "basepointed") -> Iterator[ChordDiagr
 
     mode="basepointed" yields all (2n-1)!! distinct words;
     mode="up-to-rotation" yields one representative per canonical code,
-    in sorted code order.
+    in sorted code order.  Raises ValueError above
+    :data:`MAX_DIAGRAM_ORDER`.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    require_order("enumerate_diagrams", n, MAX_DIAGRAM_ORDER)
     if mode == "basepointed":
         yield from map(_trusted_diagram, _matchings(2 * n))
     elif mode == "up-to-rotation":

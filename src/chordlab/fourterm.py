@@ -27,7 +27,7 @@ from .diagrams import (
     random_diagram,
     require_order,
 )
-from .graphs import SimpleGraph, graph_prime, graph_tilde
+from .graphs import SimpleGraph, prime_mask, tilde_mask
 
 DEFAULT_SIGNS = (1, -1, -1, 1)
 
@@ -86,10 +86,20 @@ def diagram_four_term(
 def graph_four_term(
     g: SimpleGraph, a: int, b: int, signs: tuple[int, int, int, int] = DEFAULT_SIGNS
 ) -> RelationQuadruple:
-    """Graph 4-term instance at the ordered vertex pair (a, b)."""
-    tilde = graph_tilde(g, a, b)
-    terms = (g, graph_prime(g, a, b), tilde, graph_prime(tilde, a, b))
+    """Graph 4-term instance at the ordered vertex pair (a, b); raises
+    GraphError unless a and b are distinct vertices of g."""
+    masks = graph_four_term_masks(g.n, g.edge_mask(), a, b)
+    terms = [SimpleGraph.from_edge_mask(g.n, m) for m in masks]
     return RelationQuadruple(tuple(zip(terms, signs)))
+
+
+def graph_four_term_masks(n: int, masks, a: int, b: int) -> tuple:
+    """The terms (g, g', g~, g~') of the graph 4-term relation at the
+    ordered vertex pair (a, b), for one int edge mask or every mask of an
+    int64 array: g' toggles the a-b edge, g~ toggles a's adjacency with
+    every other neighbor of b."""
+    tilde = tilde_mask(n, masks, a, b)
+    return masks, prime_mask(n, masks, a, b), tilde, prime_mask(n, tilde, a, b)
 
 
 def neighbor_positions(d: ChordDiagram) -> list[int]:

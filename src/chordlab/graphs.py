@@ -13,7 +13,13 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from ._np import np
-from .diagrams import ChordDiagram, word_positions
+from .diagrams import (
+    MAX_DIAGRAM_ORDER,
+    MAX_GRAPH_ORDER,
+    ChordDiagram,
+    require_order,
+    word_positions,
+)
 
 
 class GraphError(ValueError):
@@ -317,7 +323,7 @@ def cycle_sign(dg: DirectedIntersectionGraph, cycle: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) linear algebra and the two graph moves of the 4-term relation
+# GF(2) linear algebra
 
 
 def gf2_rank(rows: Sequence[int], n_cols: int) -> int:
@@ -375,33 +381,6 @@ def gf2_rank_batch(rows: np.ndarray, n_cols: int) -> np.ndarray:
     return rank
 
 
-def graph_prime(g: SimpleGraph, a: int, b: int) -> SimpleGraph:
-    """Toggle the adjacency of a and b; everything else unchanged."""
-    if a == b:
-        raise GraphError("vertices must be distinct")
-    rows = list(g.rows)
-    rows[a] ^= 1 << b
-    rows[b] ^= 1 << a
-    return SimpleGraph(g.n, tuple(rows))
-
-
-def graph_tilde(g: SimpleGraph, a: int, b: int) -> SimpleGraph:
-    """For every vertex adjacent to b (other than a), toggle its
-    adjacency with a.  The a-b edge itself is untouched; the result
-    depends on the order of (a, b)."""
-    if a == b:
-        raise GraphError("vertices must be distinct")
-    mask = g.rows[b] & ~(1 << a) & ~(1 << b)
-    rows = list(g.rows)
-    rows[a] ^= mask
-    rest = mask
-    while rest:
-        low = rest & (-rest)
-        rest ^= low
-        rows[low.bit_length() - 1] ^= 1 << a
-    return SimpleGraph(g.n, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # enumeration, isomorphism, realizability
 
@@ -412,14 +391,19 @@ def enumerate_graphs(n: int, mode: str = "labeled") -> Iterator[SimpleGraph]:
     mode="labeled" gives all 2^(n(n-1)/2) graphs in edge-mask order;
     mode="up-to-iso" gives the minimum-edge-mask representative of each
     isomorphism class, found by orbit marking over all n! relabelings.
+    Raises ValueError above :data:`~chordlab.diagrams.MAX_GRAPH_ORDER`
+    labeled, :data:`~chordlab.diagrams.MAX_DIAGRAM_ORDER` up to iso.
     """
+    if mode not in ("labeled", "up-to-iso"):
+        raise ValueError(f"unknown mode: {mode!r}")
+    # labeled mode is kept at 6 so a sorted listing stays in memory
+    ceiling = MAX_GRAPH_ORDER if mode == "labeled" else MAX_DIAGRAM_ORDER
+    require_order("enumerate_graphs", n, ceiling)
     npairs = n * (n - 1) // 2
     if mode == "labeled":
         for mask in range(1 << npairs):
             yield SimpleGraph.from_edge_mask(n, mask)
         return
-    if mode != "up-to-iso":
-        raise ValueError(f"unknown mode: {mode!r}")
     seen = bytearray(1 << npairs)
     for mask in range(1 << npairs):
         if seen[mask]:
@@ -441,21 +425,31 @@ def pair_index_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in table)
 
 
-def prime_mask(n: int, mask: int, a: int, b: int) -> int:
-    """Edge-mask form of toggling the a-b adjacency."""
-    return mask ^ (1 << pair_index_table(n)[a][b])
+def prime_mask(n: int, masks: int | np.ndarray, a: int, b: int) -> int | np.ndarray:
+    """Toggle the a-b adjacency in one int edge mask, or in every mask of
+    an int64 array; GraphError unless a and b are distinct vertices."""
+    _require_pair(n, a, b)
+    return masks ^ (1 << pair_index_table(n)[a][b])
 
 
-def tilde_mask(n: int, mask: int, a: int, b: int) -> int:
-    """Edge-mask form of toggling a's adjacency with every neighbor of b."""
+def tilde_mask(n: int, masks: int | np.ndarray, a: int, b: int) -> int | np.ndarray:
+    """Toggle a's adjacency with every neighbor of b other than a, in one
+    int edge mask or in every mask of an int64 array.  The a-b edge
+    itself is untouched; the result depends on the order of (a, b).
+    GraphError unless a and b are distinct vertices."""
+    _require_pair(n, a, b)
     ptab = pair_index_table(n)
-    flip = 0
-    row_b = ptab[b]
-    row_a = ptab[a]
+    flip = masks & 0
     for c in range(n):
-        if c != a and c != b and mask >> row_b[c] & 1:
-            flip |= 1 << row_a[c]
-    return mask ^ flip
+        if c != a and c != b:
+            flip |= (masks >> ptab[b][c] & 1) << ptab[a][c]
+    return masks ^ flip
+
+
+def _require_pair(n: int, a: int, b: int) -> None:
+    # a negative vertex would wrap around in pair_index_table's rows
+    if a == b or not (0 <= a < n and 0 <= b < n):
+        raise GraphError(f"need distinct vertices in 0..{n - 1}, got {a} and {b}")
 
 
 def edge_mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
@@ -468,16 +462,6 @@ def edge_mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
             rows[u] |= bit << v
             rows[v] |= bit << u
     return rows
-
-
-def tilde_masks(n: int, masks: np.ndarray, a: int, b: int) -> np.ndarray:
-    """:func:`tilde_mask` applied to every edge mask of an array."""
-    ptab = pair_index_table(n)
-    flip = np.zeros_like(masks)
-    for c in range(n):
-        if c != a and c != b:
-            flip |= (masks >> ptab[b][c] & 1) << ptab[a][c]
-    return masks ^ flip
 
 
 @lru_cache(maxsize=None)

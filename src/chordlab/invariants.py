@@ -164,7 +164,11 @@ def sl2_projected(d: ChordDiagram) -> IntPolynomial:
 
 def sl2_projected_batch(diagrams: Sequence[ChordDiagram]) -> list[IntPolynomial]:
     """:func:`sl2_projected` of each diagram, in input order; classes not
-    in the memo are projected once, by order, _PROJECTION_CHUNK at a time."""
+    in the memo are projected once, by order, _PROJECTION_CHUNK at a time.
+    Raises ValueError if any diagram is above
+    :data:`~chordlab.diagrams.MAX_DIAGRAM_ORDER`."""
+    top = max((d.n for d in diagrams), default=0)
+    require_order("sl2_projected_batch", top, MAX_DIAGRAM_ORDER)
     codes = [canonical_code(d) for d in diagrams]
     missing = {c: d.word for c, d in zip(codes, diagrams) if c not in _PROJECTED_MEMO}
     for m in set(map(len, missing.values())):

@@ -258,6 +258,8 @@ def sl2_recursive(d: ChordDiagram) -> IntPolynomial:
     Agrees with :func:`sl2_oracle` everywhere; memoized on canonical
     codes, so repeated and related evaluations are cheap.  The memo
     table only ever receives idempotent inserts, which keeps it safe
-    under concurrent use.
+    under concurrent use.  Raises ValueError above
+    :data:`chordlab.diagrams.MAX_DIAGRAM_ORDER`.
     """
+    require_order("sl2_recursive", d.n, MAX_DIAGRAM_ORDER)
     return _sl2_value(d.word)

@@ -28,10 +28,12 @@ from .diagrams import (
 )
 from .fourterm import (
     _CLASS_WINDOW,
+    DEFAULT_SIGNS,
     VerificationReport,
     by_class,
     diagram_source,
     four_term_instances,
+    graph_four_term_masks,
     relation_sums,
     sharded,
     signed_sum,
@@ -43,8 +45,7 @@ from .graphs import (
     gf2_rank_batch,
     interleave_rows,
     intersection_graph,
-    pair_index_table,
-    tilde_masks,
+    tilde_mask,
 )
 from .invariants import (
     MIN_K,
@@ -156,14 +157,12 @@ def suite_two_term(
 def _four_term_masks(order: int, masks: np.ndarray, a: int, b: int):
     """The signed terms (g, g', g~, g~') of the graph 4-term relation at
     the ordered pair (a, b), for every edge mask of an array."""
-    edge = 1 << pair_index_table(order)[a][b]
-    tilde = tilde_masks(order, masks, a, b)
-    return (1, masks), (-1, masks ^ edge), (-1, tilde), (1, tilde ^ edge)
+    return tuple(zip(DEFAULT_SIGNS, graph_four_term_masks(order, masks, a, b)))
 
 
 def _two_term_masks(order: int, masks: np.ndarray, a: int, b: int):
     """The signed terms (g, g~) of the 2-term relation at (a, b)."""
-    return (1, masks), (-1, tilde_masks(order, masks, a, b))
+    return (1, masks), (-1, tilde_mask(order, masks, a, b))
 
 
 def masked_relation(

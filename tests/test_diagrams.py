@@ -1,3 +1,4 @@
+import inspect
 import random
 from math import factorial
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordlab import diagrams
 from chordlab.diagrams import (
     ChordDiagram,
     DiagramError,
@@ -171,6 +173,17 @@ class TestEnumeration:
     def test_basepointed_counts(self, n, count):
         assert sum(1 for _ in enumerate_diagrams(n, "basepointed")) == count
         assert count == double_factorial(n)
+
+    def test_orders_above_the_ceiling_raise_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started above the ceiling")
+
+        monkeypatch.setattr(diagrams, "_matchings", no_work)
+        # still a generator: it raises on the first item, not at the call
+        assert inspect.isgeneratorfunction(enumerate_diagrams)
+        for n, mode in ((9, "basepointed"), (9, "up-to-rotation"), (-1, "basepointed")):
+            with pytest.raises(ValueError, match=f"order {n} outside 0..8"):
+                next(enumerate_diagrams(n, mode))
 
     def test_order7_count(self):
         assert sum(1 for _ in enumerate_diagrams(7, "basepointed")) == 135135

@@ -26,13 +26,12 @@ from chordlab.fourterm import (
     verify_weight_system,
 )
 from chordlab.graphs import (
+    GraphError,
     SimpleGraph,
     enumerate_cycles,
     enumerate_graphs,
     format_graph,
     gf2_rank,
-    graph_prime,
-    graph_tilde,
     interleave_rows,
     intersection_graph,
 )
@@ -41,6 +40,7 @@ from chordlab.polynomials import ZERO
 from chordlab.sl2 import sl2_recursive
 from chordlab import fourterm, invariants, verify
 from chordlab.verify import masked_relation, merge_reports, suite_four_term_graphs
+from graph_moves import graph_prime, graph_tilde
 
 # the (sign, masks) terms of the two graph relations, for masked_relation
 FOUR_TERM = verify._four_term_masks
@@ -55,13 +55,16 @@ def verify_graph_four_term(
 ) -> VerificationReport:
     """Signed sums of f over all labeled graphs and ordered vertex pairs.
 
-    Object-level reference; the exhaustive suites run the edge-mask
-    engine `verify.masked_relation` on a value table instead.
+    Object-level reference on the bit-row moves; the exhaustive suites
+    run the edge-mask engine `verify.masked_relation` on a value table
+    instead.
     """
     report = VerificationReport(invariant=invariant, order=order)
     for g in _all_graphs(order):
         for a, b in itertools.permutations(range(order), 2):
-            quad = graph_four_term(g, a, b, signs)
+            tilde = graph_tilde(g, a, b)
+            terms = (g, graph_prime(g, a, b), tilde, graph_prime(tilde, a, b))
+            quad = RelationQuadruple(tuple(zip(terms, signs)))
             report.checked += 1
             total = quad.signed_sum(f)
             if total:
@@ -189,6 +192,8 @@ class TestDiagramFourTerm:
                     assert g2 == graph_prime(g1, b_ch, a_ch)
                     assert g3 == tilde
                     assert g4 == graph_prime(tilde, b_ch, a_ch)
+                    quad = graph_four_term(g1, b_ch, a_ch)
+                    assert [t for t, _ in quad.terms] == [g1, g2, g3, g4]
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_sampling_below_two_chords_raises(self, order):
@@ -305,6 +310,14 @@ class TestGraphFourTerm:
                         assert graph_prime(graph_tilde(g, a, b), a, b) == graph_tilde(
                             graph_prime(g, a, b), a, b
                         )
+
+    @pytest.mark.parametrize("a, b", [(0, 3), (3, 0), (-1, 0), (0, -1), (1, 1)])
+    def test_vertices_outside_the_graph_raise(self, a, b):
+        # the edge-mask moves index a table by vertex, where -1 would
+        # wrap around to the last row and n would raise IndexError
+        g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="distinct vertices in 0..2"):
+            graph_four_term(g, a, b)
 
     def test_isolated_partner_collapses(self):
         g = SimpleGraph.from_edges(3, [(1, 2)])

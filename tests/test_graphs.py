@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from functools import lru_cache
@@ -14,6 +15,7 @@ from chordlab.diagrams import (
     random_diagram,
     word_positions,
 )
+from chordlab import graphs
 from chordlab.fourterm import four_term_instances
 from chordlab.graphs import (
     GraphError,
@@ -27,8 +29,6 @@ from chordlab.graphs import (
     gf2_rank,
     gf2_rank_batch,
     graph_canonical_mask,
-    graph_prime,
-    graph_tilde,
     interleave_rows,
     intersection_graph,
     is_intersection_graph,
@@ -38,11 +38,11 @@ from chordlab.graphs import (
     prime_mask,
     realize_diagram,
     tilde_mask,
-    tilde_masks,
 )
 from chordlab.invariants import FIVE_WHEEL, THREE_PRISM
 from chordlab.table1 import ROWS
 from chordlab.verify import dense_sign_matrix
+from graph_moves import graph_prime, graph_tilde
 
 K2 = SimpleGraph.from_edges(2, [(0, 1)])
 C4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -296,8 +296,9 @@ class TestPrimeAndTilde:
         assert graph_prime(graph_prime(K4, 1, 3), 1, 3) == K4
 
     def test_prime_rejects_equal_vertices(self):
-        with pytest.raises(GraphError):
-            graph_prime(K2, 1, 1)
+        for move in (prime_mask, tilde_mask):
+            with pytest.raises(GraphError):
+                move(2, 1, 1, 1)
 
     def test_tilde_path_becomes_triangle(self):
         path = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
@@ -345,9 +346,10 @@ class TestPrimeAndTilde:
             for m in masks.tolist():
                 assert tuple(rows[:, m]) == SimpleGraph.from_edge_mask(n, m).rows
             for a, b in itertools.permutations(range(n), 2):
-                assert tilde_masks(n, masks, a, b).tolist() == [
-                    tilde_mask(n, m, a, b) for m in masks.tolist()
-                ]
+                for move in (prime_mask, tilde_mask):
+                    assert move(n, masks, a, b).tolist() == [
+                        move(n, m, a, b) for m in masks.tolist()
+                    ]
 
     def test_pair_index_matches_edge_mask(self):
         tab = pair_index_table(4)
@@ -364,6 +366,19 @@ class TestEnumerationAndIsomorphism:
 
     def test_iso_count_n6(self):
         assert sum(1 for _ in enumerate_graphs(6, "up-to-iso")) == 156
+
+    def test_orders_above_the_ceilings_raise_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started above the ceiling")
+
+        # up to iso, order 9 would first allocate 2^36 bytes of orbit marks
+        monkeypatch.setattr(graphs, "bytearray", no_work, raising=False)
+        # still a generator: it raises on the first item, not at the call
+        assert inspect.isgeneratorfunction(enumerate_graphs)
+        cases = ((7, "labeled", 6), (9, "up-to-iso", 8), (-1, "labeled", 6))
+        for n, mode, ceiling in cases:
+            with pytest.raises(ValueError, match=f"order {n} outside 0..{ceiling}"):
+                next(enumerate_graphs(n, mode))
 
     @given(graphs5, st.randoms(use_true_random=False))
     def test_canonical_mask_invariant(self, g, rnd):

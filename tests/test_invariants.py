@@ -169,6 +169,15 @@ class TestProjection:
     def test_single_chord(self):
         assert project_primitive_value(parse_diagram("AA"), sl2) == C
 
+    def test_batch_refuses_orders_above_the_ceiling(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started above the ceiling")
+
+        monkeypatch.setattr(invariants, "canonical_code", no_work)
+        batch = [parse_diagram("ABAB"), parse_diagram("ABCDEFGHI" * 2)]
+        with pytest.raises(ValueError, match="order 9 outside 0..8"):
+            sl2_projected_batch(batch)
+
     def test_point_route_matches_polynomial_route(self, diagram_classes):
         # the integer-point route behind sl2_projected against the
         # ring-generic partition sum over IntPolynomial values

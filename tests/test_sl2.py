@@ -1,3 +1,4 @@
+import importlib
 import random
 from typing import Sequence
 
@@ -96,6 +97,16 @@ class TestKnownValues:
     def test_oracle_refuses_orders_above_the_ceiling(self):
         with pytest.raises(ValueError, match="order 9 outside 0..8"):
             sl2_oracle(parse_diagram("ABCDEFGHI" * 2))
+
+    def test_recurrence_refuses_orders_above_the_ceiling(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started above the ceiling")
+
+        # the package exports the function sl2 under the module's name
+        sl2 = importlib.import_module("chordlab.sl2")
+        monkeypatch.setattr(sl2, "_sl2_value", no_work)
+        with pytest.raises(ValueError, match="order 9 outside 0..8"):
+            sl2_recursive(parse_diagram("ABCDEFGHI" * 2))
 
     def test_crossing_pair(self):
         assert sl2_oracle(parse_diagram("ABAB")) == C * C - C
