@@ -323,9 +323,10 @@ def _cmd_verify(args) -> int:
     info: list[dict] = []
     # looked up when it runs, so a rebound verify.suite_* is the one called
     suite = getattr(verify_mod, "suite_" + args.suite.replace("-", "_"))
+    pooled = jobs > 1 and params.get("sample") is None
     if args.suite == "wheel-prism":
         report, info = suite()
-    elif jobs > 1 and params.get("sample") is None:
+    elif pooled and verify_mod.accepts_order(args.suite, **params):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -334,6 +335,7 @@ def _cmd_verify(args) -> int:
             ]
             report = verify_mod.merge_reports([f.result() for f in futures])
     else:
+        # an order the suite refuses is refused here: no worker starts
         report = suite(**params)
     for rec in info:
         print(json.dumps(rec, sort_keys=True))

@@ -350,35 +350,25 @@ def gf2_rank(rows: Sequence[int], n_cols: int) -> int:
     return rank
 
 
-def gf2_rank_batch(rows: np.ndarray, n_cols: int) -> np.ndarray:
-    """GF(2) ranks of a batch of bit-row matrices.
-
-    ``rows`` has shape (k, B): column j holds the k bit rows of matrix j.
-    Elimination runs column by column with a separate pivot per matrix,
-    so the whole batch shares one short loop of numpy operations.  Agrees
-    with :func:`gf2_rank` matrix by matrix.
+def pfaffian_parities(n: int, masks: np.ndarray) -> np.ndarray:
+    """Row S of the (2^n, B) uint8 result is 1 where the subgraph that S
+    induces in each graph of an int64 edge-mask array is nondegenerate
+    over GF(2), which for an alternating matrix means that its Pfaffian,
+    the parity of its perfect matchings, is odd.  So pf[{}] = 1, odd S
+    read 0 and pf[S] = XOR over v in S of edge(low, v) AND pf[S-low-v],
+    low the least vertex of S; the largest |S| with pf[S] = 1 is the rank.
     """
-    work = np.array(rows, copy=True)
-    batch = work.shape[1]
-    rank = np.zeros(batch, dtype=np.int64)
-    free = np.ones(work.shape, dtype=bool)
-    lanes = np.arange(batch)
-    present = int(np.bitwise_or.reduce(work, axis=None)) if work.size else 0
-    for col in range(n_cols):
-        if not present >> col & 1:
-            continue
-        hit = (work >> col & 1).astype(bool)
-        cand = hit & free
-        has = cand.any(axis=0)
-        pivot = cand.argmax(axis=0)
-        prow = work[pivot, lanes]
-        # clear the column from every other row that holds it
-        hit[pivot, lanes] = False
-        hit &= has
-        work ^= np.where(hit, prow, 0)
-        free[pivot, lanes] &= ~has
-        rank += has
-    return rank
+    ptab = pair_index_table(n)
+    edge = (masks >> np.arange(n * (n - 1) // 2)[:, None] & 1).astype(np.uint8)
+    pf = np.zeros((1 << n, len(masks)), dtype=np.uint8)
+    pf[0] = 1
+    for s in range(3, 1 << n):
+        low = (s & -s).bit_length() - 1
+        if s.bit_count() % 2 == 0:
+            for v in range(low + 1, n):
+                if s >> v & 1:
+                    pf[s] ^= edge[ptab[low][v]] & pf[s ^ 1 << low ^ 1 << v]
+    return pf
 
 
 # ---------------------------------------------------------------------------

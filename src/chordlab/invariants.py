@@ -23,11 +23,10 @@ from .graphs import (
     SimpleGraph,
     cycle_sign,
     directed_intersection_graph,
-    edge_mask_rows,
     enumerate_cycles,
     gf2_rank,
-    gf2_rank_batch,
     intersection_graph,
+    pfaffian_parities,
     realize_diagram,
 )
 from .partitions import partition_log_full
@@ -318,29 +317,16 @@ def r_k_via_wc(d: ChordDiagram, k: int) -> int:
 
 def r_k_graph_batch(n: int, masks: np.ndarray, k: int) -> np.ndarray:
     """:func:`r_k_graph` on a batch of n == 2k vertex graphs, given as an
-    array of edge masks.
-
-    The route is the scalar one, batched: every induced subgraph's
-    nondegeneracy from one :func:`gf2_rank_batch` call per vertex subset,
-    then one :func:`partition_log_full` over int32 arrays.  Keep batches
-    to a few thousand masks; the single-graph route stays cheaper.
+    int64 array of edge masks: every induced subgraph's nondegeneracy is
+    its Pfaffian parity, all from one :func:`pfaffian_parities` call, then
+    one :func:`partition_log_full` over int32 arrays.  Keep batches to a
+    few thousand masks; the single-graph route stays cheaper.
     """
     if k < MIN_K:
         raise ValueError(f"k must be at least {MIN_K}")
     if n != 2 * k:
         raise ValueError("the batched route needs graphs on exactly 2k vertices")
-    rows = edge_mask_rows(n, masks)
-    # an adjacency matrix is alternating over GF(2), so its rank is even
-    # and an odd-size one is always degenerate
-    odd = np.zeros(len(masks), dtype=np.int32)
-    values: list = [None] * (1 << n)
-    for sub in range(1, 1 << n):
-        members = [u for u in range(n) if sub >> u & 1]
-        if len(members) % 2:
-            values[sub] = odd
-            continue
-        ranks = gf2_rank_batch(rows[members] & sub, n)
-        values[sub] = (ranks == len(members)).astype(np.int32)
+    values = pfaffian_parities(n, masks).astype(np.int32)
     return _neg_half(partition_log_full(values, n), "projected indicator")
 
 

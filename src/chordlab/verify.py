@@ -42,9 +42,9 @@ from .graphs import (
     SimpleGraph,
     edge_mask_rows,
     format_graph,
-    gf2_rank_batch,
     interleave_rows,
     intersection_graph,
+    pfaffian_parities,
     tilde_mask,
 )
 from .invariants import (
@@ -177,8 +177,9 @@ def masked_relation(
     every labeled graph and ordered vertex pair.
 
     ``terms(order, masks, a, b)`` gives the (sign, masks) pairs of the
-    relation at the ordered pair (a, b) for a chunk of masks; its moves
-    run as numpy gathers, and graphs are only materialized to describe
+    relation at the ordered pair (a, b) for a chunk of masks, (+1, masks)
+    first, then each sign +-1; its moves run as numpy gathers, and graphs
+    are only materialized to describe
     violations.  With ``mod2`` the signed sum is reduced mod 2 (for 0/1
     parity invariants).
     """
@@ -187,7 +188,9 @@ def masked_relation(
         report.checked += len(masks) * order * (order - 1)
         for a, b in itertools.permutations(range(order), 2):
             signed = terms(order, masks, a, b)
-            total = sum(sign * table[m] for sign, m in signed)
+            total = table[signed[0][1]]
+            for sign, m in signed[1:]:
+                (np.add if sign > 0 else np.subtract)(total, table[m], out=total)
             if mod2:
                 total &= 1
             for i in np.flatnonzero(total):
@@ -213,15 +216,33 @@ def _mask_chunks(order: int, shard: tuple[int, int] | None = None):
     return (np.arange(lo, min(lo + stride, total), count) for lo in lows)
 
 
+def accepts_order(suite: str, order: int | None = None, k: int | None = None, **_):
+    """Whether the exhaustive source of the named suite takes the order
+    (2k for the suites without --n), by the check it makes before work."""
+    sources = {
+        "mutation": _check_mutation_order,
+        "four-term-graphs": _mask_chunks,
+        "two-term": _mask_chunks,
+    }
+    try:
+        sources.get(suite, diagram_source)(2 * k if order is None else order)
+    except ValueError:
+        return False
+    return True
+
+
 def _graph_text(order: int, mask: int) -> str:
     return format_graph(SimpleGraph.from_edge_mask(order, mask))
+
+
+_check_mutation_order = partial(require_order, "mutation", ceiling=MAX_EXHAUSTIVE_ORDER)
 
 
 def suite_mutation(
     order: int, shard: tuple[int, int] | None = None
 ) -> VerificationReport:
     """Mutations must preserve the labeled intersection graph and R_k."""
-    require_order("mutation", order, MAX_EXHAUSTIVE_ORDER)
+    _check_mutation_order(order)
     report = VerificationReport(invariant="mutation", order=order)
     k = order // 2 if order % 2 == 0 and order >= 4 else None
     # R_k by canonical key: a mutant becomes a ChordDiagram once per class
@@ -415,10 +436,11 @@ def _graph_invariant_table(invariant: str, order: int, k: int | None, l: int | N
     elif invariant == "el-parity":
         require_at_least("el-parity", "l", l, MIN_L)
         name, build, mod2 = f"e{l}-parity", partial(_el_parities, order, l), True
-    elif invariant in ("wc", "gf2-rank"):
-        def build(masks):
-            rank = gf2_rank_batch(edge_mask_rows(order, masks), order)
-            return rank == order if invariant == "wc" else rank
+    elif invariant == "wc":
+        build = lambda masks: pfaffian_parities(order, masks)[-1]
+    elif invariant == "gf2-rank":
+        sizes = np.array([s.bit_count() for s in range(1 << order)], dtype=np.uint8)
+        build = lambda masks: (pfaffian_parities(order, masks) * sizes[:, None]).max(0)
     elif invariant == "edge-count":
         build = lambda masks: sum((masks >> i & 1 for i in range(npairs)), 0 * masks)
     else:

@@ -252,6 +252,28 @@ class TestVerify:
             second_code, second, _ = run(capsys, *base, "--jobs", "2")
             assert (first_code, first) == (second_code, second)
 
+    def test_refused_order_starts_no_worker(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for argv, message in (
+            (("mutation", "--n", "7"), "mutation: order 7 outside 0..6"),
+            (
+                ("four-term-graphs", "--n", "7", "--k", "3"),
+                "labeled graphs: order 7 outside 0..6",
+            ),
+        ):
+            for jobs in ("1", "2"):
+                got = run(capsys, "verify", *argv, "--jobs", jobs)
+                assert got == (3, "", f"error: {message}\n")
+        # an order the suite takes does reach the pool
+        with pytest.raises(AssertionError, match="pool was started"):
+            main(["verify", "mutation", "--n", "3", "--jobs", "2"])
+
     def test_clamp_jobs_to_cpus(self):
         assert clamp_jobs(10**9, 2) == 2
         assert clamp_jobs(10**9, None) == 1

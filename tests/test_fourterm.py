@@ -225,7 +225,7 @@ class TestDiagramFourTerm:
             (fourterm, "enumerate_diagrams"),
             (fourterm, "random_diagram"),
             (verify, "enumerate_diagrams"),
-            (verify, "gf2_rank_batch"),
+            (verify, "pfaffian_parities"),
         ):
             monkeypatch.setattr(module, name, no_work)
         runs = (

@@ -27,7 +27,6 @@ from chordlab.graphs import (
     enumerate_graphs,
     format_graph,
     gf2_rank,
-    gf2_rank_batch,
     graph_canonical_mask,
     interleave_rows,
     intersection_graph,
@@ -35,6 +34,7 @@ from chordlab.graphs import (
     orient_chords,
     pair_index_table,
     parse_graph,
+    pfaffian_parities,
     prime_mask,
     realize_diagram,
     tilde_mask,
@@ -271,22 +271,42 @@ class TestGF2:
         rnd.shuffle(perm)
         assert gf2_rank(g.rows, 5) == gf2_rank(g.relabeled(perm).rows, 5)
 
-    @given(st.data())
-    def test_batch_matches_scalar(self, data):
-        n_cols = data.draw(st.integers(0, 6))
-        k = data.draw(st.integers(0, 6))
-        row = st.integers(0, (1 << n_cols) - 1)
-        mats = data.draw(
-            st.lists(st.lists(row, min_size=k, max_size=k), min_size=1, max_size=12)
-        )
-        batch = np.array(mats, dtype=np.int64).reshape(len(mats), k).T
-        got = gf2_rank_batch(batch, n_cols)
-        assert got.tolist() == [gf2_rank(m, n_cols) for m in mats]
+    def _assert_parities_match_rank(self, n, masks):
+        """pfaffian_parities against scalar gf2_rank: every induced
+        subgraph's nondegeneracy, the full set, and the rank as the
+        largest nonsingular principal subset."""
+        masks = np.array(masks, dtype=np.int64)
+        pf = pfaffian_parities(n, masks)
+        assert pf.dtype == np.uint8 and pf.shape == (1 << n, len(masks))
+        assert (pf[0] == 1).all()
+        rows = edge_mask_rows(n, masks)
+        ptab = pair_index_table(n)
+        for s in range(1, 1 << n):
+            members = [u for u in range(n) if s >> u & 1]
+            # the induced subgraph is fixed by the edges inside s, so
+            # each distinct one is ranked once, on its masked rows
+            inside = sum(1 << ptab[u][v] for u, v in itertools.combinations(members, 2))
+            _, first, inverse = np.unique(
+                masks & inside, return_index=True, return_inverse=True
+            )
+            sub_rows = (rows[members][:, first] & s).T.tolist()
+            nondeg = np.array([gf2_rank(r, n) == len(members) for r in sub_rows])
+            assert pf[s].tolist() == nondeg[inverse].tolist()
+        ranks = [gf2_rank(col, n) for col in rows.T.tolist()]
+        sizes = np.array([s.bit_count() for s in range(1 << n)])
+        assert pf[-1].tolist() == [int(r == n) for r in ranks]
+        assert (pf * sizes[:, None]).max(axis=0).tolist() == ranks
 
-    def test_batch_leaves_input_unchanged(self):
-        rows = np.array([[3, 1], [3, 1]], dtype=np.int64)
-        assert gf2_rank_batch(rows, 2).tolist() == [1, 1]
-        assert rows.tolist() == [[3, 1], [3, 1]]
+    @pytest.mark.parametrize("n", range(7))
+    def test_pfaffian_parities_exhaustive(self, n):
+        self._assert_parities_match_rank(n, range(1 << n * (n - 1) // 2))
+
+    @given(st.data())
+    def test_pfaffian_parities_sampled_n7_n8(self, data):
+        n = data.draw(st.sampled_from([7, 8]))
+        mask = st.integers(0, (1 << n * (n - 1) // 2) - 1)
+        masks = data.draw(st.lists(mask, min_size=1, max_size=8))
+        self._assert_parities_match_rank(n, masks)
 
 
 class TestPrimeAndTilde:

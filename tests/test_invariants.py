@@ -16,8 +16,8 @@ from chordlab.graphs import (
     cycle_sign,
     directed_intersection_graph,
     enumerate_cycles,
-    gf2_rank_batch,
     intersection_graph,
+    pfaffian_parities,
     realize_diagram,
 )
 from chordlab.invariants import (
@@ -319,16 +319,16 @@ class TestGraphExtension:
     def test_batch_matches_scalar_order4_exhaustive(self):
         self._assert_batch_matches_scalar(4, list(range(64)))
 
-    def test_batch_ranks_only_even_subsets(self, monkeypatch):
-        sizes = []
-        def counting(rows, n_cols):
-            sizes.append(len(rows))
-            return gf2_rank_batch(rows, n_cols)
-        monkeypatch.setattr(invariants, "gf2_rank_batch", counting)
-        r_k_graph_batch(6, np.arange(64, dtype=np.int64), 3)
-        # C(6,2) + C(6,4) + C(6,6) vertex subsets, never an odd one
-        assert len(sizes) == 15 + 15 + 1
-        assert all(size % 2 == 0 for size in sizes)
+    def test_batch_reads_parities_without_ranks(self, monkeypatch):
+        def no_rank(*args):
+            raise AssertionError("the batched route ran a GF(2) elimination")
+
+        monkeypatch.setattr(invariants, "gf2_rank", no_rank)
+        masks = np.arange(1 << 15, dtype=np.int64)
+        r_k_graph_batch(6, masks, 3)
+        # an alternating matrix of odd size is always degenerate
+        odd = [s for s in range(64) if s.bit_count() % 2]
+        assert not pfaffian_parities(6, masks)[odd].any()
 
     def test_batch_matches_scalar_order6_sample(self):
         rng = random.Random(2024)
@@ -337,6 +337,11 @@ class TestGraphExtension:
         self._assert_batch_matches_scalar(6, masks)
         wheel_prism = np.array(masks[-2:], dtype=np.int64)
         assert r_k_graph_batch(6, wheel_prism, 3).tolist() == [-3, -1]
+
+    def test_batch_matches_scalar_order8_sample(self):
+        rng = random.Random(8)
+        masks = [rng.randrange(1 << 28) for _ in range(200)]
+        self._assert_batch_matches_scalar(8, masks)
 
     def test_batch_rejects_other_sizes(self):
         with pytest.raises(ValueError):
