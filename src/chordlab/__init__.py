@@ -42,16 +42,13 @@ from .graphs import (
     graph_canonical_mask,
     intersection_graph,
     is_intersection_graph,
-    orient_chords,
     parse_graph,
     realize_diagram,
 )
 from .invariants import (
     FIVE_WHEEL,
     THREE_PRISM,
-    conjecture_check,
     e_l_parity,
-    project_primitive_value,
     r_k,
     r_k_graph,
     r_k_via_wc,
@@ -62,7 +59,7 @@ from .invariants import (
     sl2_projected_batch,
     w_c,
 )
-from .partitions import partition_log_full, partition_weight, set_partitions
+from .partitions import partition_log_full
 from .polynomials import IntPolynomial
 from .sl2 import sl2_oracle, sl2_recursive
 
@@ -83,7 +80,6 @@ __all__ = [
     "VerificationReport",
     "apply_mutation",
     "canonical_code",
-    "conjecture_check",
     "cycle_sign",
     "diagram_four_term",
     "diagram_product",
@@ -101,18 +97,14 @@ __all__ = [
     "induced_subdiagram",
     "intersection_graph",
     "is_intersection_graph",
-    "orient_chords",
     "parse_diagram",
     "parse_graph",
     "partition_log_full",
-    "partition_weight",
-    "project_primitive_value",
     "r_k",
     "r_k_graph",
     "r_k_via_wc",
     "random_diagram",
     "realize_diagram",
-    "set_partitions",
     "sl2",
     "sl2_graph_extension_check",
     "sl2_on_graph",

@@ -192,18 +192,6 @@ def intersection_graph(d: ChordDiagram) -> SimpleGraph:
     return SimpleGraph(d.n, interleave_rows(d.word))
 
 
-def orient_chords(d: ChordDiagram, flip_mask: int = 0) -> list[tuple[int, int]]:
-    """(begin, end) endpoint positions per chord.
-
-    The canonical choice directs each chord from its first endpoint after
-    the basepoint; set bit c of flip_mask to reverse chord c.
-    """
-    out = []
-    for ch, (i, j) in enumerate(d.chord_positions()):
-        out.append((j, i) if flip_mask >> ch & 1 else (i, j))
-    return out
-
-
 @dataclass(frozen=True)
 class DirectedIntersectionGraph:
     """Intersection graph plus the arrow directions induced by chord
@@ -260,8 +248,13 @@ def directed_rows(word: Sequence[int], begins: Sequence[int]) -> tuple[int, ...]
 def directed_intersection_graph(
     d: ChordDiagram, flip_mask: int = 0
 ) -> DirectedIntersectionGraph:
-    """Directed intersection graph for the given chord orientations."""
-    begins = [b for b, _ in orient_chords(d, flip_mask)]
+    """Directed intersection graph for the given chord orientations.
+
+    The canonical choice directs each chord from its first endpoint after
+    the basepoint; set bit c of flip_mask to reverse chord c.
+    """
+    pairs = d.chord_positions()
+    begins = [j if flip_mask >> c & 1 else i for c, (i, j) in enumerate(pairs)]
     return DirectedIntersectionGraph(
         graph=intersection_graph(d), arrows=directed_rows(d.word, begins)
     )
@@ -350,24 +343,26 @@ def gf2_rank(rows: Sequence[int], n_cols: int) -> int:
     return rank
 
 
-def pfaffian_parities(n: int, masks: np.ndarray) -> np.ndarray:
-    """Row S of the (2^n, B) uint8 result is 1 where the subgraph that S
-    induces in each graph of an int64 edge-mask array is nondegenerate
-    over GF(2), which for an alternating matrix means that its Pfaffian,
-    the parity of its perfect matchings, is odd.  So pf[{}] = 1, odd S
-    read 0 and pf[S] = XOR over v in S of edge(low, v) AND pf[S-low-v],
-    low the least vertex of S; the largest |S| with pf[S] = 1 is the rank.
+def pfaffian_parities(n: int, masks: int | np.ndarray) -> list:
+    """The 2^n rows pf[S], ints for one int edge mask and arrays for an
+    integer array of them: pf[S] is 1 where the subgraph that S induces is
+    nondegenerate over GF(2), which for an alternating matrix means that
+    its Pfaffian, the parity of its perfect matchings, is odd.  So
+    pf[{}] = 1, odd S read 0 and pf[S] = XOR over v in S of
+    edge(low, v) AND pf[S-low-v], low the least vertex of S; the largest
+    |S| with pf[S] = 1 is the rank.  An int stays numpy-free.
     """
     ptab = pair_index_table(n)
-    edge = (masks >> np.arange(n * (n - 1) // 2)[:, None] & 1).astype(np.uint8)
-    pf = np.zeros((1 << n, len(masks)), dtype=np.uint8)
-    pf[0] = 1
+    edge = [masks >> i & 1 for i in range(n * (n - 1) // 2)]
+    zero = masks & 0
+    # entries are replaced, never updated in place: the rows share zero
+    pf = [zero + 1] + [zero] * ((1 << n) - 1)
     for s in range(3, 1 << n):
         low = (s & -s).bit_length() - 1
         if s.bit_count() % 2 == 0:
             for v in range(low + 1, n):
                 if s >> v & 1:
-                    pf[s] ^= edge[ptab[low][v]] & pf[s ^ 1 << low ^ 1 << v]
+                    pf[s] = pf[s] ^ edge[ptab[low][v]] & pf[s ^ 1 << low ^ 1 << v]
     return pf
 
 
@@ -440,18 +435,6 @@ def _require_pair(n: int, a: int, b: int) -> None:
     # a negative vertex would wrap around in pair_index_table's rows
     if a == b or not (0 <= a < n and 0 <= b < n):
         raise GraphError(f"need distinct vertices in 0..{n - 1}, got {a} and {b}")
-
-
-def edge_mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
-    """Adjacency bit rows, shape (n, B), of a batch of edge masks."""
-    ptab = pair_index_table(n)
-    rows = np.zeros((n, len(masks)), dtype=np.int64)
-    for u in range(n):
-        for v in range(u + 1, n):
-            bit = masks >> ptab[u][v] & 1
-            rows[u] |= bit << v
-            rows[v] |= bit << u
-    return rows
 
 
 @lru_cache(maxsize=None)

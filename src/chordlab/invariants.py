@@ -8,14 +8,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ._np import np
 from .diagrams import (
     MAX_DIAGRAM_ORDER,
     ChordDiagram,
     canonical_code,
-    induced_subdiagram,
     require_order,
 )
 from .fourterm import graph_four_term
@@ -132,24 +131,6 @@ def w_c(g: SimpleGraph) -> int:
 # projection onto primitive elements
 
 
-def project_primitive_value(d: ChordDiagram, f: Callable[[ChordDiagram], object]):
-    """Value of a multiplicative invariant on the primitive part of d.
-
-    Computes sum over set partitions of the chords of
-    (-1)^(blocks-1) (blocks-1)! prod f(induced subdiagram per block),
-    which equals f applied to the projection of d onto primitive
-    elements whenever f is multiplicative over disjoint products.
-    """
-    n = d.n
-    if n == 0:
-        return f(d)
-    values: list = [None] * (1 << n)
-    for mask in range(1, 1 << n):
-        chords = [c for c in range(n) if mask >> c & 1]
-        values[mask] = f(induced_subdiagram(d, chords))
-    return partition_log_full(values, n)
-
-
 _PROJECTED_MEMO: dict[bytes, IntPolynomial] = {}
 # normalized induced subword (bytes) -> its sl2 coefficients, ascending
 _SUBWORD_MEMO: dict[bytes, tuple[int, ...]] = {}
@@ -183,7 +164,9 @@ def _projected_chunk(words: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """Ascending coefficients of the projections of normalized words of
     one order n.
 
-    The partition sum of ``project_primitive_value(d, sl2)`` runs once on
+    sl2 is multiplicative, so the projection's value is the sum over set
+    partitions of the chords of (-1)^(blocks-1) (blocks-1)! times the
+    product of sl2 over the blocks' induced subwords.  That sum runs once on
     int64 lanes, one per (word, point c = 0, 1, ..., n), and each word's
     n + 1 values are interpolated exactly; every block product has total
     order n, so the degree is at most n.  Subword values stay exact ints
@@ -266,35 +249,6 @@ def _interpolate_naturals(ys: Sequence[int]) -> list[int]:
     return out
 
 
-class ConjectureResult(NamedTuple):
-    lhs: int
-    rhs: int
-    equal: bool
-
-
-def conjecture_check(d: ChordDiagram, k: int) -> ConjectureResult:
-    """Compare the coefficient of c^k in the projected sl2 value with 2 R_k."""
-    if d.n != 2 * k:
-        raise ValueError(f"diagram must have exactly {2 * k} chords, has {d.n}")
-    lhs = sl2_projected(d).coefficient(k)
-    rhs = 2 * r_k(d, k)
-    return ConjectureResult(lhs, rhs, lhs == rhs)
-
-
-def _wc_primitive_part(g: SimpleGraph) -> int:
-    """Partition-projected GF(2) nondegeneracy indicator of a graph.
-
-    Induced-subgraph ranks are taken on masked bit rows; dropping the
-    complementary zero rows and columns does not change GF(2) rank.
-    """
-    n = g.n
-    values = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        rows = [g.rows[u] & mask for u in range(n) if mask >> u & 1]
-        values[mask] = 1 if gf2_rank(rows, n) == len(rows) else 0
-    return partition_log_full(values, n)
-
-
 def _neg_half(total, what: str):
     """-total / 2 for an int or an integer array; odd entries raise.
     An int is tested without numpy, so the scalar routes never load it."""
@@ -315,35 +269,30 @@ def r_k_via_wc(d: ChordDiagram, k: int) -> int:
     return r_k_graph(intersection_graph(d), k)
 
 
-def r_k_graph_batch(n: int, masks: np.ndarray, k: int) -> np.ndarray:
-    """:func:`r_k_graph` on a batch of n == 2k vertex graphs, given as an
-    int64 array of edge masks: every induced subgraph's nondegeneracy is
-    its Pfaffian parity, all from one :func:`pfaffian_parities` call, then
-    one :func:`partition_log_full` over int32 arrays.  Keep batches to a
-    few thousand masks; the single-graph route stays cheaper.
-    """
-    if k < MIN_K:
-        raise ValueError(f"k must be at least {MIN_K}")
-    if n != 2 * k:
-        raise ValueError("the batched route needs graphs on exactly 2k vertices")
-    values = pfaffian_parities(n, masks).astype(np.int32)
-    return _neg_half(partition_log_full(values, n), "projected indicator")
+def r_k_graph_core(n: int, masks: int | np.ndarray) -> int | np.ndarray:
+    """:func:`r_k_graph` on graphs of exactly n = 2k vertices, given as one
+    int edge mask or an integer array of them: minus half the
+    partition-projected nondegeneracy indicator, every induced subgraph's
+    nondegeneracy read from :func:`pfaffian_parities`."""
+    total = partition_log_full(pfaffian_parities(n, masks), n)
+    return _neg_half(total, "projected indicator")
 
 
 def r_k_graph(g: SimpleGraph, k: int) -> int:
     """Extension of R_k to arbitrary graphs.
 
-    On 2k-vertex graphs this is minus half the partition-projected
-    nondegeneracy indicator; it agrees with R_k on intersection graphs
-    and satisfies the graph 4-term relation.  Other sizes go through
-    convolution with the all-ones invariant, i.e. the 2k-vertex core
-    summed over all induced subgraphs on 2k vertices.
+    On 2k-vertex graphs this is minus half the partition-projected GF(2)
+    nondegeneracy indicator, :func:`r_k_graph_core` of the edge mask; it
+    agrees with R_k on intersection graphs and satisfies the graph
+    4-term relation.  Other sizes go through convolution with the
+    all-ones invariant, i.e. the 2k-vertex core summed over all induced
+    subgraphs on 2k vertices.
     """
     if k < MIN_K:
         raise ValueError(f"k must be at least {MIN_K}")
     require_order("r_k_graph", g.n, MAX_DIAGRAM_ORDER)
     if g.n == 2 * k:
-        return _neg_half(_wc_primitive_part(g), "projected indicator")
+        return r_k_graph_core(g.n, g.edge_mask())
     if g.n < 2 * k:
         return 0
     import itertools

@@ -1,50 +1,8 @@
-"""Set partitions and the partition-lattice log transform.
-
-Partitions of range(n) are enumerated through restricted-growth strings,
-so iteration order is canonical and blocks are ordered by first element.
-"""
+"""The partition-lattice log transform, by subset convolution."""
 
 from __future__ import annotations
 
-from math import factorial
-from typing import Iterator, Sequence
-
-
-def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield all partitions of range(n) into nonempty blocks.
-
-    Each partition is a tuple of blocks; block order and iteration order
-    follow the restricted-growth-string encoding.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-    maxes = [0] * n
-    while True:
-        nblocks = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for i, b in enumerate(rgs):
-            blocks[b].append(i)
-        yield tuple(tuple(b) for b in blocks)
-        # advance the restricted-growth string
-        i = n - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            maxes[j] = maxes[i]
-
-
-def partition_weight(num_blocks: int) -> int:
-    """Alternating-factorial weight (-1)^(k-1) * (k-1)! for k blocks."""
-    return (-1) ** (num_blocks - 1) * factorial(num_blocks - 1)
+from typing import Sequence
 
 
 def partition_log_full(values: Sequence, n: int):
@@ -52,7 +10,7 @@ def partition_log_full(values: Sequence, n: int):
 
     Given ``values[mask]`` for every nonempty subset mask of range(n),
     returns sum over partitions P of range(n) of
-    ``partition_weight(len(P)) * prod(values[block] for block in P)``.
+    ``(-1)**(len(P) - 1) * (len(P) - 1)! * prod(values[block] for block in P)``.
 
     This is the Moebius/log transform on the partition lattice, computed
     with the recursion on the block containing the minimum element; cost

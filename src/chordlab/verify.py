@@ -40,10 +40,10 @@ from .fourterm import (
 )
 from .graphs import (
     SimpleGraph,
-    edge_mask_rows,
     format_graph,
     interleave_rows,
     intersection_graph,
+    pair_index_table,
     pfaffian_parities,
     tilde_mask,
 )
@@ -52,7 +52,7 @@ from .invariants import (
     MIN_L,
     e_l_parity,
     r_k,
-    r_k_graph_batch,
+    r_k_graph_core,
     r_k_via_wc,
     sl2_graph_extension_check,
     sl2_projected_batch,
@@ -432,20 +432,23 @@ def _graph_invariant_table(invariant: str, order: int, k: int | None, l: int | N
         require_at_least("rk-graph", "k", k, MIN_K)
         if order != 2 * k:
             raise ValueError("rk-graph 4-term check runs at order == 2k")
-        name, build = f"r{k}-graph", lambda masks: r_k_graph_batch(order, masks, k)
+        name, build = f"r{k}-graph", partial(r_k_graph_core, order)
     elif invariant == "el-parity":
         require_at_least("el-parity", "l", l, MIN_L)
         name, build, mod2 = f"e{l}-parity", partial(_el_parities, order, l), True
     elif invariant == "wc":
         build = lambda masks: pfaffian_parities(order, masks)[-1]
     elif invariant == "gf2-rank":
-        sizes = np.array([s.bit_count() for s in range(1 << order)], dtype=np.uint8)
-        build = lambda masks: (pfaffian_parities(order, masks) * sizes[:, None]).max(0)
+        sizes = np.array([s.bit_count() for s in range(1 << order)])[:, None]
+        build = lambda masks: (np.array(pfaffian_parities(order, masks)) * sizes).max(0)
     elif invariant == "edge-count":
         build = lambda masks: sum((masks >> i & 1 for i in range(npairs)), 0 * masks)
     else:
         raise ValueError(f"unknown graph invariant: {invariant!r}")
-    table = np.concatenate([np.asarray(build(m), dtype=np.int32) for m in chunks])
+    # int32 lanes hold every mask of a labeled order and every partial sum
+    # of the rk-graph partition transform, at half the cost of int64 ones
+    lanes = (build(m.astype(np.int32)) for m in chunks)
+    table = np.concatenate([np.asarray(t, dtype=np.int32) for t in lanes])
     return name, table, mod2
 
 
@@ -454,7 +457,7 @@ def _el_parities(order: int, l: int, masks: np.ndarray):
     if l != order:
         return [e_l_parity(SimpleGraph.from_edge_mask(order, int(m)), l) for m in masks]
     # full-length cycles: one vectorized Hamiltonian DP over the
-    # adjacency matrices of the chunk
-    rows = edge_mask_rows(order, masks).T
-    mats = (rows[:, :, None] >> np.arange(order) & 1).astype(np.int8)
+    # adjacency matrices of the chunk; the diagonal reads pair 0, so zero it
+    edges = masks[:, None, None] >> np.array(pair_index_table(order)) & 1
+    mats = (edges * (1 - np.eye(order, dtype=np.int64))).astype(np.int8)
     return hamiltonian_cycle_sums(mats) & 1

@@ -1,11 +1,14 @@
-"""The two graph moves of the 4-term relation on SimpleGraph bit rows.
+"""The two graph moves of the 4-term relation on SimpleGraph bit rows,
+and the projected GF(2) indicator by elimination.
 
 Independent references for the edge-mask moves ``graphs.prime_mask`` and
 ``graphs.tilde_mask``, which the library builds its 4-term and 2-term
-terms on; the tests compare the two forms.
+terms on, and for the Pfaffian-parity route of
+``invariants.r_k_graph_core``; the tests compare the two forms.
 """
 
-from chordlab.graphs import GraphError, SimpleGraph
+from chordlab.graphs import GraphError, SimpleGraph, gf2_rank
+from chordlab.partitions import partition_log_full
 
 
 def graph_prime(g: SimpleGraph, a: int, b: int) -> SimpleGraph:
@@ -33,3 +36,18 @@ def graph_tilde(g: SimpleGraph, a: int, b: int) -> SimpleGraph:
         rest ^= low
         rows[low.bit_length() - 1] ^= 1 << a
     return SimpleGraph(g.n, tuple(rows))
+
+
+def projected_indicator(g: SimpleGraph) -> int:
+    """Partition-projected GF(2) nondegeneracy indicator of a graph, by
+    one gf2_rank elimination per vertex subset; -2 R_k on 2k vertices.
+
+    Induced-subgraph ranks are taken on masked bit rows; dropping the
+    complementary zero rows and columns does not change GF(2) rank.
+    """
+    n = g.n
+    values = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        rows = [g.rows[u] & mask for u in range(n) if mask >> u & 1]
+        values[mask] = 1 if gf2_rank(rows, n) == len(rows) else 0
+    return partition_log_full(values, n)

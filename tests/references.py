@@ -1,0 +1,87 @@
+"""Brute-force references that the tests compare the library against.
+
+``set_partitions`` and ``partition_weight`` spell out the sum that
+``partitions.partition_log_full`` computes by subset convolution;
+``project_primitive_value`` is the ring-generic projection route behind
+``invariants.sl2_projected_batch``; ``conjecture_check`` states the
+paper's coefficient identity for one diagram.
+"""
+
+from __future__ import annotations
+
+from math import factorial
+from typing import Callable, Iterator, NamedTuple
+
+from chordlab.diagrams import ChordDiagram, induced_subdiagram
+from chordlab.invariants import r_k, sl2_projected
+from chordlab.partitions import partition_log_full
+
+
+def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield all partitions of range(n) into nonempty blocks.
+
+    Each partition is a tuple of blocks; block order and iteration order
+    follow the restricted-growth-string encoding.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        yield ()
+        return
+    rgs = [0] * n
+    maxes = [0] * n
+    while True:
+        nblocks = max(rgs) + 1
+        blocks: list[list[int]] = [[] for _ in range(nblocks)]
+        for i, b in enumerate(rgs):
+            blocks[b].append(i)
+        yield tuple(tuple(b) for b in blocks)
+        # advance the restricted-growth string
+        i = n - 1
+        while i > 0 and rgs[i] == maxes[i - 1] + 1:
+            i -= 1
+        if i == 0:
+            return
+        rgs[i] += 1
+        maxes[i] = max(maxes[i - 1], rgs[i])
+        for j in range(i + 1, n):
+            rgs[j] = 0
+            maxes[j] = maxes[i]
+
+
+def partition_weight(num_blocks: int) -> int:
+    """Alternating-factorial weight (-1)^(k-1) * (k-1)! for k blocks."""
+    return (-1) ** (num_blocks - 1) * factorial(num_blocks - 1)
+
+
+def project_primitive_value(d: ChordDiagram, f: Callable[[ChordDiagram], object]):
+    """Value of a multiplicative invariant on the primitive part of d.
+
+    Computes sum over set partitions of the chords of
+    (-1)^(blocks-1) (blocks-1)! prod f(induced subdiagram per block),
+    which equals f applied to the projection of d onto primitive
+    elements whenever f is multiplicative over disjoint products.
+    """
+    n = d.n
+    if n == 0:
+        return f(d)
+    values: list = [None] * (1 << n)
+    for mask in range(1, 1 << n):
+        chords = [c for c in range(n) if mask >> c & 1]
+        values[mask] = f(induced_subdiagram(d, chords))
+    return partition_log_full(values, n)
+
+
+class ConjectureResult(NamedTuple):
+    lhs: int
+    rhs: int
+    equal: bool
+
+
+def conjecture_check(d: ChordDiagram, k: int) -> ConjectureResult:
+    """Compare the coefficient of c^k in the projected sl2 value with 2 R_k."""
+    if d.n != 2 * k:
+        raise ValueError(f"diagram must have exactly {2 * k} chords, has {d.n}")
+    lhs = sl2_projected(d).coefficient(k)
+    rhs = 2 * r_k(d, k)
+    return ConjectureResult(lhs, rhs, lhs == rhs)

@@ -30,7 +30,6 @@ from chordlab.graphs import graph_canonical_mask, intersection_graph
 from chordlab.invariants import (
     FIVE_WHEEL,
     THREE_PRISM,
-    _wc_primitive_part,
     r_k,
     r_k_graph,
     r_k_oriented,
@@ -50,6 +49,7 @@ from chordlab.verify import (
     suite_two_term,
     suite_wc_identity,
 )
+from graph_moves import projected_indicator
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +256,7 @@ def test_ac12_projected_indicator_identity(reps):
     # the identity carries an exact factor of two: the projected GF(2)
     # indicator is -2 R_k, never -R_k (documented in the notes)
     for d in reps(4):
-        assert _wc_primitive_part(intersection_graph(d)) == -2 * r_k(d, 2)
+        assert projected_indicator(intersection_graph(d)) == -2 * r_k(d, 2)
     print(
         "AC12 PASS: R_k recovered from the projected GF(2) indicator "
         "(exact halving) exhaustively at k=2 and k=3"

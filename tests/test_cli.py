@@ -424,6 +424,8 @@ for argv in (
     ("eval", "--graph", "--invariant", "rk-graph", "--k", "2", "1-2,2-3,3-4,4-1"),
     ("verify", "four-term-diagrams", "--n", "4", "--k", "2", "--exhaustive"),
     ("verify", "mutation", "--n", "4"),
+    ("verify", "wc-identity", "--k", "2"),
+    ("verify", "wheel-prism"),
 ):
     run(*argv)
     loaded = sorted(m for m in sys.modules if m.startswith("numpy."))

@@ -254,7 +254,7 @@ class TestDiagramFourTerm:
         for name in (
             "enumerate_cycles",
             "_hamiltonian_cycle_count",
-            "_wc_primitive_part",
+            "r_k_graph_core",
         ):
             monkeypatch.setattr(invariants, name, no_work)
         g9 = SimpleGraph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)])

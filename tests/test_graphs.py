@@ -23,7 +23,6 @@ from chordlab.graphs import (
     cycle_sign,
     directed_intersection_graph,
     enumerate_cycles,
-    edge_mask_rows,
     enumerate_graphs,
     format_graph,
     gf2_rank,
@@ -31,7 +30,6 @@ from chordlab.graphs import (
     interleave_rows,
     intersection_graph,
     is_intersection_graph,
-    orient_chords,
     pair_index_table,
     parse_graph,
     pfaffian_parities,
@@ -135,10 +133,15 @@ class TestIntersectionGraph:
 class TestDirectedIntersectionGraph:
     def test_canonical_orientation_from_first_endpoint(self):
         d = parse_diagram("ABAB")
-        assert orient_chords(d) == [(0, 2), (1, 3)]
         dg = directed_intersection_graph(d)
         assert dg.arrows[0] >> 1 & 1 == 1  # arrow A -> B
         assert dg.arrows[1] >> 0 & 1 == 0
+        # A begins at 0 (at 2 if flipped) and B at 1 (at 3 if flipped):
+        # A -> B iff B's begin lies on the arc from A's begin to A's end
+        for flip_mask, a_to_b in ((0, 1), (1, 0), (2, 0), (3, 1)):
+            dg = directed_intersection_graph(d, flip_mask)
+            assert dg.arrows[0] >> 1 & 1 == a_to_b
+            assert dg.arrows[1] >> 0 & 1 == 1 - a_to_b
 
     def test_exactly_one_arrow_per_edge(self, diagram_classes):
         for n in range(2, 7):
@@ -276,10 +279,11 @@ class TestGF2:
         subgraph's nondegeneracy, the full set, and the rank as the
         largest nonsingular principal subset."""
         masks = np.array(masks, dtype=np.int64)
-        pf = pfaffian_parities(n, masks)
-        assert pf.dtype == np.uint8 and pf.shape == (1 << n, len(masks))
+        pf = np.array(pfaffian_parities(n, masks))
+        assert pf.dtype == np.int64 and pf.shape == (1 << n, len(masks))
         assert (pf[0] == 1).all()
-        rows = edge_mask_rows(n, masks)
+        graphs_rows = [SimpleGraph.from_edge_mask(n, m).rows for m in masks.tolist()]
+        rows = np.array(graphs_rows, dtype=np.int64).reshape(len(masks), n).T
         ptab = pair_index_table(n)
         for s in range(1, 1 << n):
             members = [u for u in range(n) if s >> u & 1]
@@ -362,9 +366,6 @@ class TestPrimeAndTilde:
     def test_batched_mask_helpers_match_scalar(self):
         for n in range(2, 6):
             masks = np.arange(1 << (n * (n - 1) // 2))
-            rows = edge_mask_rows(n, masks)
-            for m in masks.tolist():
-                assert tuple(rows[:, m]) == SimpleGraph.from_edge_mask(n, m).rows
             for a, b in itertools.permutations(range(n), 2):
                 for move in (prime_mask, tilde_mask):
                     assert move(n, masks, a, b).tolist() == [

@@ -26,13 +26,10 @@ from chordlab.invariants import (
     _interpolate_naturals,
     _projected_chunk,
     _signed_hamiltonian_sum,
-    _wc_primitive_part,
-    conjecture_check,
     e_l_parity,
-    project_primitive_value,
     r_k,
     r_k_graph,
-    r_k_graph_batch,
+    r_k_graph_core,
     r_k_oriented,
     r_k_via_wc,
     sl2,
@@ -42,9 +39,16 @@ from chordlab.invariants import (
     sl2_projected_batch,
     w_c,
 )
-from chordlab.partitions import partition_weight, set_partitions
 from chordlab.polynomials import C, IntPolynomial, ZERO
 from chordlab.sl2 import NormalizationError
+from chordlab.verify import suite_four_term_graphs
+from graph_moves import projected_indicator
+from references import (
+    conjecture_check,
+    partition_weight,
+    project_primitive_value,
+    set_partitions,
+)
 
 K4_DIAGRAM = parse_diagram("ABCDABCD")
 
@@ -281,7 +285,7 @@ class TestConjectureIdentity:
 class TestWcIdentity:
     def test_projected_indicator_is_minus_twice_rk(self, diagram_classes):
         for d in diagram_classes(4):
-            assert _wc_primitive_part(intersection_graph(d)) == -2 * r_k(d, 2)
+            assert projected_indicator(intersection_graph(d)) == -2 * r_k(d, 2)
 
     def test_via_wc_equals_rk_small(self, diagram_classes):
         for d in diagram_classes(4):
@@ -310,25 +314,33 @@ class TestGraphExtension:
         assert r_k_graph(padded, 2) == 1
 
     def _assert_batch_matches_scalar(self, n, masks):
-        got = r_k_graph_batch(n, np.array(masks, dtype=np.int64), n // 2)
-        assert got.dtype == np.int32
-        assert got.tolist() == [
-            r_k_graph(SimpleGraph.from_edge_mask(n, m), n // 2) for m in masks
-        ]
+        """The shared core on each int mask and on int64 and int32 arrays,
+        against the elimination reference; an int's pf rows are its lane."""
+        want = []
+        for m in masks:
+            indicator = projected_indicator(SimpleGraph.from_edge_mask(n, m))
+            assert indicator % 2 == 0
+            want.append(-indicator // 2)
+        assert [r_k_graph_core(n, m) for m in masks] == want
+        for dtype in (np.int64, np.int32):
+            assert r_k_graph_core(n, np.array(masks, dtype=dtype)).tolist() == want
+        lanes = np.array(pfaffian_parities(n, np.array(masks, dtype=np.int64)))
+        assert [pfaffian_parities(n, m) for m in masks] == lanes.T.tolist()
 
     def test_batch_matches_scalar_order4_exhaustive(self):
         self._assert_batch_matches_scalar(4, list(range(64)))
 
     def test_batch_reads_parities_without_ranks(self, monkeypatch):
         def no_rank(*args):
-            raise AssertionError("the batched route ran a GF(2) elimination")
+            raise AssertionError("the projected indicator ran a GF(2) elimination")
 
         monkeypatch.setattr(invariants, "gf2_rank", no_rank)
         masks = np.arange(1 << 15, dtype=np.int64)
-        r_k_graph_batch(6, masks, 3)
+        r_k_graph_core(6, masks)
+        assert r_k_graph(FIVE_WHEEL, 3) == -3
         # an alternating matrix of odd size is always degenerate
-        odd = [s for s in range(64) if s.bit_count() % 2]
-        assert not pfaffian_parities(6, masks)[odd].any()
+        pf = pfaffian_parities(6, masks)
+        assert not any(pf[s].any() for s in range(64) if s.bit_count() % 2)
 
     def test_batch_matches_scalar_order6_sample(self):
         rng = random.Random(2024)
@@ -336,7 +348,8 @@ class TestGraphExtension:
         masks += [FIVE_WHEEL.edge_mask(), THREE_PRISM.edge_mask()]
         self._assert_batch_matches_scalar(6, masks)
         wheel_prism = np.array(masks[-2:], dtype=np.int64)
-        assert r_k_graph_batch(6, wheel_prism, 3).tolist() == [-3, -1]
+        assert r_k_graph_core(6, wheel_prism).tolist() == [-3, -1]
+        assert [r_k_graph_core(6, m) for m in masks[-2:]] == [-3, -1]
 
     def test_batch_matches_scalar_order8_sample(self):
         rng = random.Random(8)
@@ -344,10 +357,11 @@ class TestGraphExtension:
         self._assert_batch_matches_scalar(8, masks)
 
     def test_batch_rejects_other_sizes(self):
-        with pytest.raises(ValueError):
-            r_k_graph_batch(5, np.arange(4), 2)
-        with pytest.raises(ValueError):
-            r_k_graph_batch(2, np.arange(2), 1)
+        # the rk-graph table runs the core only at order 2k, k >= 2
+        with pytest.raises(ValueError, match="order == 2k"):
+            suite_four_term_graphs("rk-graph", 5, k=2)
+        with pytest.raises(ValueError, match="--k >= 2"):
+            suite_four_term_graphs("rk-graph", 2, k=1)
 
     def test_sl2_on_graph_requires_realizability(self):
         with pytest.raises(ValueError):

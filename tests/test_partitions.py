@@ -4,8 +4,9 @@ from math import prod
 import numpy as np
 import pytest
 
-from chordlab.partitions import partition_log_full, partition_weight, set_partitions
+from chordlab.partitions import partition_log_full
 from chordlab.polynomials import IntPolynomial
+from references import partition_weight, set_partitions
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 
