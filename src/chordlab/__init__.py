@@ -30,11 +30,9 @@ from .fourterm import (
     verify_weight_system,
 )
 from .graphs import (
-    DirectedIntersectionGraph,
     GraphError,
     SimpleGraph,
     cycle_sign,
-    directed_intersection_graph,
     enumerate_cycles,
     enumerate_graphs,
     format_graph,
@@ -44,6 +42,7 @@ from .graphs import (
     is_intersection_graph,
     parse_graph,
     realize_diagram,
+    sign_matrix,
 )
 from .invariants import (
     FIVE_WHEEL,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChordDiagram",
     "DiagramError",
-    "DirectedIntersectionGraph",
     "FIVE_WHEEL",
     "GraphError",
     "IntPolynomial",
@@ -83,7 +81,6 @@ __all__ = [
     "cycle_sign",
     "diagram_four_term",
     "diagram_product",
-    "directed_intersection_graph",
     "e_l_parity",
     "enumerate_cycles",
     "enumerate_diagrams",
@@ -105,6 +102,7 @@ __all__ = [
     "r_k_via_wc",
     "random_diagram",
     "realize_diagram",
+    "sign_matrix",
     "sl2",
     "sl2_graph_extension_check",
     "sl2_on_graph",

@@ -185,6 +185,15 @@ _GRAPH_EVAL = {
 _EVAL_FLAGS = {"rk": ("k", MIN_K), "rk-graph": ("k", MIN_K), "el-parity": ("l", MIN_L)}
 
 
+def _flag_taken(args, name: str) -> tuple[str, int] | None:
+    """_EVAL_FLAGS[name] or None; ParamError for a --k or --l it does not take."""
+    taken = _EVAL_FLAGS.get(name)
+    for flag in ("k", "l"):
+        if getattr(args, flag) is not None and (taken is None or taken[0] != flag):
+            raise ParamError(f"invariant {name!r} does not take --{flag}")
+    return taken
+
+
 def _cmd_eval(args) -> int:
     name = args.invariant
     kind, table, parse, code_of = (
@@ -197,10 +206,7 @@ def _cmd_eval(args) -> int:
             f"invariant {name!r} not valid for this input kind "
             f"(choose from {tuple(table)})"
         )
-    taken = _EVAL_FLAGS.get(name)
-    for flag in ("k", "l"):
-        if getattr(args, flag) is not None and (taken is None or taken[0] != flag):
-            raise ParamError(f"invariant {name!r} does not take --{flag}")
+    taken = _flag_taken(args, name)
     if taken is not None:
         flag, low = taken
         verify_mod.require_at_least(name, flag, getattr(args, flag), low)
@@ -278,24 +284,24 @@ def clamp_jobs(jobs: int, cpus: int | None) -> int:
 
 
 # per suite: the flags it takes ("?" marks an optional one) and its
-# default --invariant (which sets an optional --k to order // 2); the
-# suites check their own orders against the library's ceilings
+# --invariant names, the default first (it sets an optional --k to
+# order // 2); the suites check orders and report unknown invariants
 _VERIFY_SUITES = {
-    "four-term-diagrams": ("invariant? n k? l? sample?", "rk"),
-    "four-term-graphs": ("invariant? n k? l?", "rk-graph"),
-    "two-term": ("invariant? n", "wc"),
-    "mutation": ("n", None),
-    "parity": ("n k sample?", None),
-    "conjecture": ("k sample?", None),
-    "wc-identity": ("k", None),
-    "oracle-equivalence": ("n sample?", None),
-    "wheel-prism": ("", None),
+    "four-term-diagrams": ("invariant? n k? l? sample?", "rk el-parity sl2"),
+    "four-term-graphs": ("invariant? n k? l?", "rk-graph el-parity wc gf2-rank edge-count"),
+    "two-term": ("invariant? n", "wc gf2-rank edge-count"),
+    "mutation": ("n", ""),
+    "parity": ("n k sample?", ""),
+    "conjecture": ("k sample?", ""),
+    "wc-identity": ("k", ""),
+    "oracle-equivalence": ("n sample?", ""),
+    "wheel-prism": ("", ""),
 }
 
 
 def _verify_params(args) -> dict:
     """Keyword arguments of the suite's function, from its table row."""
-    flags, default = _VERIFY_SUITES[args.suite]
+    flags, invariants = _VERIFY_SUITES[args.suite]
     row = flags.split()
     taken = [flag.rstrip("?") for flag in row]
     for name in ("invariant", "n", "k", "l", "sample"):
@@ -309,8 +315,11 @@ def _verify_params(args) -> dict:
             raise ParamError(f"suite {args.suite!r} requires --{name}")
         params["order" if name == "n" else name] = value
     if "invariant" in params:
-        params["invariant"] = params["invariant"] or default
-        if params["invariant"] == default and params.get("k", 0) is None:
+        known = invariants.split()
+        invariant = params["invariant"] = params["invariant"] or known[0]
+        if invariant in known:
+            _flag_taken(args, invariant)
+        if invariant == known[0] and params.get("k", 0) is None:
             params["k"] = params["order"] // 2
     if "sample" in params:
         params["seed"] = args.seed

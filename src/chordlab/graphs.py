@@ -1,8 +1,10 @@
-"""Simple graphs, directed intersection graphs, cycles, and GF(2) rank.
+"""Simple graphs, intersection graphs, cycles, and GF(2) rank.
 
 Adjacency is kept as machine-word bit rows, so edge toggles and GF(2)
 elimination are single-word operations at the n <= 16 scale this
-library targets.
+library targets.  The intersection graph directed by chord orientations
+is one antisymmetric +-1 step-weight matrix, :func:`sign_matrix`, and a
+cycle's sign is the product of its step weights.
 """
 
 from __future__ import annotations
@@ -192,72 +194,27 @@ def intersection_graph(d: ChordDiagram) -> SimpleGraph:
     return SimpleGraph(d.n, interleave_rows(d.word))
 
 
-@dataclass(frozen=True)
-class DirectedIntersectionGraph:
-    """Intersection graph plus the arrow directions induced by chord
-    orientations: bit v of arrows[u] means the edge uv points u -> v."""
+def sign_matrix(d: ChordDiagram, flip_mask: int = 0) -> list[list[int]]:
+    """Step-weight matrix of the directed intersection graph, the scalar
+    twin of :func:`chordlab.verify.dense_sign_matrix`: [u][v] is +1 for an
+    arrow u -> v, -1 for v -> u and 0 off the edges.
 
-    graph: SimpleGraph
-    arrows: tuple[int, ...]
-
-    def __post_init__(self):
-        for u in range(self.graph.n):
-            for v in range(u + 1, self.graph.n):
-                fwd = self.arrows[u] >> v & 1
-                bwd = self.arrows[v] >> u & 1
-                if self.graph.has_edge(u, v):
-                    if fwd + bwd != 1:
-                        raise GraphError(f"edge {u}-{v} needs exactly one arrow")
-                elif fwd or bwd:
-                    raise GraphError(f"arrow on non-edge {u}-{v}")
-
-    def sign_matrix(self) -> list[list[int]]:
-        """Entry [u][v] is +1 for an arrow u->v, -1 for v->u, 0 otherwise."""
-        n = self.graph.n
-        w = [[0] * n for _ in range(n)]
-        for u in range(n):
-            for v in range(n):
-                if self.arrows[u] >> v & 1:
-                    w[u][v] = 1
-                    w[v][u] = -1
-        return w
-
-
-def directed_rows(word: Sequence[int], begins: Sequence[int]) -> tuple[int, ...]:
-    """Arrow bit rows from begin positions: chord a points to chord b iff
-    b's begin lies on the counterclockwise arc from a's begin to a's end."""
-    pairs = word_positions(word)
-    rows = interleave_rows(word)
-    m = len(word)
-    n = len(pairs)
-    arrows = [0] * n
-    for a in range(n):
-        ba = begins[a]
-        ea = sum(pairs[a]) - ba
-        for b in range(a + 1, n):
-            if not rows[a] >> b & 1:
-                continue
-            bb = begins[b]
-            if (bb - ba) % m < (ea - ba) % m:
-                arrows[a] |= 1 << b
-            else:
-                arrows[b] |= 1 << a
-    return tuple(arrows)
-
-
-def directed_intersection_graph(
-    d: ChordDiagram, flip_mask: int = 0
-) -> DirectedIntersectionGraph:
-    """Directed intersection graph for the given chord orientations.
-
-    The canonical choice directs each chord from its first endpoint after
-    the basepoint; set bit c of flip_mask to reverse chord c.
+    Each chord begins at its first endpoint after the basepoint; set bit
+    c of flip_mask to reverse chord c.  Chord a points to chord b iff b's
+    begin lies on the counterclockwise arc from a's begin to a's end.
     """
     pairs = d.chord_positions()
+    rows = interleave_rows(d.word)
+    m, n = len(d.word), d.n
     begins = [j if flip_mask >> c & 1 else i for c, (i, j) in enumerate(pairs)]
-    return DirectedIntersectionGraph(
-        graph=intersection_graph(d), arrows=directed_rows(d.word, begins)
-    )
+    w = [[0] * n for _ in range(n)]
+    for a, ba in enumerate(begins):
+        arc = (sum(pairs[a]) - 2 * ba) % m
+        for b in range(a + 1, n):
+            if rows[a] >> b & 1:
+                s = 1 if (begins[b] - ba) % m < arc else -1
+                w[a][b], w[b][a] = s, -s
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +254,21 @@ def enumerate_cycles(g: SimpleGraph, length: int) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_sign(dg: DirectedIntersectionGraph, cycle: Sequence[int]) -> int:
-    """+1 iff the number of arrows pointing either way around is even.
+def cycle_sign(w: Sequence[Sequence[int]], cycle: Sequence[int]) -> int:
+    """Product of the step weights of w around an even cycle: +1 iff an
+    even number of its arrows point either way around.
 
-    Even length makes the two agreement counts share parity, so the
-    sign does not depend on the traversal direction.
+    Reversing the traversal negates every step weight of an antisymmetric
+    w, so even length keeps the sign independent of the direction.
     """
-    l = len(cycle)
-    if l % 2 != 0:
+    if len(cycle) % 2 != 0:
         raise ValueError("cycle sign is defined for even length only")
-    agree = 0
-    for i in range(l):
-        u, v = cycle[i], cycle[(i + 1) % l]
-        if not dg.graph.has_edge(u, v):
+    sign = 1
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        if not w[u][v]:
             raise GraphError(f"cycle edge {u}-{v} missing from graph")
-        agree += dg.arrows[u] >> v & 1
-    return 1 if agree % 2 == 0 else -1
+        sign *= w[u][v]
+    return sign
 
 
 # ---------------------------------------------------------------------------

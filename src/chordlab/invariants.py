@@ -5,6 +5,7 @@ projection onto primitive elements for diagrams and graphs.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -21,12 +22,12 @@ from .fourterm import graph_four_term
 from .graphs import (
     SimpleGraph,
     cycle_sign,
-    directed_intersection_graph,
     enumerate_cycles,
     gf2_rank,
     intersection_graph,
     pfaffian_parities,
     realize_diagram,
+    sign_matrix,
 )
 from .partitions import partition_log_full
 from .polynomials import IntPolynomial
@@ -80,13 +81,13 @@ def r_k_oriented(d: ChordDiagram, k: int, flip_mask: int) -> int:
     """Signed 2k-cycle count under an explicit chord orientation mask."""
     if k < MIN_K:
         raise ValueError(f"k must be at least {MIN_K}")
-    n = d.n
-    if n < 2 * k:
+    if d.n < 2 * k:
         return 0
-    dg = directed_intersection_graph(d, flip_mask)
-    if 2 * k == n:
-        return _signed_hamiltonian_sum(dg.sign_matrix())
-    return sum(cycle_sign(dg, cyc) for cyc in enumerate_cycles(dg.graph, 2 * k))
+    w = sign_matrix(d, flip_mask)
+    if 2 * k == d.n:
+        return _signed_hamiltonian_sum(w)
+    g = SimpleGraph(d.n, tuple(sum(1 << v for v, x in enumerate(r) if x) for r in w))
+    return sum(cycle_sign(w, cyc) for cyc in enumerate_cycles(g, 2 * k))
 
 
 _RK_MEMO: dict[tuple[bytes, int], int] = {}
@@ -293,14 +294,8 @@ def r_k_graph(g: SimpleGraph, k: int) -> int:
     require_order("r_k_graph", g.n, MAX_DIAGRAM_ORDER)
     if g.n == 2 * k:
         return r_k_graph_core(g.n, g.edge_mask())
-    if g.n < 2 * k:
-        return 0
-    import itertools
-
-    total = 0
-    for vs in itertools.combinations(range(g.n), 2 * k):
-        total += r_k_graph(g.induced(vs), k)
-    return total
+    subsets = itertools.combinations(range(g.n), 2 * k)
+    return sum(r_k_graph(g.induced(vs), k) for vs in subsets)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ and have their reports merged deterministically afterwards.
 from __future__ import annotations
 
 import itertools
-from functools import partial
+from functools import partial, reduce
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -80,6 +80,7 @@ def dense_sign_matrix(words) -> np.ndarray:
     Returns int8 of shape (B, n, n).  Chords u and v cross when exactly
     one end of v lies inside u's span; entry [g, u, v] is then +1 if that
     end is v's first end and -1 otherwise, so the matrix is antisymmetric.
+    Its scalar twin, for any chord orientation, is :func:`graphs.sign_matrix`.
     """
     # each chord's two positions in order: a stable sort by label
     pos = np.argsort(np.asarray(words), axis=1, kind="stable")
@@ -439,8 +440,10 @@ def _graph_invariant_table(invariant: str, order: int, k: int | None, l: int | N
     elif invariant == "wc":
         build = lambda masks: pfaffian_parities(order, masks)[-1]
     elif invariant == "gf2-rank":
-        sizes = np.array([s.bit_count() for s in range(1 << order)])[:, None]
-        build = lambda masks: (np.array(pfaffian_parities(order, masks)) * sizes).max(0)
+        even = [s for s in range(1 << order) if s.bit_count() % 2 == 0]
+        def build(masks):  # the rank: the largest |S| with pf[S] = 1
+            pf = pfaffian_parities(order, masks)
+            return reduce(np.maximum, (s.bit_count() * pf[s] for s in even))
     elif invariant == "edge-count":
         build = lambda masks: sum((masks >> i & 1 for i in range(npairs)), 0 * masks)
     else:

@@ -356,6 +356,49 @@ class TestVerify:
         assert code == 0
         assert json.loads(out) == {"checked": 105, "violations": 0}
 
+    def test_flag_the_resolved_invariant_does_not_take_exit_3(self, capsys):
+        # the refusal eval makes, for the invariant the suite resolves
+        for argv, name, flag in (
+            (("four-term-graphs", "--invariant", "wc", "--n", "3", "--k", "2",
+              "--l", "9"), "wc", "k"),
+            (("four-term-graphs", "--invariant", "el-parity", "--n", "4",
+              "--k", "2", "--l", "4"), "el-parity", "k"),
+            (("four-term-graphs", "--invariant", "gf2-rank", "--n", "3",
+              "--l", "4"), "gf2-rank", "l"),
+            (("four-term-diagrams", "--invariant", "sl2", "--n", "3", "--k", "2"),
+             "sl2", "k"),
+            (("four-term-diagrams", "--n", "4", "--k", "2", "--l", "4"), "rk", "l"),
+        ):
+            code, out, err = run(capsys, "verify", *argv)
+            assert (code, out) == (3, "")
+            assert err == f"error: invariant {name!r} does not take --{flag}\n"
+        # two-term takes neither flag, whatever its invariant
+        code, out, err = run(
+            capsys, "verify", "two-term", "--invariant", "wc", "--n", "3", "--k", "2"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: suite 'two-term' does not take --k\n"
+
+    def test_unknown_invariant_with_a_flag_is_reported_unknown(self, capsys):
+        for suite, kind in (("four-term-graphs", "graph"), ("four-term-diagrams", "diagram")):
+            code, out, err = run(
+                capsys, "verify", suite, "--invariant", "nope", "--n", "3", "--k", "2"
+            )
+            assert (code, out) == (3, "")
+            assert err == f"error: unknown {kind} invariant: 'nope'\n"
+
+    def test_default_invariant_sets_k_to_half_the_order(self, capsys):
+        for suite in ("four-term-graphs", "four-term-diagrams"):
+            implicit = run(capsys, "verify", suite, "--n", "4")
+            explicit = run(capsys, "verify", suite, "--n", "4", "--k", "2")
+            assert implicit == explicit
+            assert implicit[0] == 0
+        # an explicit non-default invariant gets no --k
+        code, out, _ = run(
+            capsys, "verify", "four-term-graphs", "--invariant", "wc", "--n", "4"
+        )
+        assert (code, json.loads(out)) == (0, {"checked": 768, "violations": 0})
+
     def test_k_below_two_refused_before_the_ceiling(self, capsys):
         for suite, k in (("conjecture", "1"), ("wc-identity", "1"), ("conjecture", "-1")):
             code, out, err = run(capsys, "verify", suite, "--k", k)
@@ -421,6 +464,8 @@ def run(*argv):
 
 for argv in (
     ("eval", "--invariant", "rk", "--k", "2", "ABCDABCD"),
+    # order 5 runs the cycle-product branch of r_k_oriented
+    ("eval", "--invariant", "rk", "--k", "2", "ABCDEABCDE"),
     ("eval", "--graph", "--invariant", "rk-graph", "--k", "2", "1-2,2-3,3-4,4-1"),
     ("verify", "four-term-diagrams", "--n", "4", "--k", "2", "--exhaustive"),
     ("verify", "mutation", "--n", "4"),

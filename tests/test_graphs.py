@@ -15,13 +15,13 @@ from chordlab.diagrams import (
     random_diagram,
     word_positions,
 )
+import chordlab
 from chordlab import graphs
 from chordlab.fourterm import four_term_instances
 from chordlab.graphs import (
     GraphError,
     SimpleGraph,
     cycle_sign,
-    directed_intersection_graph,
     enumerate_cycles,
     enumerate_graphs,
     format_graph,
@@ -35,6 +35,7 @@ from chordlab.graphs import (
     pfaffian_parities,
     prime_mask,
     realize_diagram,
+    sign_matrix,
     tilde_mask,
 )
 from chordlab.invariants import FIVE_WHEEL, THREE_PRISM
@@ -80,6 +81,13 @@ def reference_sign_matrix(word) -> list[list[int]]:
             else:
                 w[a][b], w[b][a] = -1, 1
     return w
+
+
+def test_every_public_name_resolves():
+    # the package's public list names only what it defines, once each
+    missing = [name for name in chordlab.__all__ if not hasattr(chordlab, name)]
+    assert missing == []
+    assert len(set(chordlab.__all__)) == len(chordlab.__all__)
 
 
 class TestBasics:
@@ -133,29 +141,33 @@ class TestIntersectionGraph:
 class TestDirectedIntersectionGraph:
     def test_canonical_orientation_from_first_endpoint(self):
         d = parse_diagram("ABAB")
-        dg = directed_intersection_graph(d)
-        assert dg.arrows[0] >> 1 & 1 == 1  # arrow A -> B
-        assert dg.arrows[1] >> 0 & 1 == 0
+        assert sign_matrix(d) == [[0, 1], [-1, 0]]  # arrow A -> B
         # A begins at 0 (at 2 if flipped) and B at 1 (at 3 if flipped):
         # A -> B iff B's begin lies on the arc from A's begin to A's end
         for flip_mask, a_to_b in ((0, 1), (1, 0), (2, 0), (3, 1)):
-            dg = directed_intersection_graph(d, flip_mask)
-            assert dg.arrows[0] >> 1 & 1 == a_to_b
-            assert dg.arrows[1] >> 0 & 1 == 1 - a_to_b
+            w = sign_matrix(d, flip_mask)
+            assert w[0][1] == 2 * a_to_b - 1
+            assert w[1][0] == 1 - 2 * a_to_b
 
     def test_exactly_one_arrow_per_edge(self, diagram_classes):
+        # antisymmetric, and nonzero exactly on the intersection graph's
+        # edges, under every orientation
         for n in range(2, 7):
             for d in diagram_classes(n):
-                directed_intersection_graph(d)  # constructor validates
+                rows = intersection_graph(d).rows
+                plain = [[row >> v & 1 for v in range(n)] for row in rows]
+                for flip_mask in range(1 << n):
+                    w = sign_matrix(d, flip_mask)
+                    assert [[-x for x in col] for col in zip(*w)] == w
+                    assert [[x * x for x in row] for row in w] == plain
 
     def test_flipping_one_chord_preserves_cycle_signs(self):
         rng = random.Random(3)
         for _ in range(100):
             d = random_diagram(5, rng)
-            base = directed_intersection_graph(d)
-            cycles = enumerate_cycles(base.graph, 4)
-            flip = 1 << rng.randrange(5)
-            flipped = directed_intersection_graph(d, flip)
+            cycles = enumerate_cycles(intersection_graph(d), 4)
+            base = sign_matrix(d)
+            flipped = sign_matrix(d, 1 << rng.randrange(5))
             for cyc in cycles:
                 assert cycle_sign(base, cyc) == cycle_sign(flipped, cyc)
 
@@ -163,9 +175,10 @@ class TestDirectedIntersectionGraph:
         # the worked 4-chord example: labeled chords C, D, A, B reading
         # counterclockwise, with the three 4-gons signed -, +, +
         d = parse_diagram("CDABCDAB")
-        dg = directed_intersection_graph(d)
+        w = sign_matrix(d)
         # letters C,D,A,B normalize to ids 0,1,2,3 in first-appearance order
-        signs = {cyc: cycle_sign(dg, cyc) for cyc in enumerate_cycles(dg.graph, 4)}
+        cycles = enumerate_cycles(intersection_graph(d), 4)
+        signs = {cyc: cycle_sign(w, cyc) for cyc in cycles}
         assert signs == {(0, 1, 2, 3): -1, (0, 1, 3, 2): 1, (0, 2, 1, 3): 1}
 
 
@@ -183,6 +196,11 @@ class TestSignMatrix:
             dtype=np.int8,
         )
         assert (np.abs(signed) == plain).all()
+        # the scalar twin, on the diagram's first-appearance labels
+        for w, batch_matrix in zip(words, signed):
+            firsts = list(dict.fromkeys(w))
+            relabeled = batch_matrix[np.ix_(firsts, firsts)]
+            assert relabeled.tolist() == sign_matrix(ChordDiagram(w))
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     def test_matches_reference_on_every_basepointed_word(self, order):
@@ -198,10 +216,18 @@ class TestSignMatrix:
         self.check_batch(words)
 
     def test_canonical_orientation_signs(self, diagram_classes):
-        # +1 at [u][v] is the arrow u -> v of the first-endpoint orientation
+        # +1 at [u][v] is the arrow u -> v of the first-endpoint
+        # orientation, and reversing chord c negates row and column c
         for d in diagram_classes(5):
-            expected = directed_intersection_graph(d).sign_matrix()
-            assert dense_sign_matrix([d.word])[0].tolist() == expected
+            base = sign_matrix(d)
+            assert base == reference_sign_matrix(d.word)
+            for flip_mask in range(1 << 5):
+                flip = [-1 if flip_mask >> c & 1 else 1 for c in range(5)]
+                expected = [
+                    [flip[u] * flip[v] * base[u][v] for v in range(5)]
+                    for u in range(5)
+                ]
+                assert sign_matrix(d, flip_mask) == expected
 
     def test_empty_batch(self):
         assert dense_sign_matrix(np.empty((0, 8), dtype=np.int8)).shape == (0, 4, 4)
@@ -244,22 +270,26 @@ class TestCycles:
 
 class TestCycleSign:
     def test_consistent_cycle_is_positive(self):
-        g = C4
-        arrows = [0] * 4
+        w = [[0] * 4 for _ in range(4)]
         for u, v in ((0, 1), (1, 2), (2, 3), (3, 0)):
-            arrows[u] |= 1 << v
-        from chordlab.graphs import DirectedIntersectionGraph
-
-        dg = DirectedIntersectionGraph(graph=g, arrows=tuple(arrows))
-        assert cycle_sign(dg, (0, 1, 2, 3)) == 1
+            w[u][v], w[v][u] = 1, -1
+        assert cycle_sign(w, (0, 1, 2, 3)) == 1
         # traversal direction does not matter
-        assert cycle_sign(dg, (0, 3, 2, 1)) == 1
+        assert cycle_sign(w, (0, 3, 2, 1)) == 1
+        # one reversed arrow makes the cycle negative
+        w[2][3], w[3][2] = -1, 1
+        assert cycle_sign(w, (0, 1, 2, 3)) == -1
 
     def test_odd_length_rejected(self):
-        d = parse_diagram("ABCABC")
-        dg = directed_intersection_graph(d)
+        w = sign_matrix(parse_diagram("ABCABC"))
         with pytest.raises(ValueError):
-            cycle_sign(dg, (0, 1, 2))
+            cycle_sign(w, (0, 1, 2))
+
+    def test_missing_edge_rejected(self):
+        # only A-B and C-D cross in ABABCDCD
+        w = sign_matrix(parse_diagram("ABABCDCD"))
+        with pytest.raises(GraphError):
+            cycle_sign(w, (0, 1, 2, 3))
 
 
 class TestGF2:

@@ -14,11 +14,11 @@ from chordlab.diagrams import diagram_product, parse_diagram, random_diagram
 from chordlab.graphs import (
     SimpleGraph,
     cycle_sign,
-    directed_intersection_graph,
     enumerate_cycles,
     intersection_graph,
     pfaffian_parities,
     realize_diagram,
+    sign_matrix,
 )
 from chordlab.invariants import (
     FIVE_WHEEL,
@@ -124,10 +124,9 @@ class TestRk:
     def test_dp_agrees_with_explicit_cycle_signs(self, diagram_classes):
         # the Hamiltonian DP fast path against per-cycle enumeration
         for d in diagram_classes(4):
-            dg = directed_intersection_graph(d)
-            expected = sum(
-                cycle_sign(dg, cyc) for cyc in enumerate_cycles(dg.graph, 4)
-            )
+            w = sign_matrix(d)
+            cycles = enumerate_cycles(intersection_graph(d), 4)
+            expected = sum(cycle_sign(w, cyc) for cyc in cycles)
             assert r_k(d, 2) == expected
 
     def test_orientation_masks_small(self, diagram_classes):
