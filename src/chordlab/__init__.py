@@ -51,7 +51,6 @@ from .invariants import (
     r_k,
     r_k_graph,
     r_k_via_wc,
-    sl2,
     sl2_graph_extension_check,
     sl2_on_graph,
     sl2_projected,
@@ -103,7 +102,6 @@ __all__ = [
     "random_diagram",
     "realize_diagram",
     "sign_matrix",
-    "sl2",
     "sl2_graph_extension_check",
     "sl2_on_graph",
     "sl2_oracle",

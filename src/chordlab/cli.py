@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import inspect
 import itertools
 import json
 import os
@@ -37,8 +38,6 @@ from .graphs import (
     parse_graph,
 )
 from .invariants import (
-    MIN_K,
-    MIN_L,
     e_l_parity,
     r_k,
     r_k_graph,
@@ -84,7 +83,9 @@ def _build_parser() -> _Parser:
     )
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("suite", choices=_VERIFY_SUITES)
+    # the suites are verify's suite_* functions, in definition order
+    suites = (name for name in vars(verify_mod) if name.startswith("suite_"))
+    p_verify.add_argument("suite", choices=[s[6:].replace("_", "-") for s in suites])
     p_verify.add_argument("--invariant")
     p_verify.add_argument("--n", type=int)
     p_verify.add_argument("--k", type=int)
@@ -181,17 +182,6 @@ _GRAPH_EVAL = {
     "el-parity": _each(lambda g, args: e_l_parity(g, args.l)),
     "rk-graph": _each(lambda g, args: r_k_graph(g, args.k)),
 }
-# invariant name -> (the flag it requires, that flag's least value)
-_EVAL_FLAGS = {"rk": ("k", MIN_K), "rk-graph": ("k", MIN_K), "el-parity": ("l", MIN_L)}
-
-
-def _flag_taken(args, name: str) -> tuple[str, int] | None:
-    """_EVAL_FLAGS[name] or None; ParamError for a --k or --l it does not take."""
-    taken = _EVAL_FLAGS.get(name)
-    for flag in ("k", "l"):
-        if getattr(args, flag) is not None and (taken is None or taken[0] != flag):
-            raise ParamError(f"invariant {name!r} does not take --{flag}")
-    return taken
 
 
 def _cmd_eval(args) -> int:
@@ -206,10 +196,7 @@ def _cmd_eval(args) -> int:
             f"invariant {name!r} not valid for this input kind "
             f"(choose from {tuple(table)})"
         )
-    taken = _flag_taken(args, name)
-    if taken is not None:
-        flag, low = taken
-        verify_mod.require_at_least(name, flag, getattr(args, flag), low)
+    verify_mod.check_flags(name, args.k, args.l)
     # parsed and evaluated a window at a time, so memory does not grow
     # with the file; a short window is the last one
     with _inputs(args) as texts:
@@ -283,55 +270,42 @@ def clamp_jobs(jobs: int, cpus: int | None) -> int:
     return min(jobs, cpus or 1)
 
 
-# per suite: the flags it takes ("?" marks an optional one) and its
-# --invariant names, the default first (it sets an optional --k to
-# order // 2); the suites check orders and report unknown invariants
-_VERIFY_SUITES = {
-    "four-term-diagrams": ("invariant? n k? l? sample?", "rk el-parity sl2"),
-    "four-term-graphs": ("invariant? n k? l?", "rk-graph el-parity wc gf2-rank edge-count"),
-    "two-term": ("invariant? n", "wc gf2-rank edge-count"),
-    "mutation": ("n", ""),
-    "parity": ("n k sample?", ""),
-    "conjecture": ("k sample?", ""),
-    "wc-identity": ("k", ""),
-    "oracle-equivalence": ("n sample?", ""),
-    "wheel-prism": ("", ""),
-}
-
-
-def _verify_params(args) -> dict:
-    """Keyword arguments of the suite's function, from its table row."""
-    flags, invariants = _VERIFY_SUITES[args.suite]
-    row = flags.split()
-    taken = [flag.rstrip("?") for flag in row]
-    for name in ("invariant", "n", "k", "l", "sample"):
-        if name not in taken and getattr(args, name) is not None:
-            raise ParamError(f"suite {args.suite!r} does not take --{name}")
+def _verify_params(args, suite) -> dict:
+    """Keyword arguments of the suite function, from the parameters of its
+    signature: each is the flag of its name (--n for `order`), required
+    when it has no default.  A relation suite's invariant defaults to the
+    first of its names in verify, which sets an omitted --k to order // 2;
+    the suites check orders and report unknown invariants."""
+    taken = {
+        "n" if name == "order" else name: param
+        for name, param in inspect.signature(suite).parameters.items()
+        if name != "shard"
+    }
+    for flag in ("invariant", "n", "k", "l", "sample"):
+        if flag not in taken and getattr(args, flag) is not None:
+            raise ParamError(f"suite {args.suite!r} does not take --{flag}")
     params: dict = {}
-    for flag in row:
-        name = flag.rstrip("?")
-        value = getattr(args, name)
-        if value is None and name == flag:
-            raise ParamError(f"suite {args.suite!r} requires --{name}")
-        params["order" if name == "n" else name] = value
+    for flag, param in taken.items():
+        value = getattr(args, flag)
+        if value is None and param.default is param.empty and flag != "invariant":
+            raise ParamError(f"suite {args.suite!r} requires --{flag}")
+        params[param.name] = value
     if "invariant" in params:
-        known = invariants.split()
+        known = verify_mod.SUITE_INVARIANTS[args.suite]
         invariant = params["invariant"] = params["invariant"] or known[0]
-        if invariant in known:
-            _flag_taken(args, invariant)
         if invariant == known[0] and params.get("k", 0) is None:
             params["k"] = params["order"] // 2
-    if "sample" in params:
-        params["seed"] = args.seed
+        if invariant in known:
+            verify_mod.check_flags(invariant, params.get("k"), params.get("l"))
     return params
 
 
 def _cmd_verify(args) -> int:
-    params = _verify_params(args)
-    jobs = _default_jobs(args)
-    info: list[dict] = []
     # looked up when it runs, so a rebound verify.suite_* is the one called
     suite = getattr(verify_mod, "suite_" + args.suite.replace("-", "_"))
+    params = _verify_params(args, suite)
+    jobs = _default_jobs(args)
+    info: list[dict] = []
     pooled = jobs > 1 and params.get("sample") is None
     if args.suite == "wheel-prism":
         report, info = suite()
@@ -360,13 +334,9 @@ def _cmd_enumerate(args) -> int:
     n = args.n
     if args.kind == "diagrams":
         mode = args.mode or "up-to-rotation"
-        if mode not in ("basepointed", "up-to-rotation"):
-            raise ParamError(f"unknown diagram mode {mode!r}")
         lines = sorted(format_diagram(d) for d in enumerate_diagrams(n, mode))
     else:
         mode = args.mode or "up-to-iso"
-        if mode not in ("labeled", "up-to-iso"):
-            raise ParamError(f"unknown graph mode {mode!r}")
         lines = sorted(_graph_line(g) for g in enumerate_graphs(n, mode))
     for ln in lines:
         print(ln)

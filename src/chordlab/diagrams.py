@@ -223,14 +223,14 @@ def enumerate_diagrams(n: int, mode: str = "basepointed") -> Iterator[ChordDiagr
     in sorted code order.  Raises ValueError above
     :data:`MAX_DIAGRAM_ORDER`.
     """
+    if mode not in ("basepointed", "up-to-rotation"):
+        raise ValueError(f"enumerate_diagrams: unknown mode {mode!r}")
     require_order("enumerate_diagrams", n, MAX_DIAGRAM_ORDER)
     if mode == "basepointed":
         yield from map(_trusted_diagram, _matchings(2 * n))
-    elif mode == "up-to-rotation":
+    else:
         codes = {canonical_word_bytes(w) for w in _matchings(2 * n)}
         yield from (ChordDiagram(code) for code in sorted(codes))
-    else:
-        raise ValueError(f"unknown mode: {mode!r}")
 
 
 def _matchings(m: int) -> Iterator[tuple[int, ...]]:

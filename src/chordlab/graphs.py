@@ -336,7 +336,7 @@ def enumerate_graphs(n: int, mode: str = "labeled") -> Iterator[SimpleGraph]:
     labeled, :data:`~chordlab.diagrams.MAX_DIAGRAM_ORDER` up to iso.
     """
     if mode not in ("labeled", "up-to-iso"):
-        raise ValueError(f"unknown mode: {mode!r}")
+        raise ValueError(f"enumerate_graphs: unknown mode {mode!r}")
     # labeled mode is kept at 6 so a sorted listing stays in memory
     ceiling = MAX_GRAPH_ORDER if mode == "labeled" else MAX_DIAGRAM_ORDER
     require_order("enumerate_graphs", n, ceiling)

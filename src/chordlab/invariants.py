@@ -33,8 +33,6 @@ from .partitions import partition_log_full
 from .polynomials import IntPolynomial
 from .sl2 import NormalizationError, _interpolate, _sl2_value, sl2_recursive
 
-sl2 = sl2_recursive
-
 # smallest cycle parameters the invariants are defined for: 2k-cycles
 # with k >= 2 and l-cycles with l >= 4
 MIN_K = 2
@@ -344,7 +342,7 @@ def sl2_on_graph(g: SimpleGraph) -> IntPolynomial:
     d = realize_diagram(g)
     if d is None:
         raise ValueError("graph is not an intersection graph")
-    return sl2(d)
+    return sl2_recursive(d)
 
 
 class GraphExtensionReport(NamedTuple):

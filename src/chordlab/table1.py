@@ -95,10 +95,6 @@ class RowResult:
     diagram: str
     cells: tuple[Cell, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(c.status != "MISMATCH" for c in self.cells)
-
 
 def _cell(name: str, computed, published, misprinted: bool) -> Cell:
     if computed == published:

@@ -148,9 +148,10 @@ def suite_two_term(
     invariant: str, order: int, shard: tuple[int, int] | None = None
 ) -> VerificationReport:
     """f(g) == f(g~) for all labeled graphs and ordered vertex pairs."""
-    # these two need a --k or --l, which two-term does not take
-    if invariant in ("rk-graph", "el-parity"):
-        raise ValueError(f"two-term checks wc, gf2-rank or edge-count, not {invariant}")
+    # the graph invariants that need a --k or --l, which two-term does not take
+    if invariant in GRAPH_INVARIANTS and invariant in INVARIANT_FLAGS:
+        *most, last = SUITE_INVARIANTS["two-term"]
+        raise ValueError(f"two-term checks {', '.join(most)} or {last}, not {invariant}")
     name, table, mod2 = _graph_invariant_table(invariant, order, None, None)
     return masked_relation(name, table, order, _two_term_masks, mod2, shard)
 
@@ -410,17 +411,43 @@ def require_at_least(name: str, flag: str, value: int | None, low: int) -> None:
         raise ValueError(f"{name} requires --{flag} >= {low}, got {value}")
 
 
+# the --invariant names of the relation suites, each suite's default first
+DIAGRAM_INVARIANTS = ("rk", "el-parity", "sl2")
+GRAPH_INVARIANTS = ("rk-graph", "el-parity", "wc", "gf2-rank", "edge-count")
+# invariant name -> (the flag it takes, that flag's least value)
+INVARIANT_FLAGS = {"rk": ("k", MIN_K), "rk-graph": ("k", MIN_K), "el-parity": ("l", MIN_L)}
+# per relation suite, as the CLI names it: its --invariant names
+SUITE_INVARIANTS = {
+    "four-term-diagrams": DIAGRAM_INVARIANTS,
+    "four-term-graphs": GRAPH_INVARIANTS,
+    # two-term takes no --k or --l
+    "two-term": tuple(n for n in GRAPH_INVARIANTS if n not in INVARIANT_FLAGS),
+}
+
+
+def check_flags(name: str, k: int | None, l: int | None) -> None:
+    """Raise ValueError for a --k or --l the invariant does not take, or
+    unless the flag it takes (:data:`INVARIANT_FLAGS`) is given and at
+    least its least value."""
+    given = {"k": k, "l": l}
+    flag, low = INVARIANT_FLAGS.get(name, (None, None))
+    for other, value in given.items():
+        if value is not None and other != flag:
+            raise ValueError(f"invariant {name!r} does not take --{other}")
+    if flag is not None:
+        require_at_least(name, flag, given[flag], low)
+
+
 def _diagram_invariant(invariant: str, k: int | None, l: int | None):
     """(report name, invariant function, whether signed sums are mod 2)."""
+    if invariant not in DIAGRAM_INVARIANTS:
+        raise ValueError(f"unknown diagram invariant: {invariant!r}")
+    check_flags(invariant, k, l)
     if invariant == "rk":
-        require_at_least("rk", "k", k, MIN_K)
         return f"r{k}", lambda d: r_k(d, k), False
     if invariant == "el-parity":
-        require_at_least("el-parity", "l", l, MIN_L)
         return f"e{l}-parity", lambda d: e_l_parity(intersection_graph(d), l), True
-    if invariant == "sl2":
-        return "sl2", sl2_recursive, False
-    raise ValueError(f"unknown diagram invariant: {invariant!r}")
+    return "sl2", sl2_recursive, False
 
 
 def _graph_invariant_table(invariant: str, order: int, k: int | None, l: int | None):
@@ -428,14 +455,15 @@ def _graph_invariant_table(invariant: str, order: int, k: int | None, l: int | N
     table is built chunk by chunk, and the chunks are taken first, so an
     order above the ceiling is refused before the invariant is read."""
     chunks = _mask_chunks(order)
+    if invariant not in GRAPH_INVARIANTS:
+        raise ValueError(f"unknown graph invariant: {invariant!r}")
+    check_flags(invariant, k, l)
     name, mod2, npairs = invariant, False, order * (order - 1) // 2
     if invariant == "rk-graph":
-        require_at_least("rk-graph", "k", k, MIN_K)
         if order != 2 * k:
             raise ValueError("rk-graph 4-term check runs at order == 2k")
         name, build = f"r{k}-graph", partial(r_k_graph_core, order)
     elif invariant == "el-parity":
-        require_at_least("el-parity", "l", l, MIN_L)
         name, build, mod2 = f"e{l}-parity", partial(_el_parities, order, l), True
     elif invariant == "wc":
         build = lambda masks: pfaffian_parities(order, masks)[-1]
@@ -444,10 +472,8 @@ def _graph_invariant_table(invariant: str, order: int, k: int | None, l: int | N
         def build(masks):  # the rank: the largest |S| with pf[S] = 1
             pf = pfaffian_parities(order, masks)
             return reduce(np.maximum, (s.bit_count() * pf[s] for s in even))
-    elif invariant == "edge-count":
+    else:  # edge-count
         build = lambda masks: sum((masks >> i & 1 for i in range(npairs)), 0 * masks)
-    else:
-        raise ValueError(f"unknown graph invariant: {invariant!r}")
     # int32 lanes hold every mask of a labeled order and every partial sum
     # of the rk-graph partition transform, at half the cost of int64 ones
     lanes = (build(m.astype(np.int32)) for m in chunks)

@@ -178,6 +178,12 @@ class TestEnumerate:
         code, _, _ = run(capsys, "enumerate", "diagrams", "--n", "9")
         assert code == 3
 
+    def test_unknown_mode_exit_3(self, capsys):
+        for kind in ("diagrams", "graphs"):
+            code, out, err = run(capsys, "enumerate", kind, "--n", "3", "--mode", "nope")
+            assert (code, out) == (3, "")
+            assert err == f"error: enumerate_{kind}: unknown mode 'nope'\n"
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "enumerate", "diagrams", "--n", "3")
         _, second, _ = run(capsys, "enumerate", "diagrams", "--n", "3")
@@ -266,6 +272,12 @@ class TestVerify:
                 ("four-term-graphs", "--n", "7", "--k", "3"),
                 "labeled graphs: order 7 outside 0..6",
             ),
+            (
+                ("four-term-graphs", "--invariant", "wc", "--n", "3", "--k", "2"),
+                "invariant 'wc' does not take --k",
+            ),
+            # the default invariant's --k, order // 2, below its least value
+            (("four-term-graphs", "--n", "3"), "rk-graph requires --k >= 2, got 1"),
         ):
             for jobs in ("1", "2"):
                 got = run(capsys, "verify", *argv, "--jobs", jobs)
@@ -368,6 +380,9 @@ class TestVerify:
             (("four-term-diagrams", "--invariant", "sl2", "--n", "3", "--k", "2"),
              "sl2", "k"),
             (("four-term-diagrams", "--n", "4", "--k", "2", "--l", "4"), "rk", "l"),
+            # the default invariant, with its --k filled in
+            (("four-term-graphs", "--n", "4", "--l", "4"), "rk-graph", "l"),
+            (("four-term-diagrams", "--n", "4", "--l", "4", "--exhaustive"), "rk", "l"),
         ):
             code, out, err = run(capsys, "verify", *argv)
             assert (code, out) == (3, "")
@@ -446,6 +461,26 @@ class TestVerify:
     def test_unknown_suite_exit_3(self, capsys):
         code, _, _ = run(capsys, "verify", "bogus")
         assert code == 3
+
+    def test_suite_choices_are_the_verify_suites(self, capsys):
+        suites = sorted(
+            (f.__code__.co_firstlineno, name.removeprefix("suite_").replace("_", "-"))
+            for name, f in vars(verify).items()
+            if name.startswith("suite_")
+        )
+        choices = ", ".join(repr(name) for _, name in suites)
+        _, _, err = run(capsys, "verify", "bogus")
+        assert err.endswith(f"invalid choice: 'bogus' (choose from {choices})\n")
+
+    def test_every_suite_invariant_is_accepted(self, capsys):
+        for suite, names in verify.SUITE_INVARIANTS.items():
+            for name in names:
+                flag, _ = verify.INVARIANT_FLAGS.get(name, (None, None))
+                given = {None: (), "k": ("--k", "2"), "l": ("--l", "4")}[flag]
+                argv = ("verify", suite, "--invariant", name, "--n", "4", *given)
+                code, out, err = run(capsys, *argv)
+                assert code in (0, 1) and err == "", (argv, err)
+                assert json.loads(out.splitlines()[-1])["checked"] > 0
 
 
 # run in a fresh interpreter: the integer-only commands must not load

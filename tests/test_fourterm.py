@@ -461,6 +461,12 @@ class TestMaskEngines:
         with pytest.raises(ValueError, match="^unknown graph invariant: 'nope'$"):
             suite("nope", 4)
 
+    def test_flag_the_invariant_does_not_take_raises(self):
+        with pytest.raises(ValueError, match="^invariant 'wc' does not take --k$"):
+            suite_four_term_graphs("wc", 4, k=2)
+        with pytest.raises(ValueError, match="^invariant 'rk' does not take --l$"):
+            verify.suite_four_term_diagrams("rk", 4, k=2, l=4)
+
 
 class TestViolationDigests:
     """Violation-producing reports of the diagram engines, pinned by

@@ -32,7 +32,6 @@ from chordlab.invariants import (
     r_k_graph_core,
     r_k_oriented,
     r_k_via_wc,
-    sl2,
     sl2_graph_extension_check,
     sl2_on_graph,
     sl2_projected,
@@ -40,7 +39,7 @@ from chordlab.invariants import (
     w_c,
 )
 from chordlab.polynomials import C, IntPolynomial, ZERO
-from chordlab.sl2 import NormalizationError
+from chordlab.sl2 import NormalizationError, sl2_recursive
 from chordlab.verify import suite_four_term_graphs
 from graph_moves import projected_indicator
 from references import (
@@ -165,12 +164,12 @@ class TestProjection:
                 for blocks in set_partitions(n):
                     term = partition_weight(len(blocks))
                     for block in blocks:
-                        term = term * sl2(induced_subdiagram(d, block))
+                        term = term * sl2_recursive(induced_subdiagram(d, block))
                     direct = term if direct is None else direct + term
-                assert project_primitive_value(d, sl2) == direct
+                assert project_primitive_value(d, sl2_recursive) == direct
 
     def test_single_chord(self):
-        assert project_primitive_value(parse_diagram("AA"), sl2) == C
+        assert project_primitive_value(parse_diagram("AA"), sl2_recursive) == C
 
     def test_batch_refuses_orders_above_the_ceiling(self, monkeypatch):
         def no_work(*args):
@@ -186,7 +185,7 @@ class TestProjection:
         # ring-generic partition sum over IntPolynomial values
         def check(d):
             got = IntPolynomial(_projected_chunk([d.word])[0])
-            assert got == project_primitive_value(d, sl2)
+            assert got == project_primitive_value(d, sl2_recursive)
 
         for n in range(7):
             for d in diagram_classes(n):
@@ -207,14 +206,16 @@ class TestProjection:
         ds = [d for n in range(6) for d in diagram_classes(n)]
         ds += [d.rotated(3) for d in ds[::4]] + ds[::9]
         random.Random(5).shuffle(ds)
-        assert sl2_projected_batch(ds) == [project_primitive_value(d, sl2) for d in ds]
+        expected = [project_primitive_value(d, sl2_recursive) for d in ds]
+        assert sl2_projected_batch(ds) == expected
 
     def test_batches_longer_than_a_chunk(self, cold_memos):
         rng = random.Random(8)
         size = invariants._PROJECTION_CHUNK + 5
         ds = [random_diagram(n, rng) for n in (7, 8) for _ in range(size)]
         rng.shuffle(ds)
-        assert sl2_projected_batch(ds) == [project_primitive_value(d, sl2) for d in ds]
+        expected = [project_primitive_value(d, sl2_recursive) for d in ds]
+        assert sl2_projected_batch(ds) == expected
 
     @pytest.mark.parametrize("coeffs", [(0, 1 << 62), (0, 1 << 40)])
     def test_int64_guard_raises(self, monkeypatch, coeffs):
@@ -233,7 +234,7 @@ class TestProjection:
             random_diagram(split, rng), random_diagram(n - split, rng)
         )
         got = sl2_projected_batch([d, product])
-        assert got == [project_primitive_value(d, sl2), ZERO]
+        assert got == [project_primitive_value(d, sl2_recursive), ZERO]
 
     def test_non_integer_interpolant_raises(self):
         # c(c - 1) / 2 takes the values 0, 0, 1 at c = 0, 1, 2

@@ -1,9 +1,10 @@
-import importlib
 import random
+import types
 from typing import Sequence
 
 import pytest
 
+import chordlab.sl2 as sl2_module
 from chordlab.diagrams import (
     ChordDiagram,
     diagram_product,
@@ -19,6 +20,12 @@ from chordlab.sl2 import (
     sl2_oracle,
     sl2_recursive,
 )
+
+
+def test_import_binds_the_submodule():
+    # no package export shadows the submodule's name
+    assert isinstance(sl2_module, types.ModuleType)
+    assert sl2_module.sl2_recursive is sl2_recursive
 
 
 def test_rep_matrices_satisfy_sl2_relations():
@@ -102,9 +109,7 @@ class TestKnownValues:
         def no_work(*args):
             raise AssertionError("work started above the ceiling")
 
-        # the package exports the function sl2 under the module's name
-        sl2 = importlib.import_module("chordlab.sl2")
-        monkeypatch.setattr(sl2, "_sl2_value", no_work)
+        monkeypatch.setattr(sl2_module, "_sl2_value", no_work)
         with pytest.raises(ValueError, match="order 9 outside 0..8"):
             sl2_recursive(parse_diagram("ABCDEFGHI" * 2))
 
