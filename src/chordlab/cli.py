@@ -274,8 +274,9 @@ def _verify_params(args, suite) -> dict:
     """Keyword arguments of the suite function, from the parameters of its
     signature: each is the flag of its name (--n for `order`), required
     when it has no default.  A relation suite's invariant defaults to the
-    first of its names in verify, which sets an omitted --k to order // 2;
-    the suites check orders and report unknown invariants."""
+    first of its names in verify, which sets an omitted --k to order // 2
+    (refused only after the order passes, with a note that it was not
+    given); the suites check orders and report unknown invariants."""
     taken = {
         "n" if name == "order" else name: param
         for name, param in inspect.signature(suite).parameters.items()
@@ -293,10 +294,20 @@ def _verify_params(args, suite) -> dict:
     if "invariant" in params:
         known = verify_mod.SUITE_INVARIANTS[args.suite]
         invariant = params["invariant"] = params["invariant"] or known[0]
-        if invariant == known[0] and params.get("k", 0) is None:
+        default_k = invariant == known[0] and params.get("k", 0) is None
+        if default_k:
             params["k"] = params["order"] // 2
         if invariant in known:
-            verify_mod.check_flags(invariant, params.get("k"), params.get("l"))
+            try:
+                verify_mod.check_flags(invariant, params.get("k"), params.get("l"))
+            except ValueError as exc:
+                # without --l, the default invariant can only refuse its
+                # --k; a bad order is reported as such, not as that --k
+                if default_k and params.get("l") is None:
+                    verify_mod.check_order(args.suite, **params)
+                    note = "--k not given, so it defaults to --n // 2"
+                    raise ParamError(f"{exc} ({note})") from exc
+                raise
     return params
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class DiagramError(ValueError):
@@ -210,6 +210,25 @@ def canonical_word_bytes(word: Sequence[int]) -> bytes:
     return bytes([base + labels.setdefault(ch, len(labels)) for ch in rot])
 
 
+def class_keyer() -> Callable[[Sequence[int]], bytes]:
+    """A function giving :func:`canonical_word_bytes` of a word, each
+    distinct first-appearance relabeled word keyed once.
+
+    The key does not depend on chord labels, so the memo, keyed by the
+    relabeled word, is exact; it lives as long as the returned function.
+    """
+    memo: dict[tuple[int, ...], bytes] = {}
+
+    def key(word: Sequence[int]) -> bytes:
+        w = _normalize(word)
+        code = memo.get(w)
+        if code is None:
+            code = memo[w] = canonical_word_bytes(w)
+        return code
+
+    return key
+
+
 def canonical_code(d: ChordDiagram) -> bytes:
     """Canonical byte string; equal codes iff equal up to rotation/relabeling."""
     return canonical_word_bytes(d.word)
@@ -320,46 +339,48 @@ class MutationKind(enum.Enum):
 
 
 def find_shares(d: ChordDiagram) -> list[Share]:
-    """All shares of d, one per chord subset (including empty and full).
+    """All shares of d, one per chord subset (including empty and full),
+    in increasing order of the subset's bit mask.
 
     A chord subset is a share iff its endpoint positions form at most two
     circular runs; the runs then are the arcs, and the closure property
-    holds automatically because runs contain no foreign endpoints.
+    holds automatically because runs contain no foreign endpoints.  A
+    subset's positions are one bit mask, its lowest chord's ends or'ed
+    into the mask of the rest; a run starts at each position whose
+    cyclic predecessor is outside the mask.
     """
     m = len(d.word)
     n = d.n
-    pairs = d.chord_positions()
+    ends = [0] * n
+    for p, ch in enumerate(d.word):
+        ends[ch] |= 1 << p
+    full = (1 << m) - 1
+    covered = [0] * (1 << n)
     shares = []
     for mask in range(1 << n):
-        in_set = [False] * m
-        for ch in range(n):
-            if mask >> ch & 1:
-                i, j = pairs[ch]
-                in_set[i] = in_set[j] = True
-        starts = [p for p in range(m) if in_set[p] and not in_set[p - 1]]
-        if len(starts) > 2:
-            continue
-        k = 2 * bin(mask).count("1")
-        if not starts:
+        if mask:
+            low = mask & -mask
+            covered[mask] = covered[mask ^ low] | ends[low.bit_length() - 1]
+        pm = covered[mask]
+        if pm == 0 or pm == full:
             # the empty subset, or every position covered (one full run)
-            arcs = ((0, 0), (0, 0)) if k == 0 else ((0, m), (0, 0))
-        elif len(starts) == 1:
-            s = starts[0]
-            arcs = ((s, k), ((s + k) % m, 0))
+            arcs = ((0, pm.bit_count()), (0, 0))
         else:
-            s1, s2 = starts
-            arcs = ((s1, _run_length(in_set, s1)), (s2, _run_length(in_set, s2)))
+            starts = pm & ~(pm << 1 | pm >> (m - 1))
+            if starts.bit_count() > 2:
+                continue
+            k = pm.bit_count()
+            s1 = (starts & -starts).bit_length() - 1
+            if starts == 1 << s1:
+                arcs = ((s1, k), ((s1 + k) % m, 0))
+            else:
+                # the first run cannot wrap: it ends before the second starts
+                run = pm >> s1
+                l1 = (~run & (run + 1)).bit_length() - 1
+                arcs = ((s1, l1), (starts.bit_length() - 1, k - l1))
         chords = frozenset(ch for ch in range(n) if mask >> ch & 1)
         shares.append(Share(arcs=arcs, chords=chords))
     return shares
-
-
-def _run_length(in_set: list[bool], start: int) -> int:
-    m = len(in_set)
-    k = 0
-    while k < m and in_set[(start + k) % m]:
-        k += 1
-    return k
 
 
 def _share_segments(d: ChordDiagram, share: Share):

@@ -23,6 +23,7 @@ from .diagrams import (
     ChordDiagram,
     DiagramError,
     canonical_word_bytes,
+    class_keyer,
     enumerate_diagrams,
     random_diagram,
     require_order,
@@ -268,12 +269,16 @@ def by_class(values_of: Callable[[list[ChordDiagram]], list]) -> Callable:
     ``values_of(diagrams)`` gives the value of each diagram of a list.
     It runs once per window, on the first diagram met of each class not
     seen before in the run, so it must be a function of the rotation
-    class; a word becomes a ChordDiagram only for that call.
+    class; a word becomes a ChordDiagram only for that call.  Each window
+    keys each distinct relabeled word once, through a
+    :func:`~chordlab.diagrams.class_keyer` dropped with the window, so
+    the run keeps only the values of its classes.
     """
     values: dict[bytes, object] = {}
 
     def evaluate(batch):
-        keys = [[canonical_word_bytes(w) for w in words] for words in batch]
+        class_key = class_keyer()
+        keys = [[class_key(w) for w in words] for words in batch]
         fresh: dict[bytes, Sequence[int]] = {}
         for key, w in zip(itertools.chain(*keys), itertools.chain(*batch)):
             if key not in values:

@@ -20,7 +20,6 @@ from .diagrams import (
     MAX_GRAPH_ORDER,
     ChordDiagram,
     require_order,
-    word_positions,
 )
 
 
@@ -175,17 +174,24 @@ def format_graph(g: SimpleGraph) -> str:
 
 
 def interleave_rows(word: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency bit rows of the interleaving relation of a word's chords."""
-    pairs = word_positions(word)
-    n = len(pairs)
-    rows = [0] * n
-    for a in range(n):
-        a1, a2 = pairs[a]
-        for b in range(a + 1, n):
-            b1, b2 = pairs[b]
-            if (a1 < b1 < a2) != (a1 < b2 < a2):
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
+    """Adjacency bit rows of the interleaving relation of a word's chords,
+    found in one scan; chord labels must be 0..n-1, in any order.
+
+    ``live`` holds the chords with one end read so far.  Chord c crosses
+    exactly the chords with one end strictly between its two ends, so
+    its row is ``live`` when c opens xor ``live`` after c closes: the
+    chords read once in between.
+    """
+    rows = [0] * (len(word) // 2)
+    live = 0
+    for ch in word:
+        bit = 1 << ch
+        if live & bit:
+            live ^= bit
+            rows[ch] ^= live
+        else:
+            rows[ch] = live
+            live |= bit
     return tuple(rows)
 
 

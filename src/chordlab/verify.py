@@ -21,6 +21,7 @@ from .diagrams import (
     ChordDiagram,
     canonical_code,
     canonical_word_bytes,
+    class_keyer,
     enumerate_diagrams,
     find_shares,
     mutated_words,
@@ -218,16 +219,29 @@ def _mask_chunks(order: int, shard: tuple[int, int] | None = None):
     return (np.arange(lo, min(lo + stride, total), count) for lo in lows)
 
 
-def accepts_order(suite: str, order: int | None = None, k: int | None = None, **_):
-    """Whether the exhaustive source of the named suite takes the order
-    (2k for the suites without --n), by the check it makes before work."""
+def check_order(
+    suite: str,
+    order: int | None = None,
+    k: int | None = None,
+    sample: int | None = None,
+    **_,
+) -> None:
+    """Raise ValueError when the source of the named suite refuses the
+    order (2k for the suites without --n), by the check it makes before
+    work."""
     sources = {
         "mutation": _check_mutation_order,
         "four-term-graphs": _mask_chunks,
         "two-term": _mask_chunks,
+        "four-term-diagrams": partial(four_term_instances, sample=sample),
     }
+    sources.get(suite, diagram_source)(2 * k if order is None else order)
+
+
+def accepts_order(suite: str, **params) -> bool:
+    """Whether :func:`check_order` passes."""
     try:
-        sources.get(suite, diagram_source)(2 * k if order is None else order)
+        check_order(suite, **params)
     except ValueError:
         return False
     return True
@@ -243,11 +257,18 @@ _check_mutation_order = partial(require_order, "mutation", ceiling=MAX_EXHAUSTIV
 def suite_mutation(
     order: int, shard: tuple[int, int] | None = None
 ) -> VerificationReport:
-    """Mutations must preserve the labeled intersection graph and R_k."""
+    """Mutations must preserve the labeled intersection graph and R_k.
+
+    R_k is looked up by canonical key, so a mutant becomes a ChordDiagram
+    once per class; the run keys each distinct relabeled mutant once,
+    through one :func:`~chordlab.diagrams.class_keyer`, which holds at
+    most the (2n-1)!! basepointed words, 10,395 at the exhaustive
+    ceiling.  Violation records carry the keys of the raw words.
+    """
     _check_mutation_order(order)
     report = VerificationReport(invariant="mutation", order=order)
     k = order // 2 if order % 2 == 0 and order >= 4 else None
-    # R_k by canonical key: a mutant becomes a ChordDiagram once per class
+    class_key = class_keyer()
     rk_by_class: dict[bytes, int] = {}
     for d in sharded(enumerate_diagrams(order, "up-to-rotation"), shard):
         base_rows = interleave_rows(d.word)
@@ -261,7 +282,7 @@ def suite_mutation(
                 if bad is None:
                     bad = interleave_rows(w) != base_rows
                     if not bad and k:
-                        key = canonical_word_bytes(w)
+                        key = class_key(w)
                         if key not in rk_by_class:
                             rk_by_class[key] = r_k(ChordDiagram(w), k)
                         bad = rk_by_class[key] != base_rk

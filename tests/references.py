@@ -4,7 +4,10 @@
 ``partitions.partition_log_full`` computes by subset convolution;
 ``project_primitive_value`` is the ring-generic projection route behind
 ``invariants.sl2_projected_batch``; ``conjecture_check`` states the
-paper's coefficient identity for one diagram.
+paper's coefficient identity for one diagram.  ``interleave_rows`` and
+``find_shares`` are the pairwise crossing test and the per-position
+share scan that the bitmask kernels of ``graphs`` and ``diagrams``
+replaced.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Callable, Iterator, NamedTuple
 
-from chordlab.diagrams import ChordDiagram, induced_subdiagram
+from chordlab.diagrams import ChordDiagram, Share, induced_subdiagram, word_positions
 from chordlab.invariants import r_k, sl2_projected
 from chordlab.partitions import partition_log_full
 
@@ -85,3 +88,58 @@ def conjecture_check(d: ChordDiagram, k: int) -> ConjectureResult:
     lhs = sl2_projected(d).coefficient(k)
     rhs = 2 * r_k(d, k)
     return ConjectureResult(lhs, rhs, lhs == rhs)
+
+
+def interleave_rows(word) -> tuple[int, ...]:
+    """Adjacency bit rows of the interleaving relation, chord pair by
+    chord pair: b crosses a iff exactly one end of b lies between a's."""
+    pairs = word_positions(word)
+    n = len(pairs)
+    rows = [0] * n
+    for a in range(n):
+        a1, a2 = pairs[a]
+        for b in range(a + 1, n):
+            b1, b2 = pairs[b]
+            if (a1 < b1 < a2) != (a1 < b2 < a2):
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    return tuple(rows)
+
+
+def find_shares(d: ChordDiagram) -> list[Share]:
+    """Every chord subset whose endpoint positions form at most two
+    circular runs, in increasing mask order, found by scanning a list of
+    covered positions."""
+    m = len(d.word)
+    n = d.n
+    pairs = d.chord_positions()
+    shares = []
+    for mask in range(1 << n):
+        in_set = [False] * m
+        for ch in range(n):
+            if mask >> ch & 1:
+                i, j = pairs[ch]
+                in_set[i] = in_set[j] = True
+        starts = [p for p in range(m) if in_set[p] and not in_set[p - 1]]
+        if len(starts) > 2:
+            continue
+        k = 2 * bin(mask).count("1")
+        if not starts:
+            arcs = ((0, 0), (0, 0)) if k == 0 else ((0, m), (0, 0))
+        elif len(starts) == 1:
+            s = starts[0]
+            arcs = ((s, k), ((s + k) % m, 0))
+        else:
+            s1, s2 = starts
+            arcs = ((s1, _run_length(in_set, s1)), (s2, _run_length(in_set, s2)))
+        chords = frozenset(ch for ch in range(n) if mask >> ch & 1)
+        shares.append(Share(arcs=arcs, chords=chords))
+    return shares
+
+
+def _run_length(in_set: list[bool], start: int) -> int:
+    m = len(in_set)
+    k = 0
+    while k < m and in_set[(start + k) % m]:
+        k += 1
+    return k

@@ -277,7 +277,11 @@ class TestVerify:
                 "invariant 'wc' does not take --k",
             ),
             # the default invariant's --k, order // 2, below its least value
-            (("four-term-graphs", "--n", "3"), "rk-graph requires --k >= 2, got 1"),
+            (
+                ("four-term-graphs", "--n", "3"),
+                "rk-graph requires --k >= 2, got 1"
+                " (--k not given, so it defaults to --n // 2)",
+            ),
         ):
             for jobs in ("1", "2"):
                 got = run(capsys, "verify", *argv, "--jobs", jobs)
@@ -302,6 +306,23 @@ class TestVerify:
         )
         assert code == 3
         assert err == "error: rk requires --k >= 2, got 1\n"
+
+    def test_omitted_k_is_not_blamed_for_a_bad_order(self, capsys):
+        # a refused default --k (--n // 2) is reported only once the order
+        # passes, and then with a note that --k was not given
+        note = " (--k not given, so it defaults to --n // 2)"
+        for argv, message in (
+            (("four-term-graphs", "--n", "-1"), "labeled graphs: order -1 outside 0..6"),
+            (
+                ("four-term-diagrams", "--n", "1", "--sample", "3"),
+                "4-term instances need order >= 2, got 1",
+            ),
+            (("four-term-diagrams", "--n", "2"), "rk requires --k >= 2, got 1" + note),
+            (("four-term-graphs", "--n", "3"), "rk-graph requires --k >= 2, got 1" + note),
+        ):
+            code, out, err = run(capsys, "verify", *argv)
+            assert (code, out) == (3, "")
+            assert err == f"error: {message}\n"
 
     def test_sampling_below_two_chords_exit_3(self, capsys):
         for n in ("1", "0"):

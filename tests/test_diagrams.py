@@ -16,16 +16,21 @@ from chordlab.diagrams import (
     apply_mutation,
     canonical_code,
     canonical_word_bytes,
+    class_keyer,
     diagram_product,
     enumerate_diagrams,
     find_shares,
     format_diagram,
     induced_subdiagram,
     mutated_word,
+    mutated_words,
     parse_diagram,
     random_diagram,
 )
-from chordlab.graphs import intersection_graph
+from chordlab.fourterm import four_term_instances
+from chordlab.graphs import interleave_rows, intersection_graph
+from references import find_shares as reference_find_shares
+from references import interleave_rows as reference_interleave_rows
 
 
 def double_factorial(m: int) -> int:
@@ -166,6 +171,59 @@ class TestCanonicalKeyAgainstReference:
             word = random_diagram(n, rng).word
             assert canonical_word_bytes(word) == reference_canonical_word_bytes(word)
             assert canonical_word_bytes(word)[0] == 0
+
+
+class TestClassKeyer:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_words(), st.data())
+    def test_relabeling_hits_the_memo_with_the_same_key(self, word, data):
+        chords = sorted(set(word))
+        image = data.draw(st.permutations(chords))
+        relabeled = tuple(dict(zip(chords, image))[ch] for ch in word)
+        key = class_keyer()
+        # the second call is a memo hit: both words relabel to one word
+        assert key(word) == key(relabeled) == canonical_word_bytes(relabeled)
+        assert canonical_word_bytes(relabeled) == canonical_word_bytes(word)
+
+    def test_raw_four_term_words(self):
+        # one keyer across orders and windows: term words keep their chord
+        # ids, and the memo must key them exactly as the plain key does
+        key = class_keyer()
+        for order in range(2, 8):
+            for quad in four_term_instances(order, 200, order):
+                for w in quad:
+                    assert key(w) == canonical_word_bytes(w)
+
+
+def _kernel_words(name: str) -> list[tuple[int, ...]]:
+    if name == "basepointed-0-6":
+        return [d.word for n in range(7) for d in enumerate_diagrams(n)]
+    if name == "random-order-8":
+        rng = random.Random(8)
+        return [random_diagram(8, rng).word for _ in range(500)]
+    # mutants keep the chord ids of their class representative
+    return [
+        w
+        for d in enumerate_diagrams(5, "up-to-rotation")
+        for share in reference_find_shares(d)
+        for _, w in mutated_words(d, share)
+    ]
+
+
+class TestBitmaskKernelsAgainstReferences:
+    @pytest.mark.parametrize(
+        "name", ["basepointed-0-6", "random-order-8", "order-5-mutants"]
+    )
+    def test_rows_and_shares(self, name):
+        words = _kernel_words(name)
+        if name == "order-5-mutants":
+            # labels out of first-appearance order
+            assert any(w != diagrams._normalize(w) for w in words)
+        for w in words:
+            assert interleave_rows(w) == reference_interleave_rows(w)
+            # a diagram on the word as it stands, labels unchanged
+            d = diagrams._trusted_diagram(w)
+            assert find_shares(d) == reference_find_shares(d)
 
 
 class TestEnumeration:
@@ -335,8 +393,6 @@ class TestMutations:
                 for share in find_shares(d):
                     for kind in MutationKind:
                         w = mutated_word(d, share, kind)
-                        from chordlab.graphs import interleave_rows
-
                         assert interleave_rows(w) == rows
 
     def test_two_reflections_compose_to_rotation(self, diagram_classes):

@@ -552,7 +552,8 @@ class TestViolationDigests:
         [
             (
                 # R_k replaced by the rotation class: every mutant that
-                # leaves its class is recorded
+                # leaves its class is recorded, so a class key memo that
+                # gave a word another class's key would change the records
                 "r_k",
                 lambda d, k: canonical_code(d),
                 4,
