@@ -14,11 +14,9 @@ from .diagrams import (
     Share,
     apply_mutation,
     canonical_code,
-    diagram_product,
     enumerate_diagrams,
     find_shares,
     format_diagram,
-    induced_subdiagram,
     parse_diagram,
     random_diagram,
 )
@@ -26,7 +24,6 @@ from .fourterm import (
     RelationQuadruple,
     VerificationReport,
     diagram_four_term,
-    graph_four_term,
     verify_weight_system,
 )
 from .graphs import (
@@ -39,7 +36,6 @@ from .graphs import (
     gf2_rank,
     graph_canonical_mask,
     intersection_graph,
-    is_intersection_graph,
     parse_graph,
     realize_diagram,
     sign_matrix,
@@ -79,7 +75,6 @@ __all__ = [
     "canonical_code",
     "cycle_sign",
     "diagram_four_term",
-    "diagram_product",
     "e_l_parity",
     "enumerate_cycles",
     "enumerate_diagrams",
@@ -89,10 +84,7 @@ __all__ = [
     "format_graph",
     "gf2_rank",
     "graph_canonical_mask",
-    "graph_four_term",
-    "induced_subdiagram",
     "intersection_graph",
-    "is_intersection_graph",
     "parse_diagram",
     "parse_graph",
     "partition_log_full",

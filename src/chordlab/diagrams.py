@@ -77,14 +77,6 @@ class ChordDiagram:
         """Endpoint position pairs for all chords, indexed by chord id."""
         return word_positions(self.word)
 
-    def rotated(self, r: int) -> "ChordDiagram":
-        """Diagram with the basepoint moved r positions counterclockwise."""
-        m = len(self.word)
-        if m == 0:
-            return self
-        r %= m
-        return ChordDiagram(self.word[r:] + self.word[:r])
-
     def __str__(self) -> str:
         return format_diagram(self)
 
@@ -299,21 +291,6 @@ def random_diagram(n: int, rng) -> ChordDiagram:
         word[slots[2 * ch]] = ch
         word[slots[2 * ch + 1]] = ch
     return _trusted_diagram(_normalize(word))
-
-
-def induced_subdiagram(d: ChordDiagram, chords: Iterable[int]) -> ChordDiagram:
-    """Delete all endpoints of chords outside the subset, keeping order."""
-    keep = set(chords)
-    extra = keep.difference(range(d.n))
-    if extra:
-        raise DiagramError(f"unknown chords: {sorted(extra)}")
-    return ChordDiagram(ch for ch in d.word if ch in keep)
-
-
-def diagram_product(d1: ChordDiagram, d2: ChordDiagram) -> ChordDiagram:
-    """Concatenation product: the factors occupy disjoint arcs."""
-    shift = d1.n
-    return ChordDiagram(d1.word + tuple(ch + shift for ch in d2.word))
 
 
 @dataclass(frozen=True)

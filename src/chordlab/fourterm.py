@@ -1,5 +1,6 @@
-"""Generators for 4-term and 2-term relation instances, and the
-verification harness that runs candidate invariants against them.
+"""Generators for diagram 4-term relation instances, and the verification
+harness that runs candidate invariants against them.  The graph
+relations' terms are edge-mask moves in :mod:`chordlab.graphs`.
 
 Sign conventions are fixed once for the whole library: the diagram
 quadruple signs are (+1, -1, -1, +1), and the third term moves the
@@ -28,7 +29,6 @@ from .diagrams import (
     random_diagram,
     require_order,
 )
-from .graphs import SimpleGraph, prime_mask, tilde_mask
 
 DEFAULT_SIGNS = (1, -1, -1, 1)
 
@@ -82,25 +82,6 @@ def diagram_four_term(
     """
     words = four_term_words(d.word, p)
     return RelationQuadruple(tuple((ChordDiagram(w), s) for w, s in zip(words, signs)))
-
-
-def graph_four_term(
-    g: SimpleGraph, a: int, b: int, signs: tuple[int, int, int, int] = DEFAULT_SIGNS
-) -> RelationQuadruple:
-    """Graph 4-term instance at the ordered vertex pair (a, b); raises
-    GraphError unless a and b are distinct vertices of g."""
-    masks = graph_four_term_masks(g.n, g.edge_mask(), a, b)
-    terms = [SimpleGraph.from_edge_mask(g.n, m) for m in masks]
-    return RelationQuadruple(tuple(zip(terms, signs)))
-
-
-def graph_four_term_masks(n: int, masks, a: int, b: int) -> tuple:
-    """The terms (g, g', g~, g~') of the graph 4-term relation at the
-    ordered vertex pair (a, b), for one int edge mask or every mask of an
-    int64 array: g' toggles the a-b edge, g~ toggles a's adjacency with
-    every other neighbor of b."""
-    tilde = tilde_mask(n, masks, a, b)
-    return masks, prime_mask(n, masks, a, b), tilde, prime_mask(n, tilde, a, b)
 
 
 def neighbor_positions(d: ChordDiagram) -> list[int]:

@@ -1,4 +1,5 @@
-"""Simple graphs, intersection graphs, cycles, and GF(2) rank.
+"""Simple graphs, intersection graphs, cycles, GF(2) rank, and the
+edge-mask moves that make the terms of the graph relations.
 
 Adjacency is kept as machine-word bit rows, so edge toggles and GF(2)
 elimination are single-word operations at the n <= 16 scale this
@@ -19,6 +20,8 @@ from .diagrams import (
     MAX_DIAGRAM_ORDER,
     MAX_GRAPH_ORDER,
     ChordDiagram,
+    canonical_code,
+    enumerate_diagrams,
     require_order,
 )
 
@@ -92,19 +95,6 @@ class SimpleGraph:
                 if i != j and self.rows[u] >> v & 1:
                     rows[i] |= 1 << j
         return SimpleGraph(len(vs), tuple(rows))
-
-    def relabeled(self, perm: Sequence[int]) -> "SimpleGraph":
-        """Graph with vertex u renamed perm[u]."""
-        rows = [0] * self.n
-        for u in range(self.n):
-            for v in range(self.n):
-                if self.rows[u] >> v & 1:
-                    rows[perm[u]] |= 1 << perm[v]
-        return SimpleGraph(self.n, tuple(rows))
-
-    def disjoint_union(self, other: "SimpleGraph") -> "SimpleGraph":
-        rows = list(self.rows) + [r << self.n for r in other.rows]
-        return SimpleGraph(self.n + other.n, tuple(rows))
 
     def __str__(self) -> str:
         return format_graph(self)
@@ -393,6 +383,15 @@ def tilde_mask(n: int, masks: int | np.ndarray, a: int, b: int) -> int | np.ndar
     return masks ^ flip
 
 
+def graph_four_term_masks(n: int, masks: int | np.ndarray, a: int, b: int) -> tuple:
+    """The terms (g, g', g~, g~') of the graph 4-term relation at the
+    ordered vertex pair (a, b), for one int edge mask or every mask of an
+    int64 array: g' toggles the a-b edge, g~ toggles a's adjacency with
+    every other neighbor of b."""
+    tilde = tilde_mask(n, masks, a, b)
+    return masks, prime_mask(n, masks, a, b), tilde, prime_mask(n, tilde, a, b)
+
+
 def _require_pair(n: int, a: int, b: int) -> None:
     # a negative vertex would wrap around in pair_index_table's rows
     if a == b or not (0 <= a < n and 0 <= b < n):
@@ -439,8 +438,6 @@ def _realization_by_mask(n: int) -> dict[int, tuple[int, bytes]]:
     """Map the plain intersection-graph edge mask of every order-n diagram
     class -> (index of its first class in enumeration order, that class's
     canonical code)."""
-    from .diagrams import canonical_code, enumerate_diagrams
-
     out: dict[int, tuple[int, bytes]] = {}
     for idx, d in enumerate(enumerate_diagrams(n, "up-to-rotation")):
         out.setdefault(intersection_graph(d).edge_mask(), (idx, canonical_code(d)))
@@ -459,8 +456,3 @@ def realize_diagram(g: SimpleGraph) -> ChordDiagram | None:
     hits = [table[m] for m in set(_orbit_masks(g.n, g.edge_mask())) if m in table]
     return ChordDiagram(min(hits)[1]) if hits else None
 
-
-def is_intersection_graph(g: SimpleGraph) -> bool:
-    """Whether some chord diagram has an isomorphic intersection graph;
-    capped at n <= 7 by :func:`realize_diagram`, the search it runs."""
-    return realize_diagram(g) is not None

@@ -18,12 +18,12 @@ from .diagrams import (
     canonical_code,
     require_order,
 )
-from .fourterm import graph_four_term
 from .graphs import (
     SimpleGraph,
     cycle_sign,
     enumerate_cycles,
     gf2_rank,
+    graph_four_term_masks,
     intersection_graph,
     pfaffian_parities,
     realize_diagram,
@@ -370,7 +370,8 @@ def sl2_graph_extension_check() -> list[GraphExtensionReport]:
         values = []
         component_ok = True
         for (a, b), triple in resolutions:
-            _, (g2, _), (g3, _), (g4, _) = graph_four_term(target, a, b).terms
+            _, *masks = graph_four_term_masks(target.n, target.edge_mask(), a, b)
+            g2, g3, g4 = (SimpleGraph.from_edge_mask(target.n, m) for m in masks)
             values.append(sl2_on_graph(g2) + sl2_on_graph(g3) - sl2_on_graph(g4))
             got = tuple(r_k(realize_diagram(h), 3) for h in (g2, g3, g4))
             if got != triple:

@@ -34,7 +34,6 @@ from .fourterm import (
     by_class,
     diagram_source,
     four_term_instances,
-    graph_four_term_masks,
     relation_sums,
     sharded,
     signed_sum,
@@ -42,6 +41,7 @@ from .fourterm import (
 from .graphs import (
     SimpleGraph,
     format_graph,
+    graph_four_term_masks,
     interleave_rows,
     intersection_graph,
     pair_index_table,

@@ -1,14 +1,58 @@
 """The two graph moves of the 4-term relation on SimpleGraph bit rows,
-and the projected GF(2) indicator by elimination.
+the projected GF(2) indicator by elimination, and the graph
+constructions the tests build their cases with.
 
 Independent references for the edge-mask moves ``graphs.prime_mask`` and
 ``graphs.tilde_mask``, which the library builds its 4-term and 2-term
 terms on, and for the Pfaffian-parity route of
 ``invariants.r_k_graph_core``; the tests compare the two forms.
+``graph_four_term`` maps the library's four edge-mask terms back to
+graphs, and ``is_intersection_graph`` asks ``graphs.realize_diagram``.
 """
 
-from chordlab.graphs import GraphError, SimpleGraph, gf2_rank
+from typing import Sequence
+
+from chordlab.fourterm import DEFAULT_SIGNS, RelationQuadruple
+from chordlab.graphs import (
+    GraphError,
+    SimpleGraph,
+    gf2_rank,
+    graph_four_term_masks,
+    realize_diagram,
+)
 from chordlab.partitions import partition_log_full
+
+
+def relabeled(g: SimpleGraph, perm: Sequence[int]) -> SimpleGraph:
+    """Graph with vertex u renamed perm[u]."""
+    rows = [0] * g.n
+    for u in range(g.n):
+        for v in range(g.n):
+            if g.rows[u] >> v & 1:
+                rows[perm[u]] |= 1 << perm[v]
+    return SimpleGraph(g.n, tuple(rows))
+
+
+def disjoint_union(g: SimpleGraph, h: SimpleGraph) -> SimpleGraph:
+    """g on vertices 0..g.n-1, h shifted after it, no edges between."""
+    rows = list(g.rows) + [r << g.n for r in h.rows]
+    return SimpleGraph(g.n + h.n, tuple(rows))
+
+
+def graph_four_term(
+    g: SimpleGraph, a: int, b: int, signs: tuple[int, int, int, int] = DEFAULT_SIGNS
+) -> RelationQuadruple:
+    """Graph 4-term instance at the ordered vertex pair (a, b); raises
+    GraphError unless a and b are distinct vertices of g."""
+    masks = graph_four_term_masks(g.n, g.edge_mask(), a, b)
+    terms = [SimpleGraph.from_edge_mask(g.n, m) for m in masks]
+    return RelationQuadruple(tuple(zip(terms, signs)))
+
+
+def is_intersection_graph(g: SimpleGraph) -> bool:
+    """Whether some chord diagram has an isomorphic intersection graph;
+    capped at n <= 7 by the search it runs."""
+    return realize_diagram(g) is not None
 
 
 def graph_prime(g: SimpleGraph, a: int, b: int) -> SimpleGraph:

@@ -7,17 +7,42 @@
 paper's coefficient identity for one diagram.  ``interleave_rows`` and
 ``find_shares`` are the pairwise crossing test and the per-position
 share scan that the bitmask kernels of ``graphs`` and ``diagrams``
-replaced.
+replaced.  ``rotated``, ``induced_subdiagram`` and ``diagram_product``
+are the diagram constructions the tests build their cases with.
 """
 
 from __future__ import annotations
 
 from math import factorial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from chordlab.diagrams import ChordDiagram, Share, induced_subdiagram, word_positions
+from chordlab.diagrams import ChordDiagram, DiagramError, Share, word_positions
 from chordlab.invariants import r_k, sl2_projected
 from chordlab.partitions import partition_log_full
+
+
+def rotated(d: ChordDiagram, r: int) -> ChordDiagram:
+    """Diagram with the basepoint moved r positions counterclockwise."""
+    m = len(d.word)
+    if m == 0:
+        return d
+    r %= m
+    return ChordDiagram(d.word[r:] + d.word[:r])
+
+
+def induced_subdiagram(d: ChordDiagram, chords: Iterable[int]) -> ChordDiagram:
+    """Delete all endpoints of chords outside the subset, keeping order."""
+    keep = set(chords)
+    extra = keep.difference(range(d.n))
+    if extra:
+        raise DiagramError(f"unknown chords: {sorted(extra)}")
+    return ChordDiagram(ch for ch in d.word if ch in keep)
+
+
+def diagram_product(d1: ChordDiagram, d2: ChordDiagram) -> ChordDiagram:
+    """Concatenation product: the factors occupy disjoint arcs."""
+    shift = d1.n
+    return ChordDiagram(d1.word + tuple(ch + shift for ch in d2.word))
 
 
 def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -19,9 +19,7 @@ from chordlab import table1
 from chordlab._bulk import hamiltonian_cycle_sums
 from chordlab.diagrams import (
     canonical_code,
-    diagram_product,
     enumerate_diagrams,
-    induced_subdiagram,
     parse_diagram,
     random_diagram,
 )
@@ -50,6 +48,7 @@ from chordlab.verify import (
     suite_wc_identity,
 )
 from graph_moves import projected_indicator
+from references import diagram_product, induced_subdiagram
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,6 @@ from chordlab.fourterm import (
     diagram_source,
     four_term_instances,
     four_term_words,
-    graph_four_term,
     neighbor_positions,
     verify_weight_system,
 )
@@ -40,7 +39,7 @@ from chordlab.polynomials import ZERO
 from chordlab.sl2 import sl2_recursive
 from chordlab import fourterm, invariants, verify
 from chordlab.verify import masked_relation, merge_reports, suite_four_term_graphs
-from graph_moves import graph_prime, graph_tilde
+from graph_moves import graph_four_term, graph_prime, graph_tilde
 
 # the (sign, masks) terms of the two graph relations, for masked_relation
 FOUR_TERM = verify._four_term_masks

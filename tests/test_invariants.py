@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordlab import invariants
-from chordlab.diagrams import diagram_product, parse_diagram, random_diagram
+from chordlab.diagrams import parse_diagram, random_diagram
 from chordlab.graphs import (
     SimpleGraph,
     cycle_sign,
@@ -41,11 +41,14 @@ from chordlab.invariants import (
 from chordlab.polynomials import C, IntPolynomial, ZERO
 from chordlab.sl2 import NormalizationError, sl2_recursive
 from chordlab.verify import suite_four_term_graphs
-from graph_moves import projected_indicator
+from graph_moves import disjoint_union, projected_indicator
 from references import (
     conjecture_check,
+    diagram_product,
+    induced_subdiagram,
     partition_weight,
     project_primitive_value,
+    rotated,
     set_partitions,
 )
 
@@ -156,8 +159,6 @@ class TestProjection:
     def test_matches_direct_partition_sum(self, diagram_classes):
         # independent oracle: the explicit alternating-factorial sum over
         # restricted-growth set partitions
-        from chordlab.diagrams import induced_subdiagram
-
         for n in range(1, 5):
             for d in diagram_classes(n):
                 direct = None
@@ -204,7 +205,7 @@ class TestProjection:
         # every class of order <= 5 (orders 0 and 1 too), rotated and so
         # non-canonical words, and duplicates, in one batch
         ds = [d for n in range(6) for d in diagram_classes(n)]
-        ds += [d.rotated(3) for d in ds[::4]] + ds[::9]
+        ds += [rotated(d, 3) for d in ds[::4]] + ds[::9]
         random.Random(5).shuffle(ds)
         expected = [project_primitive_value(d, sl2_recursive) for d in ds]
         assert sl2_projected_batch(ds) == expected
@@ -310,7 +311,7 @@ class TestGraphExtension:
     def test_general_size_convolution(self):
         k4 = SimpleGraph.from_edges(4, list(itertools.combinations(range(4), 2)))
         assert r_k_graph(SimpleGraph(3, (0, 0, 0)), 2) == 0
-        padded = k4.disjoint_union(SimpleGraph(1, (0,)))
+        padded = disjoint_union(k4, SimpleGraph(1, (0,)))
         assert r_k_graph(padded, 2) == 1
 
     def _assert_batch_matches_scalar(self, n, masks):

@@ -7,13 +7,9 @@ import random
 
 import pytest
 
-from chordlab.graphs import (
-    SimpleGraph,
-    enumerate_graphs,
-    graph_canonical_mask,
-    is_intersection_graph,
-)
+from chordlab.graphs import SimpleGraph, enumerate_graphs, graph_canonical_mask
 from chordlab.invariants import MIN_L, e_l_parity
+from graph_moves import is_intersection_graph
 
 nx = pytest.importorskip("networkx")
 
