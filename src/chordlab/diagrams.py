@@ -202,20 +202,24 @@ def canonical_word_bytes(word: Sequence[int]) -> bytes:
     return bytes([base + labels.setdefault(ch, len(labels)) for ch in rot])
 
 
-def class_keyer() -> Callable[[Sequence[int]], bytes]:
+def class_keyer() -> Callable[[tuple[int, ...]], bytes]:
     """A function giving :func:`canonical_word_bytes` of a word, each
     distinct first-appearance relabeled word keyed once.
 
     The key does not depend on chord labels, so the memo, keyed by the
     relabeled word, is exact; it lives as long as the returned function.
+    Words must be tuples: a word found in the memo as it stands is a
+    relabeled word keyed before, so it is not relabeled again.
     """
     memo: dict[tuple[int, ...], bytes] = {}
 
-    def key(word: Sequence[int]) -> bytes:
-        w = _normalize(word)
-        code = memo.get(w)
+    def key(word: tuple[int, ...]) -> bytes:
+        code = memo.get(word)
         if code is None:
-            code = memo[w] = canonical_word_bytes(w)
+            w = _normalize(word)
+            code = memo.get(w)
+            if code is None:
+                code = memo[w] = canonical_word_bytes(w)
         return code
 
     return key
@@ -230,9 +234,11 @@ def enumerate_diagrams(n: int, mode: str = "basepointed") -> Iterator[ChordDiagr
     """Yield chord diagrams of order n.
 
     mode="basepointed" yields all (2n-1)!! distinct words;
-    mode="up-to-rotation" yields one representative per canonical code,
-    in sorted code order.  Raises ValueError above
-    :data:`MAX_DIAGRAM_ORDER`.
+    mode="up-to-rotation" yields one representative per rotation class,
+    the class's least relabeled word (its canonical code), in sorted code
+    order.  The classes come from an orderly generator
+    (:func:`rotation_classes`) that keys no word.  Raises ValueError
+    above :data:`MAX_DIAGRAM_ORDER`.
     """
     if mode not in ("basepointed", "up-to-rotation"):
         raise ValueError(f"enumerate_diagrams: unknown mode {mode!r}")
@@ -240,8 +246,82 @@ def enumerate_diagrams(n: int, mode: str = "basepointed") -> Iterator[ChordDiagr
     if mode == "basepointed":
         yield from map(_trusted_diagram, _matchings(2 * n))
     else:
-        codes = {canonical_word_bytes(w) for w in _matchings(2 * n)}
-        yield from (ChordDiagram(code) for code in sorted(codes))
+        yield from (_trusted_diagram(w) for w, _ in _least_words(n))
+
+
+def rotation_classes(n: int) -> Iterator[tuple[ChordDiagram, int]]:
+    """(representative, orbit size) of every rotation class of order n,
+    the representatives those of ``enumerate_diagrams(n, "up-to-rotation")``
+    in the same order; the orbit size is the number of basepointed
+    diagrams in the class, so the sizes sum to (2n-1)!!.  Raises
+    ValueError at the call above :data:`MAX_DIAGRAM_ORDER`.
+    """
+    require_order("rotation_classes", n, MAX_DIAGRAM_ORDER)
+    return ((_trusted_diagram(w), orbit) for w, orbit in _least_words(n))
+
+
+def _least_words(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each normalized word of order n that is least among its relabeled
+    rotations, in increasing order, with its orbit size: orderly
+    generation after Sawada (*A fast algorithm for generating
+    nonisomorphic chord diagrams*, SIAM J. Discrete Math. 15, 2002).
+
+    Let s be the word's shortest arc: the least, over chords, cyclic
+    distance between a chord's ends.  A relabeled rotation reads new
+    labels until a chord first closes, and the earliest possible close is
+    s positions in, by the chord that opened at the start; so the least
+    rotation starts at an end of a length-s arc and reads 0, 1, ..,
+    s-1, 0.  Words are therefore built position by position for s = 1..n
+    in turn, from that prefix, with every later chord's two arcs at
+    least s long, each position taking its smallest label first; only
+    the rotations that start a length-s arc can then be smaller.
+    """
+    m = 2 * n
+    if n == 0:
+        yield (), 1
+        return
+    word = [0] * m
+    opened = [0] * n
+    for s in range(1, n + 1):
+        word[: s + 1] = [*range(s), 0]
+        opened[:s] = range(s)
+        yield from _extend(word, opened, s, s + 1, s, list(range(1, s)))
+
+
+def _extend(word: list, opened: list, s: int, p: int, label: int, live: list):
+    """Fill positions p.. of ``word`` in increasing order: close a chord
+    of ``live`` (labels read once, oldest first) or open chord ``label``
+    (``opened`` holds each label's first position), every arc at least
+    s; at the end keep the word if no relabeled rotation is smaller."""
+    m = len(word)
+    if p == m:
+        w = tuple(word)
+        for r in range(1, m):
+            if w[r] == w[(r + s) % m]:
+                rot = _normalize(w[r:] + w[:r])
+                if rot < w:
+                    return
+                if rot == w:
+                    # the least rotation fixing w: its orbit has r words
+                    yield w, r
+                    return
+        yield w, m
+        return
+    for i, ch in enumerate(live):
+        d = p - opened[ch]
+        if d < s:
+            break
+        if d > m - s:
+            return
+        word[p] = ch
+        yield from _extend(word, opened, s, p + 1, label, live[:i] + live[i + 1 :])
+        if d == m - s:
+            # the oldest chord's last chance to close
+            return
+    if label < m // 2:
+        word[p] = label
+        opened[label] = p
+        yield from _extend(word, opened, s, p + 1, label + 1, live + [label])
 
 
 def _matchings(m: int) -> Iterator[tuple[int, ...]]:

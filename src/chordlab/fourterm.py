@@ -28,6 +28,7 @@ from .diagrams import (
     enumerate_diagrams,
     random_diagram,
     require_order,
+    rotation_classes,
 )
 
 DEFAULT_SIGNS = (1, -1, -1, 1)
@@ -47,13 +48,15 @@ class RelationQuadruple:
         return sum(sign * f(obj) for obj, sign in self.terms)
 
 
-def four_term_words(word: Sequence[int], p: int) -> tuple[list, list, list, list]:
+def four_term_words(word: Sequence[int], p: int) -> tuple[tuple, tuple, tuple, tuple]:
     """The four words of a diagram 4-term instance, chord ids preserved.
 
     Position p holds an endpoint of chord A, position p+1 (cyclic) one of
     chord B.  Term 2 swaps the two neighboring endpoints; terms 3 and 4
     re-home B's endpoint to just before / just after A's other endpoint.
+    Term 1 is ``tuple(word)``: a tuple word itself, not a copy.
     """
+    word = tuple(word)
     m = len(word)
     p %= m
     p1 = (p + 1) % m
@@ -65,11 +68,11 @@ def four_term_words(word: Sequence[int], p: int) -> tuple[list, list, list, list
     i = word.index(a_ch)
     j = word.index(a_ch, i + 1)
     q = j if p == i else i
-    base = [word[t] for t in range(m) if t != p1]
+    base = word[:p1] + word[p1 + 1 :]
     q_idx = q - 1 if p1 < q else q
-    before = base[:q_idx] + [b_ch] + base[q_idx:]
-    after = base[: q_idx + 1] + [b_ch] + base[q_idx + 1 :]
-    return list(word), swapped, before, after
+    before = base[:q_idx] + (b_ch,) + base[q_idx:]
+    after = base[: q_idx + 1] + (b_ch,) + base[q_idx + 1 :]
+    return word, tuple(swapped), before, after
 
 
 def diagram_four_term(
@@ -183,12 +186,25 @@ def diagram_source(
     return sharded((random_diagram(order, rng) for _ in range(sample)), shard)
 
 
+def class_source(
+    order: int, shard: tuple[int, int] | None = None
+) -> Iterator[tuple[ChordDiagram, int]]:
+    """Every rotation class of the order as (representative, orbit size),
+    the classes split by ``shard``: the basepointed diagrams of the
+    exhaustive :func:`diagram_source`, one class at a time.  Raises
+    ValueError, before any class is built, above
+    :data:`~chordlab.diagrams.MAX_EXHAUSTIVE_ORDER`.
+    """
+    require_order("exhaustive run", order, MAX_EXHAUSTIVE_ORDER)
+    return sharded(rotation_classes(order), shard)
+
+
 def four_term_instances(
     order: int,
     sample: int | None = None,
     seed: int = 0,
     shard: tuple[int, int] | None = None,
-) -> Iterator[tuple[list, list, list, list]]:
+) -> Iterator[tuple[tuple, tuple, tuple, tuple]]:
     """The four raw words of each diagram 4-term instance of the order.
 
     With ``sample`` None every neighboring-end position of every
@@ -226,11 +242,12 @@ def relation_sums(
 ) -> VerificationReport:
     """One check per item, the items read in windows of ``window``.
 
-    An item is a tuple of raw words: four for a 4-term quadruple, one
-    for a per-class check.  ``evaluate(batch)`` gives each item's term
-    values for one window; ``combine(values)`` is falsy when the item
-    passes, else the signed sum recorded with the canonical codes of
-    the item's words.  Codes are computed for violating items only.
+    An item is a tuple of raw tuple words: four for a 4-term quadruple,
+    one for a sampled per-class check.  ``evaluate(batch)`` gives each
+    item's term values for one window; ``combine(values)`` is falsy when
+    the item passes, else the signed sum recorded with the canonical
+    codes of the item's words.  Codes are computed for violating items
+    only.
     """
     report = VerificationReport(invariant=invariant, order=order)
     items = iter(items)
@@ -253,7 +270,9 @@ def by_class(values_of: Callable[[list[ChordDiagram]], list]) -> Callable:
     class; a word becomes a ChordDiagram only for that call.  Each window
     keys each distinct relabeled word once, through a
     :func:`~chordlab.diagrams.class_keyer` dropped with the window, so
-    the run keeps only the values of its classes.
+    the run keeps only the values of its classes.  The diagram word that
+    an exhaustive 4-term item starts with is relabeled already, so it is
+    relabeled once per window, not once per neighboring-end position.
     """
     values: dict[bytes, object] = {}
 

@@ -20,7 +20,6 @@ from .diagrams import (
     MAX_DIAGRAM_ORDER,
     MAX_GRAPH_ORDER,
     ChordDiagram,
-    canonical_code,
     enumerate_diagrams,
     require_order,
 )
@@ -434,25 +433,28 @@ def _orbit_masks(n: int, mask: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _realization_by_mask(n: int) -> dict[int, tuple[int, bytes]]:
+def _realization_by_mask(n: int) -> dict[int, tuple[int, ChordDiagram]]:
     """Map the plain intersection-graph edge mask of every order-n diagram
     class -> (index of its first class in enumeration order, that class's
-    canonical code)."""
-    out: dict[int, tuple[int, bytes]] = {}
+    representative)."""
+    out: dict[int, tuple[int, ChordDiagram]] = {}
     for idx, d in enumerate(enumerate_diagrams(n, "up-to-rotation")):
-        out.setdefault(intersection_graph(d).edge_mask(), (idx, canonical_code(d)))
+        out.setdefault(intersection_graph(d).edge_mask(), (idx, d))
     return out
 
 
 def realize_diagram(g: SimpleGraph) -> ChordDiagram | None:
     """A chord diagram whose intersection graph is isomorphic to g, or None.
 
-    The first diagram class, in enumeration order, whose intersection
-    graph lies in the relabeling orbit of g; capped at n <= 7.
+    The first diagram class, in sorted canonical-code order, whose
+    intersection graph lies in the relabeling orbit of g; capped at
+    n <= 7.  The classes of each order are tabled once, by edge mask,
+    from the orderly ``enumerate_diagrams(n, "up-to-rotation")``, which
+    keys no word; each call then looks up g's n! relabelings.
     """
     if g.n > 7:
         raise GraphError("realizability search is capped at 7 vertices")
     table = _realization_by_mask(g.n)
     hits = [table[m] for m in set(_orbit_masks(g.n, g.edge_mask())) if m in table]
-    return ChordDiagram(min(hits)[1]) if hits else None
+    return min(hits)[1] if hits else None
 

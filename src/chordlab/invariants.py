@@ -339,7 +339,10 @@ SL2_EXTENSION_EXPECTED = {
 
 def sl2_on_graph(g: SimpleGraph) -> IntPolynomial:
     """sl2 value through any realizing diagram (intersection graphs only)."""
-    d = realize_diagram(g)
+    return _sl2_on_realized(realize_diagram(g))
+
+
+def _sl2_on_realized(d: ChordDiagram | None) -> IntPolynomial:
     if d is None:
         raise ValueError("graph is not an intersection graph")
     return sl2_recursive(d)
@@ -365,6 +368,10 @@ def sl2_graph_extension_check() -> list[GraphExtensionReport]:
     primitive part must be twice the graph extension of the signed
     cycle count.
     """
+    # each realization looks up the graph's n! relabelings: one per
+    # distinct graph (edge mask) of the check
+    realize = lru_cache(maxsize=None)(realize_diagram)
+    sl2_on = lambda g: _sl2_on_realized(realize(g))
     reports = []
     for name, (target, resolutions, expected_rk) in WHEEL_PRISM_RESOLUTIONS.items():
         values = []
@@ -372,8 +379,8 @@ def sl2_graph_extension_check() -> list[GraphExtensionReport]:
         for (a, b), triple in resolutions:
             _, *masks = graph_four_term_masks(target.n, target.edge_mask(), a, b)
             g2, g3, g4 = (SimpleGraph.from_edge_mask(target.n, m) for m in masks)
-            values.append(sl2_on_graph(g2) + sl2_on_graph(g3) - sl2_on_graph(g4))
-            got = tuple(r_k(realize_diagram(h), 3) for h in (g2, g3, g4))
+            values.append(sl2_on(g2) + sl2_on(g3) - sl2_on(g4))
+            got = tuple(r_k(realize(h), 3) for h in (g2, g3, g4))
             if got != triple:
                 component_ok = False
         consistent = all(v == values[0] for v in values)
@@ -383,7 +390,7 @@ def sl2_graph_extension_check() -> list[GraphExtensionReport]:
         # extension value just computed
         n = target.n
         subset_values = [None] + [
-            sl2_on_graph(target.induced([u for u in range(n) if mask >> u & 1]))
+            sl2_on(target.induced([u for u in range(n) if mask >> u & 1]))
             for mask in range(1, (1 << n) - 1)
         ] + [value]
         primitive = partition_log_full(subset_values, n)

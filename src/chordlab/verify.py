@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import partial, reduce
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from ._bulk import hamiltonian_cycle_sums
 from ._np import np
@@ -32,6 +32,7 @@ from .fourterm import (
     DEFAULT_SIGNS,
     VerificationReport,
     by_class,
+    class_source,
     diagram_source,
     four_term_instances,
     relation_sums,
@@ -303,19 +304,38 @@ def suite_mutation(
 def _per_class_suite(
     invariant: str,
     order: int,
-    diagrams: Iterator[ChordDiagram],
     verdict: Callable[[list[ChordDiagram]], list[str | None]],
+    sample: int | None = None,
+    seed: int = 0,
+    shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
-    """One check per diagram, one verdict per rotation class.
+    """One check per basepointed diagram of the source, one verdict per
+    rotation class.
 
     ``verdict(ds)`` holds, per class representative in ``ds``, None when
     the class passes, else the text recorded as the violation's signed
-    sum.  It runs once per window of _CLASS_WINDOW diagrams, on the first
-    diagram met of each class that is new in the window.
+    sum.  Exhaustive runs read the classes of :func:`fourterm.class_source`,
+    _CLASS_WINDOW at a time, the shard splitting classes: a class counts
+    its orbit size towards ``checked`` and, when it fails, adds its record
+    that many times, as one record per basepointed diagram would.  Sampled
+    runs key each drawn diagram (:func:`fourterm.by_class`), and ``verdict``
+    runs once per window on the first diagram met of each class that is
+    new in the window.
     """
-    items = ((d.word,) for d in diagrams)
-    evaluate = by_class(verdict)
-    return relation_sums(invariant, order, items, evaluate, itemgetter(0), _CLASS_WINDOW)
+    if sample is not None:
+        items = ((d.word,) for d in diagram_source(order, sample, seed, shard))
+        evaluate, window = by_class(verdict), _CLASS_WINDOW
+        return relation_sums(invariant, order, items, evaluate, itemgetter(0), window)
+    classes = class_source(order, shard)
+    report = VerificationReport(invariant=invariant, order=order)
+    while window := list(itertools.islice(classes, _CLASS_WINDOW)):
+        for (d, orbit), text in zip(window, verdict([d for d, _ in window])):
+            report.checked += orbit
+            if text is not None:
+                code = canonical_code(d).decode("ascii")
+                for _ in range(orbit):
+                    report.add_violation([code], text)
+    return report.finalize()
 
 
 def _parity_verdicts(batch) -> list[list[str | None]]:
@@ -337,13 +357,13 @@ def suite_parity(
     exhaustive, by the batched Hamiltonian DP when sampled."""
     require_at_least("parity", "k", k, MIN_K)
     name = f"r{k}-vs-e{2 * k}-parity"
-    diagrams = diagram_source(order, sample, seed, shard)
     if sample is None:
         def verdict(ds):
             graphs = [intersection_graph(d) for d in ds]
             same = [r_k(d, k) & 1 == e_l_parity(g, 2 * k) for d, g in zip(ds, graphs)]
             return [None if ok else "parity-differs" for ok in same]
-        return _per_class_suite(name, order, diagrams, verdict)
+        return _per_class_suite(name, order, verdict, shard=shard)
+    diagrams = diagram_source(order, sample, seed, shard)
     if order != 2 * k:
         raise ValueError("sampled parity mode requires order == 2k")
     items = ((d.word,) for d in diagrams)
@@ -362,8 +382,7 @@ def suite_conjecture(
         projected = sl2_projected_batch(ds)
         pairs = [(p.coefficient(k), 2 * r_k(d, k)) for d, p in zip(ds, projected)]
         return [None if a == b else f"lhs={a} rhs={b}" for a, b in pairs]
-    diagrams = diagram_source(2 * k, sample, seed, shard)
-    return _per_class_suite(f"conjecture-k{k}", 2 * k, diagrams, verdict)
+    return _per_class_suite(f"conjecture-k{k}", 2 * k, verdict, sample, seed, shard)
 
 
 def suite_wc_identity(
@@ -375,8 +394,7 @@ def suite_wc_identity(
     def verdict(ds):
         pairs = [(r_k(d, k), r_k_via_wc(d, k)) for d in ds]
         return [None if a == b else f"rk={a} via_wc={b}" for a, b in pairs]
-    diagrams = diagram_source(2 * k, shard=shard)
-    return _per_class_suite(f"rk-wc-identity-k{k}", 2 * k, diagrams, verdict)
+    return _per_class_suite(f"rk-wc-identity-k{k}", 2 * k, verdict, shard=shard)
 
 
 def suite_oracle_equivalence(
@@ -389,8 +407,8 @@ def suite_oracle_equivalence(
     def verdict(ds):
         pairs = [(sl2_oracle(d), sl2_recursive(d)) for d in ds]
         return [None if a == b else f"oracle={a} recursive={b}" for a, b in pairs]
-    diagrams = diagram_source(order, sample, seed, shard)
-    return _per_class_suite("sl2-oracle-vs-recursive", order, diagrams, verdict)
+    name = "sl2-oracle-vs-recursive"
+    return _per_class_suite(name, order, verdict, sample, seed, shard)
 
 
 def suite_wheel_prism() -> tuple[VerificationReport, list[dict]]:

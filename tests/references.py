@@ -9,6 +9,9 @@ paper's coefficient identity for one diagram.  ``interleave_rows`` and
 share scan that the bitmask kernels of ``graphs`` and ``diagrams``
 replaced.  ``rotated``, ``induced_subdiagram`` and ``diagram_product``
 are the diagram constructions the tests build their cases with.
+``rotation_representatives`` finds the rotation classes by keying every
+basepointed word, the enumeration the orderly generator behind
+``diagrams.enumerate_diagrams(n, "up-to-rotation")`` replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +19,14 @@ from __future__ import annotations
 from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from chordlab.diagrams import ChordDiagram, DiagramError, Share, word_positions
+from chordlab.diagrams import (
+    ChordDiagram,
+    DiagramError,
+    Share,
+    canonical_word_bytes,
+    enumerate_diagrams,
+    word_positions,
+)
 from chordlab.invariants import r_k, sl2_projected
 from chordlab.partitions import partition_log_full
 
@@ -43,6 +53,13 @@ def diagram_product(d1: ChordDiagram, d2: ChordDiagram) -> ChordDiagram:
     """Concatenation product: the factors occupy disjoint arcs."""
     shift = d1.n
     return ChordDiagram(d1.word + tuple(ch + shift for ch in d2.word))
+
+
+def rotation_representatives(n: int) -> list[ChordDiagram]:
+    """One diagram per rotation class of order n, in sorted canonical-code
+    order: the distinct keys of every basepointed word, each parsed back."""
+    codes = {canonical_word_bytes(d.word) for d in enumerate_diagrams(n)}
+    return [ChordDiagram(code) for code in sorted(codes)]
 
 
 def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -22,6 +22,7 @@ from chordlab.diagrams import (
     enumerate_diagrams,
     parse_diagram,
     random_diagram,
+    rotation_classes,
 )
 from chordlab.fourterm import verify_weight_system
 from chordlab.graphs import graph_canonical_mask, intersection_graph
@@ -343,4 +344,9 @@ def test_extra_el_parity_graph_four_term_order6():
 def test_extra_enumeration_count_order8():
     count = sum(1 for _ in enumerate_diagrams(8, "basepointed"))
     assert count == factorial(16) // (2**8 * factorial(8)) == 2_027_025
-    print("extra PASS: order-8 basepointed enumeration has (2n-1)!! = 2027025 words")
+    orbits = [orbit for _, orbit in rotation_classes(8)]
+    assert (len(orbits), sum(orbits)) == (127_072, count)
+    print(
+        "extra PASS: order-8 basepointed enumeration has (2n-1)!! = 2027025 words "
+        "in 127072 rotation classes"
+    )

@@ -24,11 +24,17 @@ from chordlab.diagrams import (
     mutated_words,
     parse_diagram,
     random_diagram,
+    rotation_classes,
 )
 from chordlab.fourterm import four_term_instances
 from chordlab.graphs import interleave_rows, intersection_graph
 from graph_moves import disjoint_union
-from references import diagram_product, induced_subdiagram, rotated
+from references import (
+    diagram_product,
+    induced_subdiagram,
+    rotated,
+    rotation_representatives,
+)
 from references import find_shares as reference_find_shares
 from references import interleave_rows as reference_interleave_rows
 
@@ -251,6 +257,32 @@ class TestEnumeration:
         codes = [canonical_code(d) for d in reps]
         assert codes == sorted(set(codes))
         assert len(reps) == 5
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_orderly_generator_matches_the_keyed_classes(self, n):
+        # the same representatives in the same order, each its own code
+        reps = list(enumerate_diagrams(n, "up-to-rotation"))
+        assert reps == rotation_representatives(n)
+        classes = list(rotation_classes(n))
+        assert [d for d, _ in classes] == reps
+        # every basepointed diagram lies in exactly one orbit
+        assert sum(orbit for _, orbit in classes) == double_factorial(n)
+        for d, orbit in classes if n <= 6 else ():
+            turns = {rotated(d, r) for r in range(max(1, 2 * n))}
+            assert orbit == len(turns)
+
+    def test_orderly_generator_keys_no_word(self, monkeypatch):
+        def no_key(word):
+            raise AssertionError("a word was keyed")
+
+        monkeypatch.setattr(diagrams, "canonical_word_bytes", no_key)
+        assert sum(1 for _ in enumerate_diagrams(6, "up-to-rotation")) == 902
+        assert sum(orbit for _, orbit in rotation_classes(6)) == 10395
+
+    def test_rotation_classes_refuse_orders_above_the_ceiling(self):
+        for n in (9, -1):
+            with pytest.raises(ValueError, match=f"order {n} outside 0..8"):
+                rotation_classes(n)
 
     def test_words_are_valid(self):
         for d in enumerate_diagrams(3, "basepointed"):

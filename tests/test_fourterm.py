@@ -594,11 +594,10 @@ class TestPerClassWindows:
         code = canonical_code(d)
         return None if code[1:2] == b"A" else f"second={code[1:2].decode()}"
 
-    @pytest.mark.parametrize("window", [1, 7, 1024])
-    def test_windows_match_one_pass(self, monkeypatch, window):
+    def _check_windows(self, monkeypatch, window, sample):
         monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
         reference = VerificationReport(invariant="synthetic", order=5)
-        for d in enumerate_diagrams(5, "basepointed"):
+        for d in diagram_source(5, sample, seed=3):
             reference.checked += 1
             if self._verdict(d) is not None:
                 reference.add_violation([canonical_code(d).decode()], self._verdict(d))
@@ -609,15 +608,22 @@ class TestPerClassWindows:
             seen.extend(canonical_code(d) for d in ds)
             return [self._verdict(d) for d in ds]
 
-        report = verify._per_class_suite(
-            "synthetic", 5, enumerate_diagrams(5, "basepointed"), batch
-        )
+        report = verify._per_class_suite("synthetic", 5, batch, sample, seed=3)
         assert report.violations == reference.violations
         assert report.json_lines() == reference.json_lines()
-        # one verdict per class, never repeated across windows
-        assert len(seen) == len(set(seen)) == len(
-            list(enumerate_diagrams(5, "up-to-rotation"))
-        )
+        # one verdict per class met, never repeated across windows
+        met = {canonical_code(d) for d in diagram_source(5, sample, seed=3)}
+        assert len(seen) == len(set(seen)) == len(met)
+        return met
+
+    @pytest.mark.parametrize("window", [1, 7, 1024])
+    def test_windows_match_one_pass(self, monkeypatch, window):
+        met = self._check_windows(monkeypatch, window, None)
+        assert len(met) == len(list(enumerate_diagrams(5, "up-to-rotation")))
+
+    @pytest.mark.parametrize("window", [1, 7, 1024])
+    def test_sampled_windows_match_one_pass(self, monkeypatch, window):
+        self._check_windows(monkeypatch, window, 400)
 
     @pytest.mark.parametrize("window", [5, 1024])
     def test_conjecture_violations_do_not_depend_on_the_window(
@@ -634,6 +640,34 @@ class TestPerClassWindows:
             if sl2_projected(d).coefficient(2) != 2
         ]
         assert (report.checked, len(report.violations)) == (105, len(expected))
+
+    @staticmethod
+    def _conjecture_per_word(k):
+        """The conjecture report of one check per basepointed diagram."""
+        report = VerificationReport(invariant=f"conjecture-k{k}", order=2 * k)
+        for d in enumerate_diagrams(2 * k, "basepointed"):
+            report.checked += 1
+            lhs, rhs = sl2_projected(d).coefficient(k), 2 * verify.r_k(d, k)
+            if lhs != rhs:
+                report.add_violation([canonical_code(d).decode()], f"lhs={lhs} rhs={rhs}")
+        return report.finalize()
+
+    @pytest.mark.parametrize("window", [5, 1024])
+    def test_class_weighted_conjecture_matches_one_check_per_word(
+        self, monkeypatch, window
+    ):
+        # each class is checked once and weighted by its orbit, so its
+        # record repeats once per basepointed diagram of the class
+        monkeypatch.setattr(verify, "r_k", lambda d, k: 1)
+        monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
+        reference = self._conjecture_per_word(2).json_lines()
+        assert verify.suite_conjecture(2).json_lines() == reference
+        parts = [verify.suite_conjecture(2, shard=(i, 3)) for i in range(3)]
+        assert merge_reports(parts).json_lines() == reference
+        # shards split classes: no class is checked by two shards
+        codes = [{rec["terms"][0] for rec in p.violations} for p in parts]
+        assert not (codes[0] & codes[1] or codes[0] & codes[2] or codes[1] & codes[2])
+        assert sum(p.checked for p in parts) == 105
 
 
 class TestHamiltonianRoute:
