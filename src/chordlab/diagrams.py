@@ -11,7 +11,9 @@ quotiented out).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -27,6 +29,9 @@ class DiagramError(ValueError):
 MAX_DIAGRAM_ORDER = 8
 MAX_GRAPH_ORDER = 6
 MAX_EXHAUSTIVE_ORDER = 6
+# a class keyer's memo is emptied when it holds this many relabeled words:
+# every basepointed word at the exhaustive ceiling, (2n-1)!!
+_KEYER_WORDS = math.prod(range(1, 2 * MAX_EXHAUSTIVE_ORDER, 2))
 
 
 def require_order(what: str, order: int, ceiling: int) -> None:
@@ -204,14 +209,19 @@ def canonical_word_bytes(word: Sequence[int]) -> bytes:
 
 def class_keyer() -> Callable[[tuple[int, ...]], bytes]:
     """A function giving :func:`canonical_word_bytes` of a word, each
-    distinct first-appearance relabeled word keyed once.
+    distinct first-appearance relabeled word keyed once while it stays in
+    the memo.
 
     The key does not depend on chord labels, so the memo, keyed by the
-    relabeled word, is exact; it lives as long as the returned function.
+    relabeled word, is exact.  It lives as long as the returned function
+    and is emptied when it holds :data:`_KEYER_WORDS` words, every
+    basepointed word at :data:`MAX_EXHAUSTIVE_ORDER`: an exhaustive run
+    keys each relabeled word once, and a sampled one stays bounded.
     Words must be tuples: a word found in the memo as it stands is a
     relabeled word keyed before, so it is not relabeled again.
     """
     memo: dict[tuple[int, ...], bytes] = {}
+    cap = _KEYER_WORDS
 
     def key(word: tuple[int, ...]) -> bytes:
         code = memo.get(word)
@@ -219,6 +229,8 @@ def class_keyer() -> Callable[[tuple[int, ...]], bytes]:
             w = _normalize(word)
             code = memo.get(w)
             if code is None:
+                if len(memo) >= cap:
+                    memo.clear()
                 code = memo[w] = canonical_word_bytes(w)
         return code
 
@@ -395,6 +407,10 @@ class MutationKind(enum.Enum):
     REFLECTION_HORIZONTAL = "reflection-horizontal"
 
 
+# the kinds in definition order, as :func:`mutated_words` walks them
+_KINDS = tuple(MutationKind)
+
+
 def find_shares(d: ChordDiagram) -> list[Share]:
     """All shares of d, one per chord subset (including empty and full),
     in increasing order of the subset's bit mask.
@@ -404,10 +420,12 @@ def find_shares(d: ChordDiagram) -> list[Share]:
     holds automatically because runs contain no foreign endpoints.  A
     subset's positions are one bit mask, its lowest chord's ends or'ed
     into the mask of the rest; a run starts at each position whose
-    cyclic predecessor is outside the mask.
+    cyclic predecessor is outside the mask.  Raises ValueError above
+    :data:`MAX_DIAGRAM_ORDER`.
     """
     m = len(d.word)
     n = d.n
+    chord_sets = _subset_chords(n)
     ends = [0] * n
     for p, ch in enumerate(d.word):
         ends[ch] |= 1 << p
@@ -435,26 +453,35 @@ def find_shares(d: ChordDiagram) -> list[Share]:
                 run = pm >> s1
                 l1 = (~run & (run + 1)).bit_length() - 1
                 arcs = ((s1, l1), (starts.bit_length() - 1, k - l1))
-        chords = frozenset(ch for ch in range(n) if mask >> ch & 1)
-        shares.append(Share(arcs=arcs, chords=chords))
+        shares.append(Share(arcs=arcs, chords=chord_sets[mask]))
     return shares
 
 
+@lru_cache(maxsize=None)
+def _subset_chords(n: int) -> tuple[frozenset[int], ...]:
+    """The chord set of every subset of n chords, indexed by its bit mask;
+    the order is checked first, so at most 2^8 sets are kept per order."""
+    require_order("find_shares", n, MAX_DIAGRAM_ORDER)
+    return tuple(
+        frozenset(ch for ch in range(n) if mask >> ch & 1) for mask in range(1 << n)
+    )
+
+
 def _share_segments(d: ChordDiagram, share: Share):
-    """Split the word into (arc1, gap1, arc2, gap2) starting at arc1."""
-    m = len(d.word)
-    (s1, l1), (s2, l2) = share.arcs
+    """Split the word into (arc1, gap1, arc2, gap2) starting at arc1: four
+    consecutive slices of the doubled word, ending one turn after arc1
+    starts."""
+    word = d.word
+    m = len(word)
     if m == 0:
         return (), (), (), ()
-    twice = d.word + d.word
-    seg = lambda start, length: twice[start : start + length]
-    a1 = seg(s1, l1)
-    g1_len = (s2 - s1 - l1) % m
-    g1 = seg((s1 + l1) % m, g1_len)
-    a2 = seg(s2, l2)
-    g2_len = m - l1 - l2 - g1_len
-    g2 = seg((s2 + l2) % m, g2_len)
-    return a1, g1, a2, g2
+    (s1, l1), (s2, l2) = share.arcs
+    twice = word + word
+    # where arc1 ends, arc2 begins and arc2 ends, on the doubled word
+    e1 = s1 + l1
+    b2 = e1 + (s2 - e1) % m
+    e2 = b2 + l2
+    return twice[s1:e1], twice[e1:b2], twice[b2:e2], twice[e2 : s1 + m]
 
 
 def _check_share(d: ChordDiagram, share: Share) -> None:
@@ -491,7 +518,7 @@ def mutated_words(
     whose shares are closed by construction.
     """
     segments = _share_segments(d, share)
-    return [(kind, _reglue(segments, kind)) for kind in MutationKind]
+    return [(kind, _reglue(segments, kind)) for kind in _KINDS]
 
 
 def _reglue(segments, kind: MutationKind) -> tuple[int, ...]:

@@ -267,17 +267,17 @@ def by_class(values_of: Callable[[list[ChordDiagram]], list]) -> Callable:
     ``values_of(diagrams)`` gives the value of each diagram of a list.
     It runs once per window, on the first diagram met of each class not
     seen before in the run, so it must be a function of the rotation
-    class; a word becomes a ChordDiagram only for that call.  Each window
-    keys each distinct relabeled word once, through a
-    :func:`~chordlab.diagrams.class_keyer` dropped with the window, so
-    the run keeps only the values of its classes.  The diagram word that
-    an exhaustive 4-term item starts with is relabeled already, so it is
-    relabeled once per window, not once per neighboring-end position.
+    class; a word becomes a ChordDiagram only for that call.  The run
+    keys words through one :func:`~chordlab.diagrams.class_keyer`, whose
+    memo is bounded: an exhaustive run relabels and keys each distinct
+    relabeled word once, and the diagram word that an exhaustive 4-term
+    item starts with is found in the memo as it stands.  The run keeps
+    the values of its classes.
     """
     values: dict[bytes, object] = {}
+    class_key = class_keyer()
 
     def evaluate(batch):
-        class_key = class_keyer()
         keys = [[class_key(w) for w in words] for words in batch]
         fresh: dict[bytes, Sequence[int]] = {}
         for key, w in zip(itertools.chain(*keys), itertools.chain(*batch)):

@@ -74,8 +74,7 @@ class SimpleGraph:
 
     def edge_mask(self) -> int:
         """Edges packed into one int, bit index from :func:`pair_index_table`."""
-        ptab = pair_index_table(self.n)
-        return sum(1 << ptab[u][v] for u, v in self.edges())
+        return rows_edge_mask(self.rows)
 
     @staticmethod
     def from_edge_mask(n: int, mask: int) -> "SimpleGraph":
@@ -349,6 +348,15 @@ def enumerate_graphs(n: int, mode: str = "labeled") -> Iterator[SimpleGraph]:
             seen[img] = 1
 
 
+def rows_edge_mask(rows: Sequence[int]) -> int:
+    """The edge mask of bit-row adjacency, bit index from
+    :func:`pair_index_table`: that table numbers the pairs (u, v), u < v,
+    row by row, so row u's bits above u move as one shift."""
+    n = len(rows)
+    ptab = pair_index_table(n)
+    return sum(row >> u + 1 << ptab[u][u + 1] for u, row in enumerate(rows[:-1]))
+
+
 @lru_cache(maxsize=None)
 def pair_index_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Table [u][v] -> bit position of the pair in an edge mask."""
@@ -439,7 +447,7 @@ def _realization_by_mask(n: int) -> dict[int, tuple[int, ChordDiagram]]:
     representative)."""
     out: dict[int, tuple[int, ChordDiagram]] = {}
     for idx, d in enumerate(enumerate_diagrams(n, "up-to-rotation")):
-        out.setdefault(intersection_graph(d).edge_mask(), (idx, d))
+        out.setdefault(rows_edge_mask(interleave_rows(d.word)), (idx, d))
     return out
 
 

@@ -55,6 +55,7 @@ from .invariants import (
     e_l_parity,
     r_k,
     r_k_graph_core,
+    r_k_oriented,
     r_k_via_wc,
     sl2_graph_extension_check,
     sl2_projected_batch,
@@ -260,20 +261,30 @@ def suite_mutation(
 ) -> VerificationReport:
     """Mutations must preserve the labeled intersection graph and R_k.
 
-    R_k is looked up by canonical key, so a mutant becomes a ChordDiagram
-    once per class; the run keys each distinct relabeled mutant once,
-    through one :func:`~chordlab.diagrams.class_keyer`, which holds at
-    most the (2n-1)!! basepointed words, 10,395 at the exhaustive
-    ceiling.  Violation records carry the keys of the raw words.
+    R_k is evaluated once per class, on the class representative and on
+    the first mutant met of each other class, by the cycle DP
+    (``r_k_oriented``) under a class-keyed memo.  The run keys each
+    distinct relabeled mutant once, through one
+    :func:`~chordlab.diagrams.class_keyer`: the (2n-1)!! basepointed
+    words fit its memo at every order up to the ceiling.  Violation
+    records carry the keys of the raw words.
     """
     _check_mutation_order(order)
     report = VerificationReport(invariant="mutation", order=order)
     k = order // 2 if order % 2 == 0 and order >= 4 else None
     class_key = class_keyer()
     rk_by_class: dict[bytes, int] = {}
+
+    def rk_of(word: tuple[int, ...]) -> int:
+        key = class_key(word)
+        rk = rk_by_class.get(key)
+        if rk is None:
+            rk = rk_by_class[key] = r_k_oriented(ChordDiagram(word), k, 0)
+        return rk
+
     for d in sharded(enumerate_diagrams(order, "up-to-rotation"), shard):
         base_rows = interleave_rows(d.word)
-        base_rk = r_k(d, k) if k else None
+        base_rk = rk_of(d.word) if k else None
         # different shares often re-glue to the same word
         verdicts: dict[tuple[int, ...], bool] = {}
         for share in find_shares(d):
@@ -283,10 +294,7 @@ def suite_mutation(
                 if bad is None:
                     bad = interleave_rows(w) != base_rows
                     if not bad and k:
-                        key = class_key(w)
-                        if key not in rk_by_class:
-                            rk_by_class[key] = r_k(ChordDiagram(w), k)
-                        bad = rk_by_class[key] != base_rk
+                        bad = rk_of(w) != base_rk
                     verdicts[w] = bad
                 if bad:
                     report.add_violation(
@@ -380,7 +388,9 @@ def suite_conjecture(
     require_at_least("conjecture", "k", k, MIN_K)
     def verdict(ds):
         projected = sl2_projected_batch(ds)
-        pairs = [(p.coefficient(k), 2 * r_k(d, k)) for d, p in zip(ds, projected)]
+        # each class reaches the verdict once: R_k by the DP, not keyed again
+        rk = [r_k_oriented(d, k, 0) for d in ds]
+        pairs = [(p.coefficient(k), 2 * r) for p, r in zip(projected, rk)]
         return [None if a == b else f"lhs={a} rhs={b}" for a, b in pairs]
     return _per_class_suite(f"conjecture-k{k}", 2 * k, verdict, sample, seed, shard)
 

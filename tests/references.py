@@ -12,6 +12,10 @@ are the diagram constructions the tests build their cases with.
 ``rotation_representatives`` finds the rotation classes by keying every
 basepointed word, the enumeration the orderly generator behind
 ``diagrams.enumerate_diagrams(n, "up-to-rotation")`` replaced.
+``edge_mask`` packs a graph's edges pair by pair, and
+``realization_by_mask`` tables the classes by the masks of their
+validated intersection graphs, the routes ``graphs.rows_edge_mask``
+replaced.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from chordlab.diagrams import (
     enumerate_diagrams,
     word_positions,
 )
+from chordlab.graphs import SimpleGraph, intersection_graph, pair_index_table
 from chordlab.invariants import r_k, sl2_projected
 from chordlab.partitions import partition_log_full
 
@@ -185,3 +190,18 @@ def _run_length(in_set: list[bool], start: int) -> int:
     while k < m and in_set[(start + k) % m]:
         k += 1
     return k
+
+
+def edge_mask(g: SimpleGraph) -> int:
+    """One bit per edge (u, v), at the pair's index in pair_index_table."""
+    ptab = pair_index_table(g.n)
+    return sum(1 << ptab[u][v] for u, v in g.edges())
+
+
+def realization_by_mask(n: int) -> dict:
+    """Edge mask of each order-n class's validated intersection graph ->
+    (index of the first class with that mask, its representative)."""
+    out: dict = {}
+    for idx, d in enumerate(enumerate_diagrams(n, "up-to-rotation")):
+        out.setdefault(edge_mask(intersection_graph(d)), (idx, d))
+    return out

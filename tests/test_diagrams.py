@@ -191,6 +191,27 @@ class TestClassKeyer:
         assert key(word) == key(relabeled) == canonical_word_bytes(relabeled)
         assert canonical_word_bytes(relabeled) == canonical_word_bytes(word)
 
+    def test_full_memo_is_emptied_and_keys_stay_exact(self, monkeypatch):
+        keyed = []
+
+        def counting(word):
+            keyed.append(word)
+            return canonical_word_bytes(word)
+
+        monkeypatch.setattr(diagrams, "canonical_word_bytes", counting)
+        monkeypatch.setattr(diagrams, "_KEYER_WORDS", 2)
+        key = class_keyer()
+        words = [d.word for d in enumerate_diagrams(3)]
+        # two passes over the 15 words: a two-word memo is emptied before
+        # any word comes round again, so every word is keyed twice
+        assert [key(w) for w in words + words] == [
+            canonical_word_bytes(w) for w in words + words
+        ]
+        assert len(keyed) == 30
+
+    def test_memo_holds_every_word_at_the_exhaustive_ceiling(self):
+        assert diagrams._KEYER_WORDS == double_factorial(diagrams.MAX_EXHAUSTIVE_ORDER)
+
     def test_raw_four_term_words(self):
         # one keyer across orders and windows: term words keep their chord
         # ids, and the memo must key them exactly as the plain key does
@@ -401,6 +422,10 @@ class TestShares:
                     expected.update(d.endpoints(ch))
                 assert covered == expected
 
+    def test_orders_above_the_ceiling_raise(self):
+        with pytest.raises(ValueError, match="order 9 outside 0..8"):
+            find_shares(random_diagram(9, random.Random(9)))
+
     def test_found_shares_pass_the_share_check(self):
         # mutated_words trusts find_shares and skips this check
         for n in range(6):
@@ -444,6 +469,14 @@ class TestMutations:
                 )
                 rotated = apply_mutation(d, share, MutationKind.ROTATION)
                 assert canonical_code(twice) == canonical_code(rotated)
+
+    def test_mutated_words_match_the_checked_path(self):
+        # the unchecked loop of suite_mutation against apply_mutation's path
+        for n in range(7):
+            for d in enumerate_diagrams(n, "up-to-rotation"):
+                for share in find_shares(d):
+                    expected = [(k, mutated_word(d, share, k)) for k in MutationKind]
+                    assert mutated_words(d, share) == expected
 
     def test_invalid_share_rejected(self):
         from chordlab.diagrams import Share

@@ -37,7 +37,7 @@ from chordlab.graphs import (
 from chordlab.invariants import e_l_parity, r_k, sl2_projected, w_c
 from chordlab.polynomials import ZERO
 from chordlab.sl2 import sl2_recursive
-from chordlab import fourterm, invariants, verify
+from chordlab import diagrams, fourterm, invariants, verify
 from chordlab.verify import masked_relation, merge_reports, suite_four_term_graphs
 from graph_moves import graph_four_term, graph_prime, graph_tilde
 
@@ -553,8 +553,8 @@ class TestViolationDigests:
                 # R_k replaced by the rotation class: every mutant that
                 # leaves its class is recorded, so a class key memo that
                 # gave a word another class's key would change the records
-                "r_k",
-                lambda d, k: canonical_code(d),
+                "r_k_oriented",
+                lambda d, k, flip: canonical_code(d),
                 4,
                 744,
                 68,
@@ -629,7 +629,7 @@ class TestPerClassWindows:
     def test_conjecture_violations_do_not_depend_on_the_window(
         self, monkeypatch, window
     ):
-        monkeypatch.setattr(verify, "r_k", lambda d, k: 1)
+        monkeypatch.setattr(verify, "r_k_oriented", lambda d, k, flip: 1)
         monkeypatch.setattr(verify, "_CLASS_WINDOW", 1024)
         whole = verify.suite_conjecture(2).json_lines()
         monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
@@ -647,7 +647,8 @@ class TestPerClassWindows:
         report = VerificationReport(invariant=f"conjecture-k{k}", order=2 * k)
         for d in enumerate_diagrams(2 * k, "basepointed"):
             report.checked += 1
-            lhs, rhs = sl2_projected(d).coefficient(k), 2 * verify.r_k(d, k)
+            lhs = sl2_projected(d).coefficient(k)
+            rhs = 2 * verify.r_k_oriented(d, k, 0)
             if lhs != rhs:
                 report.add_violation([canonical_code(d).decode()], f"lhs={lhs} rhs={rhs}")
         return report.finalize()
@@ -658,7 +659,7 @@ class TestPerClassWindows:
     ):
         # each class is checked once and weighted by its orbit, so its
         # record repeats once per basepointed diagram of the class
-        monkeypatch.setattr(verify, "r_k", lambda d, k: 1)
+        monkeypatch.setattr(verify, "r_k_oriented", lambda d, k, flip: 1)
         monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
         reference = self._conjecture_per_word(2).json_lines()
         assert verify.suite_conjecture(2).json_lines() == reference
@@ -668,6 +669,40 @@ class TestPerClassWindows:
         codes = [{rec["terms"][0] for rec in p.violations} for p in parts]
         assert not (codes[0] & codes[1] or codes[0] & codes[2] or codes[1] & codes[2])
         assert sum(p.checked for p in parts) == 105
+
+
+class TestOneKeyerPerRun:
+    """A by-class run keys its words through one class keyer, whose memo
+    is emptied when full; emptying it only repeats work."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: verify.suite_four_term_diagrams("rk", 4, 2),
+            lambda: verify.suite_four_term_diagrams("rk", 5, 2),
+            lambda: verify.suite_four_term_diagrams("sl2", 7, sample=600, seed=4),
+            lambda: verify_weight_system(_diagram_triangles, 5, invariant="triangles"),
+        ],
+        ids=["rk-4", "rk-5", "sl2-sampled-7", "triangles-5"],
+    )
+    def test_a_one_word_memo_gives_the_same_bytes(self, monkeypatch, run):
+        whole = run().json_lines()
+        monkeypatch.setattr(diagrams, "_KEYER_WORDS", 1)
+        assert run().json_lines() == whole
+
+    def test_exhaustive_run_keys_each_relabeled_word_once(self, monkeypatch):
+        keyed = []
+        real = diagrams.canonical_word_bytes
+        monkeypatch.setattr(
+            diagrams, "canonical_word_bytes", lambda w: keyed.append(w) or real(w)
+        )
+        # R_k by the DP alone, so every key counted is the keyer's
+        monkeypatch.setattr(verify, "r_k", lambda d, k: invariants.r_k_oriented(d, k, 0))
+        report = verify.suite_four_term_diagrams("rk", 5, 2)
+        assert (report.checked, report.ok) == (8400, True)
+        # at most the 945 basepointed words of order 5; a keyer per
+        # 128-item window made 13,146 keys
+        assert len(keyed) == len(set(keyed)) <= 945
 
 
 class TestHamiltonianRoute:

@@ -44,6 +44,8 @@ from chordlab.invariants import FIVE_WHEEL, THREE_PRISM
 from chordlab.table1 import ROWS
 from chordlab.verify import dense_sign_matrix
 from graph_moves import graph_prime, graph_tilde, is_intersection_graph, relabeled
+from references import edge_mask as reference_edge_mask
+from references import realization_by_mask as reference_realization_by_mask
 
 K2 = SimpleGraph.from_edges(2, [(0, 1)])
 C4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -146,6 +148,12 @@ class TestBasics:
     def test_edge_mask_roundtrip(self):
         for g in (K2, C4, K4, FIVE_WHEEL, THREE_PRISM):
             assert SimpleGraph.from_edge_mask(g.n, g.edge_mask()) == g
+
+    def test_edge_mask_matches_the_pair_by_pair_mask(self):
+        # one shift per row against one bit per edge, every labeled graph
+        for n in range(6):
+            for g in enumerate_graphs(n, "labeled"):
+                assert g.edge_mask() == reference_edge_mask(g)
 
     @pytest.mark.parametrize(
         "edge, bit",
@@ -513,6 +521,11 @@ class TestRealizability:
         for _ in range(400):
             g = SimpleGraph.from_edge_mask(6, rng.randrange(1 << 15))
             assert realize_diagram(g) == _realize_by_class_reference(g)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_realization_table_matches_validated_graphs(self, n):
+        # the table reads each class's masks off its crossing rows
+        assert graphs._realization_by_mask(n) == reference_realization_by_mask(n)
 
     def test_table_rows_keep_their_realizing_diagrams(self):
         got = [
