@@ -46,9 +46,17 @@ MIN_L = 4
 def _signed_hamiltonian_sum(w: Sequence[Sequence[int]]) -> int:
     """Signed count of Hamiltonian cycles from a +-1 step-weight matrix.
 
-    The recurrence of :func:`chordlab._bulk.hamiltonian_cycle_sums` in push form.
+    The recurrence of :func:`chordlab._bulk.hamiltonian_cycle_sums` in push
+    form, with its shortcut: from n = 3 on, a vertex with fewer than two
+    neighbours (a nonzero step either way, the diagonal aside) lies on no
+    cycle, so the sum is 0 without the DP.
     """
     n = len(w)
+    if n >= 3 and any(
+        sum(1 for u in range(n) if u != v and (w[v][u] or w[u][v])) < 2
+        for v in range(n)
+    ):
+        return 0
     full = 1 << n
     paths = [[0] * n for _ in range(full)]
     paths[1][0] = 1

@@ -53,7 +53,6 @@ from .invariants import (
     MIN_K,
     MIN_L,
     e_l_parity,
-    r_k,
     r_k_graph_core,
     r_k_oriented,
     r_k_via_wc,
@@ -368,7 +367,8 @@ def suite_parity(
     if sample is None:
         def verdict(ds):
             graphs = [intersection_graph(d) for d in ds]
-            same = [r_k(d, k) & 1 == e_l_parity(g, 2 * k) for d, g in zip(ds, graphs)]
+            rk = [r_k_oriented(d, k, 0) for d in ds]
+            same = [r & 1 == e_l_parity(g, 2 * k) for r, g in zip(rk, graphs)]
             return [None if ok else "parity-differs" for ok in same]
         return _per_class_suite(name, order, verdict, shard=shard)
     diagrams = diagram_source(order, sample, seed, shard)
@@ -402,7 +402,7 @@ def suite_wc_identity(
     basepointed 2k-chord diagram."""
     require_at_least("wc-identity", "k", k, MIN_K)
     def verdict(ds):
-        pairs = [(r_k(d, k), r_k_via_wc(d, k)) for d in ds]
+        pairs = [(r_k_oriented(d, k, 0), r_k_via_wc(d, k)) for d in ds]
         return [None if a == b else f"rk={a} via_wc={b}" for a, b in pairs]
     return _per_class_suite(f"rk-wc-identity-k{k}", 2 * k, verdict, shard=shard)
 
@@ -493,7 +493,8 @@ def _diagram_invariant(invariant: str, k: int | None, l: int | None):
         raise ValueError(f"unknown diagram invariant: {invariant!r}")
     check_flags(invariant, k, l)
     if invariant == "rk":
-        return f"r{k}", lambda d: r_k(d, k), False
+        # by_class meets each class once: R_k by the DP, not keyed again
+        return f"r{k}", lambda d: r_k_oriented(d, k, 0), False
     if invariant == "el-parity":
         return f"e{l}-parity", lambda d: e_l_parity(intersection_graph(d), l), True
     return "sl2", sl2_recursive, False

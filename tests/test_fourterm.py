@@ -696,13 +696,27 @@ class TestOneKeyerPerRun:
         monkeypatch.setattr(
             diagrams, "canonical_word_bytes", lambda w: keyed.append(w) or real(w)
         )
-        # R_k by the DP alone, so every key counted is the keyer's
-        monkeypatch.setattr(verify, "r_k", lambda d, k: invariants.r_k_oriented(d, k, 0))
+        # the suite takes R_k from the DP, so every key counted is the keyer's
         report = verify.suite_four_term_diagrams("rk", 5, 2)
         assert (report.checked, report.ok) == (8400, True)
         # at most the 945 basepointed words of order 5; a keyer per
         # 128-item window made 13,146 keys
         assert len(keyed) == len(set(keyed)) <= 945
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda: verify.suite_wc_identity(3), lambda: verify.suite_parity(6, 3)],
+        ids=["wc-identity-3", "parity-6"],
+    )
+    def test_exhaustive_rk_verdicts_key_no_word(self, monkeypatch, run):
+        # each class reaches the verdict once, so R_k needs no class key
+        keyed = []
+        real = diagrams.canonical_word_bytes
+        monkeypatch.setattr(
+            diagrams, "canonical_word_bytes", lambda w: keyed.append(w) or real(w)
+        )
+        report = run()
+        assert (report.checked, report.ok, keyed) == (10395, True, [])
 
 
 class TestHamiltonianRoute:
