@@ -183,6 +183,16 @@ def interleave_rows(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def hamiltonian_ruled_out(rows: Sequence[int]) -> bool:
+    """Whether the degrees alone rule out a Hamiltonian cycle of the
+    graph with these adjacency bit rows (no diagonal bits).
+
+    From n = 3 on, a cycle enters and leaves each vertex through two
+    distinct neighbours, so a vertex with fewer than two lies on none.
+    """
+    return len(rows) >= 3 and any(r.bit_count() < 2 for r in rows)
+
+
 def intersection_graph(d: ChordDiagram) -> SimpleGraph:
     """Graph on the chords with edges between interleaving chords."""
     return SimpleGraph(d.n, interleave_rows(d.word))

@@ -24,6 +24,8 @@ from .graphs import (
     enumerate_cycles,
     gf2_rank,
     graph_four_term_masks,
+    hamiltonian_ruled_out,
+    interleave_rows,
     intersection_graph,
     pfaffian_parities,
     realize_diagram,
@@ -47,16 +49,10 @@ def _signed_hamiltonian_sum(w: Sequence[Sequence[int]]) -> int:
     """Signed count of Hamiltonian cycles from a +-1 step-weight matrix.
 
     The recurrence of :func:`chordlab._bulk.hamiltonian_cycle_sums` in push
-    form, with its shortcut: from n = 3 on, a vertex with fewer than two
-    neighbours (a nonzero step either way, the diagonal aside) lies on no
-    cycle, so the sum is 0 without the DP.
+    form.  Its callers skip it where the graph's rows rule out every
+    Hamiltonian cycle (:func:`~chordlab.graphs.hamiltonian_ruled_out`).
     """
     n = len(w)
-    if n >= 3 and any(
-        sum(1 for u in range(n) if u != v and (w[v][u] or w[u][v])) < 2
-        for v in range(n)
-    ):
-        return 0
     full = 1 << n
     paths = [[0] * n for _ in range(full)]
     paths[1][0] = 1
@@ -79,19 +75,27 @@ def _signed_hamiltonian_sum(w: Sequence[Sequence[int]]) -> int:
 
 
 def _hamiltonian_cycle_count(g: SimpleGraph) -> int:
+    if hamiltonian_ruled_out(g.rows):
+        return 0
     w = [[1 if g.rows[u] >> v & 1 else 0 for v in range(g.n)] for u in range(g.n)]
     return _signed_hamiltonian_sum(w)
 
 
 def r_k_oriented(d: ChordDiagram, k: int, flip_mask: int) -> int:
-    """Signed 2k-cycle count under an explicit chord orientation mask."""
+    """Signed 2k-cycle count under an explicit chord orientation mask.
+
+    At order 2k it reads 0 without the sign matrix when the crossing rows
+    rule out a Hamiltonian cycle (:func:`~chordlab.graphs.hamiltonian_ruled_out`).
+    """
     if k < MIN_K:
         raise ValueError(f"k must be at least {MIN_K}")
     if d.n < 2 * k:
         return 0
-    w = sign_matrix(d, flip_mask)
     if 2 * k == d.n:
-        return _signed_hamiltonian_sum(w)
+        if hamiltonian_ruled_out(interleave_rows(d.word)):
+            return 0
+        return _signed_hamiltonian_sum(sign_matrix(d, flip_mask))
+    w = sign_matrix(d, flip_mask)
     g = SimpleGraph(d.n, tuple(sum(1 << v for v, x in enumerate(r) if x) for r in w))
     return sum(cycle_sign(w, cyc) for cyc in enumerate_cycles(g, 2 * k))
 
@@ -103,12 +107,18 @@ def r_k(d: ChordDiagram, k: int) -> int:
     """Positive minus negative 2k-cycles of the directed intersection graph.
 
     The result does not depend on the chord orientation, so the canonical
-    one (each chord directed from its first endpoint) is used.
+    one (each chord directed from its first endpoint) is used.  At order
+    2k it is a signed count of Hamiltonian cycles: a diagram whose
+    crossing rows rule them out (:func:`~chordlab.graphs.hamiltonian_ruled_out`)
+    reads 0 before any key is taken and is not memoized; the others are
+    memoized by canonical code.
     """
     if k < MIN_K:
         raise ValueError(f"k must be at least {MIN_K}")
     require_order("r_k", d.n, MAX_DIAGRAM_ORDER)
     if d.n < 2 * k:
+        return 0
+    if d.n == 2 * k and hamiltonian_ruled_out(interleave_rows(d.word)):
         return 0
     key = (canonical_code(d), k)
     val = _RK_MEMO.get(key)

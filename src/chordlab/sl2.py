@@ -63,44 +63,65 @@ def casimir_eigenvalue(lam: int) -> Fraction:
 # exact contraction in the weight basis
 
 
-def _contraction_trace(word: Sequence[int], lam: int) -> int:
-    """Sum over chord assignments of the trace of the circular product of
-    (2e, 2f, h) at each chord's first end and (f, e, h) at its second end.
+def _contraction_traces(word: Sequence[int], lams: Sequence[int]) -> list[int]:
+    """Per highest weight lam of ``lams``, the sum over chord assignments
+    of the trace of the circular product of (2e, 2f, h) at each chord's
+    first end and (f, e, h) at its second end, all in one pass.
 
     In the weight basis e, f and h each send a basis vector to a multiple
     of one basis vector, so a path from start index i sits at i plus the
     shifts (+1, -1, 0) of the chords it has opened and not closed.  Paths
     that agree on the open chords merge into one vector of exact ints,
-    one per start index, and the trace is the sum of the final vector.
+    one per start index of each lam, the lam blocks side by side; each
+    lam's trace is the sum of its block of the final vector.
     """
-    m = lam + 1
-    e, f, h = rep_matrices(lam)
-    up = [e[j][j + 1] for j in range(lam)] + [0]
-    down = [0] + [f[j][j - 1] for j in range(1, m)]
-    diag = [h[j][j] for j in range(m)]
-    opens = ([2 * x for x in up], [2 * x for x in down], diag)
-    closes = (down, up, diag)
-    states: dict[tuple[int, ...], list[int]] = {(): [1] * m}
+    # per lam: the diagonals of (2e, 2f, h), then of (f, e, h), by weight
+    tables = []
+    for lam in lams:
+        e, f, h = rep_matrices(lam)
+        up = [e[j][j + 1] for j in range(lam)] + [0]
+        down = [0] + [f[j][j - 1] for j in range(1, lam + 1)]
+        diag = [h[j][j] for j in range(lam + 1)]
+        opens = ([2 * x for x in up], [2 * x for x in down], diag)
+        tables.append(opens + (down, up, diag))
+    # per (side, shift s): each block's factors at index i + s; only zero
+    # entries can sit off the weights 0..lam, so 0 stands in there
+    reach = len(word) // 2
+    factors = {
+        (side, s): [
+            tab[side][i + s] if 0 <= i + s <= lam else 0
+            for lam, tab in zip(lams, tables)
+            for i in range(lam + 1)
+        ]
+        for side in range(6)
+        for s in range(-reach, reach + 1)
+    }
+    width = sum(lam + 1 for lam in lams)
+    states: dict[tuple[int, ...], list[int]] = {(): [1] * width}
     opened: list[int] = []
     for ch in word:
         if ch in opened:
             r = opened.index(ch)
             del opened[r]
-            moves = [(key, key[:r] + key[r + 1 :], closes[key[r]]) for key in states]
+            moves = [(key, key[:r] + key[r + 1 :], 3 + key[r]) for key in states]
         else:
             opened.append(ch)
-            moves = [(key, key + (t,), opens[t]) for key in states for t in range(3)]
+            moves = [(key, key + (t,), t) for key in states for t in range(3)]
         nxt: dict[tuple[int, ...], list[int]] = {}
-        for key, new_key, fac in moves:
-            s = key.count(0) - key.count(1)
-            # only zero entries can sit off the weights 0..lam: fac is 0 at the ends
-            vec = [x * fac[i + s] if x else 0 for i, x in enumerate(states[key])]
+        for key, new_key, side in moves:
+            fac = factors[side, key.count(0) - key.count(1)]
+            vec = [x * y for x, y in zip(states[key], fac)]
             if not any(vec):
                 continue
             old = nxt.get(new_key)
             nxt[new_key] = vec if old is None else [a + b for a, b in zip(old, vec)]
         states = nxt
-    return sum(states.get((), ()))
+    final = states.get((), [])
+    traces, lo = [], 0
+    for lam in lams:
+        traces.append(sum(final[lo : lo + lam + 1]))
+        lo += lam + 1
+    return traces
 
 
 def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[Fraction]:
@@ -130,7 +151,8 @@ def sl2_oracle(d: ChordDiagram) -> IntPolynomial:
     """Value of the sl2 weight system by contraction and interpolation.
 
     Contracts the diagram in the n+1 irreducibles of dimension 2..n+2,
-    reads off the scalar by which the resulting central element acts,
+    all in one pass over the word (:func:`_contraction_traces`), reads
+    off the scalar by which the resulting central element acts,
     and interpolates at the Casimir eigenvalues with exact rationals.
     Raises NormalizationError instead of ever rounding, and ValueError
     above :data:`chordlab.diagrams.MAX_DIAGRAM_ORDER`.
@@ -143,11 +165,10 @@ def sl2_oracle(d: ChordDiagram) -> IntPolynomial:
     cached = _ORACLE_MEMO.get(code)
     if cached is not None:
         return cached
-    xs = [casimir_eigenvalue(lam) for lam in range(1, n + 2)]
-    ys = []
-    for lam in range(1, n + 2):
-        tr = _contraction_trace(d.word, lam)
-        ys.append(Fraction(tr, (lam + 1) * 4**n))
+    lams = range(1, n + 2)
+    xs = [casimir_eigenvalue(lam) for lam in lams]
+    traces = _contraction_traces(d.word, lams)
+    ys = [Fraction(tr, (lam + 1) * 4**n) for lam, tr in zip(lams, traces)]
     coeffs = _interpolate(xs, ys)
     if any(co.denominator != 1 for co in coeffs):
         raise NormalizationError(f"non-integer coefficients: {coeffs}")

@@ -43,6 +43,7 @@ from .graphs import (
     SimpleGraph,
     format_graph,
     graph_four_term_masks,
+    hamiltonian_ruled_out,
     interleave_rows,
     intersection_graph,
     pair_index_table,
@@ -260,10 +261,15 @@ def suite_mutation(
 ) -> VerificationReport:
     """Mutations must preserve the labeled intersection graph and R_k.
 
-    R_k is evaluated once per class, on the class representative and on
-    the first mutant met of each other class, by the cycle DP
-    (``r_k_oriented``) under a class-keyed memo.  The run keys each
-    distinct relabeled mutant once, through one
+    A mutant is checked against its class representative's crossing
+    rows first.  R_k counts Hamiltonian cycles of those rows' graph at
+    order 2k, so when :func:`~chordlab.graphs.hamiltonian_ruled_out`
+    holds for the representative's rows, its R_k and that of every
+    mutant with the same rows is 0, and no word of the class is keyed.
+    Otherwise R_k is evaluated once per class, on the class
+    representative and on the first mutant met of each other class, by
+    the cycle DP (``r_k_oriented``) under a class-keyed memo.  The run
+    keys each distinct relabeled mutant it evaluates once, through one
     :func:`~chordlab.diagrams.class_keyer`: the (2n-1)!! basepointed
     words fit its memo at every order up to the ceiling.  Violation
     records carry the keys of the raw words.
@@ -283,7 +289,9 @@ def suite_mutation(
 
     for d in sharded(enumerate_diagrams(order, "up-to-rotation"), shard):
         base_rows = interleave_rows(d.word)
-        base_rk = rk_of(d.word) if k else None
+        # no Hamiltonian cycle: R_k is 0 here and on every same-rows mutant
+        keyed = k and not hamiltonian_ruled_out(base_rows)
+        base_rk = rk_of(d.word) if keyed else None
         # different shares often re-glue to the same word
         verdicts: dict[tuple[int, ...], bool] = {}
         for share in find_shares(d):
@@ -292,7 +300,7 @@ def suite_mutation(
                 bad = verdicts.get(w)
                 if bad is None:
                     bad = interleave_rows(w) != base_rows
-                    if not bad and k:
+                    if not bad and keyed:
                         bad = rk_of(w) != base_rk
                     verdicts[w] = bad
                 if bad:

@@ -8,9 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chordlab.diagrams import (
+    ChordDiagram,
     DiagramError,
     canonical_code,
     enumerate_diagrams,
+    find_shares,
+    mutated_words,
     parse_diagram,
 )
 from chordlab.fourterm import (
@@ -31,10 +34,11 @@ from chordlab.graphs import (
     enumerate_graphs,
     format_graph,
     gf2_rank,
+    hamiltonian_ruled_out,
     interleave_rows,
     intersection_graph,
 )
-from chordlab.invariants import e_l_parity, r_k, sl2_projected, w_c
+from chordlab.invariants import e_l_parity, r_k, r_k_oriented, sl2_projected, w_c
 from chordlab.polynomials import ZERO
 from chordlab.sl2 import sl2_recursive
 from chordlab import diagrams, fourterm, invariants, verify
@@ -552,13 +556,16 @@ class TestViolationDigests:
             (
                 # R_k replaced by the rotation class: every mutant that
                 # leaves its class is recorded, so a class key memo that
-                # gave a word another class's key would change the records
+                # gave a word another class's key would change the records.
+                # Order 6: at order 4 the crossing rows rule out every
+                # Hamiltonian cycle of a class whose mutants leave it, so
+                # R_k is never evaluated there (744 checked, 0 violations)
                 "r_k_oriented",
                 lambda d, k, flip: canonical_code(d),
-                4,
-                744,
-                68,
-                "ae4c3edce839f39f4daa4b93b718da5ff80b080e310417d92c1ae9bfe3c4a991",
+                6,
+                70188,
+                712,
+                "f62acda3415d4cf25e23c25be513cce4ca8c72ab6f09b50f5cc9c4a1a36cdb18",
             ),
             (
                 # no R_k at odd order: the rows alone decide
@@ -575,8 +582,9 @@ class TestViolationDigests:
     def test_mutation(
         self, monkeypatch, name, broken, order, checked, violations, digest
     ):
-        # recorded before the suite checked its own ceiling: each record
-        # holds the two canonical codes, the share and the mutation kind
+        # each record holds the two canonical codes, the share and the
+        # mutation kind; the rows case was recorded before the suite checked
+        # its own ceiling, the rk-by-class case once the rows settled R_k = 0
         monkeypatch.setattr(verify, name, broken)
         report = verify.suite_mutation(order)
         assert (report.checked, len(report.violations)) == (checked, violations)
@@ -717,6 +725,40 @@ class TestOneKeyerPerRun:
         )
         report = run()
         assert (report.checked, report.ok, keyed) == (10395, True, [])
+
+
+class TestMutationRowsRule:
+    """suite_mutation reads R_k = 0 off a class's crossing rows when they
+    rule out a Hamiltonian cycle, and keys no word of such a class."""
+
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_skipped_mutants_have_rk_zero(self, order):
+        # the mutants whose R_k the suite takes as 0 unevaluated: same
+        # rows as their class representative, whose rows rule cycles out
+        k = order // 2
+        skipped = set()
+        for d in enumerate_diagrams(order, "up-to-rotation"):
+            rows = interleave_rows(d.word)
+            if hamiltonian_ruled_out(rows):
+                mutants = (w for s in find_shares(d) for _, w in mutated_words(d, s))
+                skipped.update(w for w in mutants if interleave_rows(w) == rows)
+        assert skipped
+        for w in skipped:
+            d = ChordDiagram(w)
+            assert r_k_oriented(d, k, 0) == 0
+            # cycle enumeration has no shortcut: no Hamiltonian cycle at all
+            assert enumerate_cycles(intersection_graph(d), order) == []
+
+    def test_run_keys_only_classes_the_rows_leave_open(self, monkeypatch):
+        keyed = []
+        real = diagrams.canonical_word_bytes
+        monkeypatch.setattr(
+            diagrams, "canonical_word_bytes", lambda w: keyed.append(w) or real(w)
+        )
+        report = verify.suite_mutation(6)
+        assert (report.checked, report.ok) == (70188, True)
+        assert keyed and len(keyed) == len(set(keyed))
+        assert not any(hamiltonian_ruled_out(interleave_rows(w)) for w in keyed)
 
 
 class TestHamiltonianRoute:

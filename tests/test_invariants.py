@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordlab import invariants
+from chordlab import diagrams, invariants
 from chordlab.diagrams import parse_diagram, random_diagram
 from chordlab.graphs import (
     SimpleGraph,
     cycle_sign,
     enumerate_cycles,
+    hamiltonian_ruled_out,
+    interleave_rows,
     intersection_graph,
     pfaffian_parities,
     realize_diagram,
@@ -130,6 +132,25 @@ class TestRk:
             cycles = enumerate_cycles(intersection_graph(d), 4)
             expected = sum(cycle_sign(w, cyc) for cyc in cycles)
             assert r_k(d, 2) == expected
+
+    def test_rows_rule_decides_before_the_key(self, monkeypatch):
+        # at order 2k a word whose crossing rows rule out a Hamiltonian
+        # cycle reads 0 unkeyed and unmemoized; the others go through the memo
+        keyed = []
+        real = diagrams.canonical_word_bytes
+        monkeypatch.setattr(
+            diagrams, "canonical_word_bytes", lambda w: keyed.append(w) or real(w)
+        )
+        monkeypatch.setattr(invariants, "_RK_MEMO", {})
+        rng = random.Random(27)
+        ds = [random_diagram(8, rng) for _ in range(2000)]
+        assert [r_k(d, 4) for d in ds] == [r_k_oriented(d, 4, 0) for d in ds]
+        live = {
+            d.word for d in ds if not hamiltonian_ruled_out(interleave_rows(d.word))
+        }
+        assert 0 < len(live) < len(ds)
+        assert set(keyed) == live
+        assert len(invariants._RK_MEMO) == len({real(w) for w in live})
 
     def test_orientation_masks_small(self, diagram_classes):
         for d in diagram_classes(4):

@@ -8,7 +8,7 @@ import chordlab.sl2 as sl2_module
 from chordlab.diagrams import ChordDiagram, parse_diagram, random_diagram
 from chordlab.polynomials import C, ONE
 from chordlab.sl2 import (
-    _contraction_trace,
+    _contraction_traces,
     casimir_eigenvalue,
     rep_matrices,
     sl2_oracle,
@@ -71,8 +71,9 @@ def test_crt_trace_matches_exact_reference(diagram_classes):
     diagrams = [parse_diagram(word) for word in ["AA", "ABAB", "AABB", "ABCABC"]]
     diagrams += [d for n in range(5) for d in diagram_classes(n)]
     for d in diagrams:
-        for lam in range(1, d.n + 2):
-            assert _contraction_trace(d.word, lam) == _trace_exact(d.word, lam)
+        lams = range(1, d.n + 2)
+        for lam, trace in zip(lams, _contraction_traces(d.word, lams)):
+            assert trace == _trace_exact(d.word, lam)
 
 
 def test_rep_matrices_are_shifted_diagonals():
