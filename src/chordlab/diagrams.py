@@ -374,10 +374,24 @@ def _trusted_diagram(word: tuple[int, ...]) -> ChordDiagram:
     return d
 
 
-def random_diagram(n: int, rng) -> ChordDiagram:
-    """Uniform random basepointed diagram from a random.Random instance."""
+def random_slots(n: int, rng) -> list[int]:
+    """The one draw of a uniform random basepointed diagram of order n
+    from a random.Random instance: the positions 0..2n-1 shuffled, the
+    ends of one chord at slots 2c and 2c + 1 for each c.  Chord labels
+    follow first appearance, so a chord's label is the rank of its
+    first end among the chords'.  Raises ValueError for n < 0.
+    """
+    if n < 0:
+        raise ValueError(f"random diagram order must be nonnegative, got {n}")
     slots = list(range(2 * n))
     rng.shuffle(slots)
+    return slots
+
+
+def random_diagram(n: int, rng) -> ChordDiagram:
+    """Uniform random basepointed diagram from a random.Random instance:
+    the :func:`random_slots` draw read into a word."""
+    slots = random_slots(n, rng)
     word = [0] * (2 * n)
     for ch in range(n):
         word[slots[2 * ch]] = ch

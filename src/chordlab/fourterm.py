@@ -16,8 +16,11 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ._np import np
 from .diagrams import (
     MAX_DIAGRAM_ORDER,
     MAX_EXHAUSTIVE_ORDER,
@@ -27,6 +30,7 @@ from .diagrams import (
     class_keyer,
     enumerate_diagrams,
     random_diagram,
+    random_slots,
     require_order,
     rotation_classes,
 )
@@ -54,25 +58,47 @@ def four_term_words(word: Sequence[int], p: int) -> tuple[tuple, tuple, tuple, t
     Position p holds an endpoint of chord A, position p+1 (cyclic) one of
     chord B.  Term 2 swaps the two neighboring endpoints; terms 3 and 4
     re-home B's endpoint to just before / just after A's other endpoint.
-    Term 1 is ``tuple(word)``: a tuple word itself, not a copy.
+    Term 1 is ``tuple(word)``: a tuple word itself, not a copy.  Terms
+    2-4 are the cached moves of :func:`_four_term_moves` applied to it.
     """
     word = tuple(word)
     m = len(word)
     p %= m
-    p1 = (p + 1) % m
-    a_ch, b_ch = word[p], word[p1]
-    if a_ch == b_ch:
+    a_ch = word[p]
+    if a_ch == word[(p + 1) % m]:
         raise DiagramError("positions p and p+1 must belong to distinct chords")
-    swapped = list(word)
-    swapped[p], swapped[p1] = swapped[p1], swapped[p]
     i = word.index(a_ch)
-    j = word.index(a_ch, i + 1)
-    q = j if p == i else i
-    base = word[:p1] + word[p1 + 1 :]
-    q_idx = q - 1 if p1 < q else q
-    before = base[:q_idx] + (b_ch,) + base[q_idx:]
-    after = base[: q_idx + 1] + (b_ch,) + base[q_idx + 1 :]
-    return word, tuple(swapped), before, after
+    q = word.index(a_ch, i + 1) if p == i else i
+    swapped, before, after = _four_term_moves(m)[p][q]
+    return word, swapped(word), before(word), after(word)
+
+
+@lru_cache(maxsize=None)
+def _four_term_moves(m: int) -> tuple:
+    """The diagram 4-term move on words of length m, written once.
+
+    Entry [p][q] is for chord A at position p with its other end at q,
+    and chord B at p+1 (cyclic): three itemgetters that give terms 2-4
+    of a tuple word.  Term 2 swaps positions p and p+1; terms 3 and 4
+    take the end at p+1 out and put it back just before / just after q.
+    Applied to ``tuple(range(m))``, each getter gives its index map.
+    """
+    ident = tuple(range(m))
+    table = []
+    for p in ident:
+        p1 = (p + 1) % m
+        swapped = list(ident)
+        swapped[p], swapped[p1] = p1, p
+        rest = ident[:p1] + ident[p1 + 1 :]
+        row = []
+        for q in ident:
+            # q's index in the word with p+1 taken out
+            at = q - 1 if p1 < q else q
+            before = (*rest[:at], p1, *rest[at:])
+            after = (*rest[: at + 1], p1, *rest[at + 1 :])
+            row.append(tuple(itemgetter(*t) for t in (swapped, before, after)))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def diagram_four_term(
@@ -149,9 +175,9 @@ def verify_weight_system(
     Violations are data, not errors; the report is deterministic
     byte-for-byte under a fixed seed.
     """
-    quads = four_term_instances(order, sample, seed)
+    quads = windowed(four_term_instances(order, sample, seed), _CLASS_WINDOW)
     evaluate, combine = by_class(lambda ds: [f(d) for d in ds]), signed_sum(signs)
-    return relation_sums(invariant, order, quads, evaluate, combine, _CLASS_WINDOW)
+    return relation_sums(invariant, order, quads, evaluate, combine)
 
 
 def sharded(items: Iterable, shard: tuple[int, int] | None = None) -> Iterator:
@@ -161,29 +187,47 @@ def sharded(items: Iterable, shard: tuple[int, int] | None = None) -> Iterator:
     return itertools.islice(items, index, None, count)
 
 
+def windowed(items: Iterable, size: int) -> Iterator[list]:
+    """Lists of ``size`` consecutive items, the last one shorter."""
+    items = iter(items)
+    while window := list(itertools.islice(items, size)):
+        yield window
+
+
 def diagram_source(
     order: int,
     sample: int | None = None,
-    seed: int | random.Random = 0,
+    seed: int = 0,
     shard: tuple[int, int] | None = None,
 ) -> Iterator[ChordDiagram]:
     """Every basepointed diagram of the order when ``sample`` is None,
     else ``sample`` random ones drawn from the seed; split by ``shard``.
 
-    A random.Random passed as ``seed`` is drawn from as it stands, so a
-    caller can interleave its own draws with the diagrams'.  Raises
-    ValueError, before any diagram is built, above
+    Raises ValueError, before any diagram is built, above
     :data:`~chordlab.diagrams.MAX_EXHAUSTIVE_ORDER` when exhaustive and
     above :data:`~chordlab.diagrams.MAX_DIAGRAM_ORDER` when sampled.
     """
     if sample is None:
         require_order("exhaustive run", order, MAX_EXHAUSTIVE_ORDER)
         return sharded(enumerate_diagrams(order, "basepointed"), shard)
+    rng = _sample_rng(order, sample, seed)
+    return sharded((random_diagram(order, rng) for _ in range(sample)), shard)
+
+
+def _sample_rng(
+    order: int, sample: int, seed: int, four_term: bool = False
+) -> random.Random:
+    """The generator a sampled source draws from, after the checks it
+    makes before any draw: the ceiling, the sample count and, for 4-term
+    instances, an order of at least 2."""
     require_order("sampled run", order, MAX_DIAGRAM_ORDER)
     if sample < 0:
         raise ValueError(f"--sample must be nonnegative, got {sample}")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return sharded((random_diagram(order, rng) for _ in range(sample)), shard)
+    # below two chords no diagram has neighboring ends of distinct chords,
+    # so no position could be drawn
+    if four_term and order < 2:
+        raise ValueError(f"4-term instances need order >= 2, got {order}")
+    return random.Random(seed)
 
 
 def class_source(
@@ -219,14 +263,81 @@ def four_term_instances(
             for d in diagram_source(order, shard=shard)
             for p in neighbor_positions(d)
         )
-    rng = random.Random(seed)
-    diagrams = diagram_source(order, sample, rng)
-    # below two chords no diagram has neighboring ends of distinct chords,
-    # so no position could be drawn
-    if order < 2:
-        raise ValueError(f"4-term instances need order >= 2, got {order}")
+    rng = _sample_rng(order, sample, seed, four_term=True)
+    diagrams = (random_diagram(order, rng) for _ in range(sample))
     quads = (four_term_words(d.word, rng.choice(neighbor_positions(d))) for d in diagrams)
     return sharded(quads, shard)
+
+
+def sampled_windows(
+    order: int,
+    sample: int,
+    seed: int,
+    shard: tuple[int, int] | None,
+    window: int,
+    four_term: bool = False,
+) -> Iterator[np.ndarray]:
+    """The items of the sampled :func:`diagram_source`, or with
+    ``four_term`` of the sampled :func:`four_term_instances`, as int8
+    arrays of shape (W, 1, 2n) or (W, 4, 2n) whose rows are the items,
+    ``window`` items a window but the last.
+
+    The draws, the words and the shards are those of the tuple sources,
+    but no ChordDiagram and no tuple word is built per draw.  Each draw
+    is one :func:`~chordlab.diagrams.random_slots` call; a 4-term draw
+    then takes the position as ``rng.choice(neighbor_positions(d))``
+    does, by ``randrange`` of the neighboring-position count, 2n less
+    the chords whose ends are cyclically adjacent.  The draws kept by
+    the shard are built a window at a time in numpy: the rows, the
+    chosen positions and one gather through the moves of
+    :func:`_four_term_moves`.  Raises ValueError at the call, before any
+    draw, as the tuple sources do.
+    """
+    rng = _sample_rng(order, sample, seed, four_term)
+    return _sampled_arrays(order, sample, rng, shard, window, four_term)
+
+
+def _sampled_arrays(order, sample, rng, shard, window, four_term):
+    """The windows of :func:`sampled_windows`, drawn from ``rng``."""
+    m = 2 * order
+    # slot differences of a chord whose two ends are cyclically adjacent
+    adjacent = {1, -1, m - 1, 1 - m}.__contains__
+
+    def draw():
+        slots = random_slots(order, rng)
+        if not four_term:
+            return slots, 0
+        gaps = map(sub, slots[::2], slots[1::2])
+        return slots, rng.randrange(m - sum(map(adjacent, gaps)))
+
+    if four_term:
+        # the index maps of all four terms, per (p, q)
+        ident = tuple(range(m))
+        table = _four_term_moves(m)
+        maps = [[[ident, *(g(ident) for g in e)] for e in row] for row in table]
+        moves = np.array(maps, dtype=np.int8)
+    labels = np.arange(order, dtype=np.int8).repeat(2)
+    for draws in windowed(sharded((draw() for _ in range(sample)), shard), window):
+        at = np.arange(len(draws))
+        # chord c of a draw has its ends at slots 2c and 2c + 1
+        ends = np.array([s for s, _ in draws], dtype=np.int8).reshape(len(at), -1, 2)
+        # each chord's (first, second) end, the chords relabeled in
+        # order of first appearance
+        by_first = np.argsort(ends.min(axis=2), axis=1)[:, :, None]
+        ends = np.sort(np.take_along_axis(ends, by_first, axis=1), axis=2)
+        rows = np.empty((len(at), m), dtype=np.int8)
+        np.put_along_axis(rows, ends.reshape(len(at), m), labels[None], axis=1)
+        if not four_term:
+            yield rows[:, None]
+            continue
+        # the drawn position: the j-th p whose neighbor p+1 holds another chord
+        picks = np.array([j for _, j in draws])[:, None]
+        neighboring = rows != np.roll(rows, -1, axis=1)
+        p = np.argmax(neighboring.cumsum(axis=1) > picks, axis=1)
+        # q: the other end of the chord at p
+        first, second = ends[at, rows[at, p]].T
+        q = np.where(first == p, second, first)
+        yield np.take_along_axis(rows[:, None], moves[p, q], axis=2)
 
 
 _CLASS_WINDOW = 128  # class-keyed items read per window: bounds memory
@@ -235,27 +346,27 @@ _CLASS_WINDOW = 128  # class-keyed items read per window: bounds memory
 def relation_sums(
     invariant: str,
     order: int,
-    items: Iterable[Sequence[Sequence[int]]],
-    evaluate: Callable[[list], Iterable],
+    windows: Iterable[Sequence],
+    evaluate: Callable[[Sequence], Iterable],
     combine: Callable[[Sequence], object],
-    window: int,
 ) -> VerificationReport:
-    """One check per item, the items read in windows of ``window``.
+    """One check per item, the items read a window at a time.
 
-    An item is a tuple of raw tuple words: four for a 4-term quadruple,
-    one for a sampled per-class check.  ``evaluate(batch)`` gives each
-    item's term values for one window; ``combine(values)`` is falsy when
-    the item passes, else the signed sum recorded with the canonical
-    codes of the item's words.  Codes are computed for violating items
-    only.
+    A window is a list of items, each a tuple of raw tuple words (four
+    for a 4-term quadruple, one for a sampled per-class check), or an
+    int8 array whose rows are such items (:func:`sampled_windows`).
+    ``evaluate(window)`` gives each item's term values;
+    ``combine(values)`` is falsy when the item passes, else the signed
+    sum recorded with the canonical codes of the item's words.  Codes
+    are computed for violating items only, an array row's words turned
+    into tuples first.
     """
     report = VerificationReport(invariant=invariant, order=order)
-    items = iter(items)
-    while batch := list(itertools.islice(items, window)):
-        report.checked += len(batch)
-        for words, values in zip(batch, evaluate(batch)):
+    for window in windows:
+        report.checked += len(window)
+        for words, values in zip(window, evaluate(window)):
             if total := combine(values):
-                codes = [canonical_word_bytes(w).decode("ascii") for w in words]
+                codes = [canonical_word_bytes(tuple(w)).decode("ascii") for w in words]
                 report.add_violation(codes, total)
     return report.finalize()
 
@@ -277,10 +388,10 @@ def by_class(values_of: Callable[[list[ChordDiagram]], list]) -> Callable:
     values: dict[bytes, object] = {}
     class_key = class_keyer()
 
-    def evaluate(batch):
-        keys = [[class_key(w) for w in words] for words in batch]
+    def evaluate(window):
+        keys = [[class_key(w) for w in words] for words in window]
         fresh: dict[bytes, Sequence[int]] = {}
-        for key, w in zip(itertools.chain(*keys), itertools.chain(*batch)):
+        for key, w in zip(itertools.chain(*keys), itertools.chain(*window)):
             if key not in values:
                 fresh.setdefault(key, w)
         values.update(zip(fresh, values_of([ChordDiagram(w) for w in fresh.values()])))

@@ -36,8 +36,10 @@ from .fourterm import (
     diagram_source,
     four_term_instances,
     relation_sums,
+    sampled_windows,
     sharded,
     signed_sum,
+    windowed,
 )
 from .graphs import (
     SimpleGraph,
@@ -102,12 +104,12 @@ def dense_sign_matrix(words) -> np.ndarray:
 _DP_WORDS = 1024  # words per batched DP call: bounds its per-level arrays
 
 
-def _cycle_sums(batch) -> list[list[int]]:
-    """Per item of order-2k raw words, each word's R_k: its signed
-    Hamiltonian-cycle sum, by one batched DP over the window's words."""
-    words = np.array(batch, dtype=np.int8)
-    signed = dense_sign_matrix(words.reshape(-1, words.shape[-1]))
-    return hamiltonian_cycle_sums(signed).reshape(len(batch), -1).tolist()
+def _cycle_sums(window: np.ndarray) -> list[list[int]]:
+    """Per item of a (W, 4, 2k) int8 window of raw words, each word's
+    R_k: its signed Hamiltonian-cycle sum, by one batched DP over the
+    window's words."""
+    signed = dense_sign_matrix(window.reshape(-1, window.shape[-1]))
+    return hamiltonian_cycle_sums(signed).reshape(len(window), -1).tolist()
 
 
 def suite_four_term_diagrams(
@@ -122,17 +124,20 @@ def suite_four_term_diagrams(
     """Signed 4-term sums of a named invariant over diagram quadruples,
     through the one diagram loop :func:`fourterm.relation_sums`.
 
-    Sampled R_k at order 2k is evaluated by the batched Hamiltonian DP,
-    every other check by canonical class.
+    Sampled R_k at order 2k is evaluated by the batched Hamiltonian DP
+    on the int8 windows of :func:`fourterm.sampled_windows`, every other
+    check by canonical class on tuple items.
     """
+    dp = invariant == "rk" and sample is not None and k is not None and 2 * k == order
     # the source first, so its ceiling is checked before the invariant
-    quads = four_term_instances(order, sample, seed, shard)
-    name, f, mod2 = _diagram_invariant(invariant, k, l)
-    if invariant == "rk" and sample is not None and 2 * k == order:
-        evaluate, window = _cycle_sums, _DP_WORDS // 4
+    if dp:
+        quads = sampled_windows(order, sample, seed, shard, _DP_WORDS // 4, True)
     else:
-        evaluate, window = by_class(lambda ds: [f(d) for d in ds]), _CLASS_WINDOW
-    return relation_sums(name, order, quads, evaluate, signed_sum(mod2=mod2), window)
+        quads = four_term_instances(order, sample, seed, shard)
+        quads = windowed(quads, _CLASS_WINDOW)
+    name, f, mod2 = _diagram_invariant(invariant, k, l)
+    evaluate = _cycle_sums if dp else by_class(lambda ds: [f(d) for d in ds])
+    return relation_sums(name, order, quads, evaluate, signed_sum(mod2=mod2))
 
 
 def suite_four_term_graphs(
@@ -339,11 +344,10 @@ def _per_class_suite(
     """
     if sample is not None:
         items = ((d.word,) for d in diagram_source(order, sample, seed, shard))
-        evaluate, window = by_class(verdict), _CLASS_WINDOW
-        return relation_sums(invariant, order, items, evaluate, itemgetter(0), window)
-    classes = class_source(order, shard)
+        windows, evaluate = windowed(items, _CLASS_WINDOW), by_class(verdict)
+        return relation_sums(invariant, order, windows, evaluate, itemgetter(0))
     report = VerificationReport(invariant=invariant, order=order)
-    while window := list(itertools.islice(classes, _CLASS_WINDOW)):
+    for window in windowed(class_source(order, shard), _CLASS_WINDOW):
         for (d, orbit), text in zip(window, verdict([d for d, _ in window])):
             report.checked += orbit
             if text is not None:
@@ -353,10 +357,11 @@ def _per_class_suite(
     return report.finalize()
 
 
-def _parity_verdicts(batch) -> list[list[str | None]]:
-    """Per order-2k diagram item, whether R_k and the 2k-cycle count
-    differ in parity: signed and plain batched DPs over the window."""
-    signed = dense_sign_matrix(np.array(batch, dtype=np.int8)[:, 0])
+def _parity_verdicts(window: np.ndarray) -> list[list[str | None]]:
+    """Per item of a (W, 1, 2k) int8 window of diagram words, whether
+    R_k and the 2k-cycle count differ in parity: signed and plain
+    batched DPs over the window."""
+    signed = dense_sign_matrix(window[:, 0])
     odd = (hamiltonian_cycle_sums(signed) - hamiltonian_cycle_sums(np.abs(signed))) & 1
     return [["parity-differs" if bad else None] for bad in odd.tolist()]
 
@@ -379,11 +384,10 @@ def suite_parity(
             same = [r & 1 == e_l_parity(g, 2 * k) for r, g in zip(rk, graphs)]
             return [None if ok else "parity-differs" for ok in same]
         return _per_class_suite(name, order, verdict, shard=shard)
-    diagrams = diagram_source(order, sample, seed, shard)
+    windows = sampled_windows(order, sample, seed, shard, _DP_WORDS)
     if order != 2 * k:
         raise ValueError("sampled parity mode requires order == 2k")
-    items = ((d.word,) for d in diagrams)
-    return relation_sums(name, order, items, _parity_verdicts, itemgetter(0), _DP_WORDS)
+    return relation_sums(name, order, windows, _parity_verdicts, itemgetter(0))
 
 
 def suite_conjecture(

@@ -15,7 +15,9 @@ basepointed word, the enumeration the orderly generator behind
 ``edge_mask`` packs a graph's edges pair by pair, and
 ``realization_by_mask`` tables the classes by the masks of their
 validated intersection graphs, the routes ``graphs.rows_edge_mask``
-replaced.
+replaced.  ``four_term_words`` builds the four words of a diagram
+4-term instance by slicing, the move that the cached index maps of
+``fourterm._four_term_moves`` replaced.
 """
 
 from __future__ import annotations
@@ -205,3 +207,27 @@ def realization_by_mask(n: int) -> dict:
     for idx, d in enumerate(enumerate_diagrams(n, "up-to-rotation")):
         out.setdefault(edge_mask(intersection_graph(d)), (idx, d))
     return out
+
+
+def four_term_words(word, p: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """The four words of the diagram 4-term instance at positions p,
+    p+1 (cyclic), chord ids preserved: the word, the two neighboring
+    ends swapped, and the end at p+1 re-homed to just before / just
+    after the other end of the chord at p."""
+    word = tuple(word)
+    m = len(word)
+    p %= m
+    p1 = (p + 1) % m
+    a_ch, b_ch = word[p], word[p1]
+    if a_ch == b_ch:
+        raise DiagramError("positions p and p+1 must belong to distinct chords")
+    swapped = list(word)
+    swapped[p], swapped[p1] = swapped[p1], swapped[p]
+    i = word.index(a_ch)
+    j = word.index(a_ch, i + 1)
+    q = j if p == i else i
+    base = word[:p1] + word[p1 + 1 :]
+    q_idx = q - 1 if p1 < q else q
+    before = base[:q_idx] + (b_ch,) + base[q_idx:]
+    after = base[: q_idx + 1] + (b_ch,) + base[q_idx + 1 :]
+    return word, tuple(swapped), before, after

@@ -331,6 +331,16 @@ class TestEnumeration:
                 assert type(d) is ChordDiagram
                 assert d == validated(n, ref)
 
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_random_diagram_refuses_a_negative_order(self, n):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"nonnegative, got {n}"):
+            random_diagram(n, rng)
+        # refused before any draw
+        assert rng.getstate() == state
+        assert random_diagram(0, rng).word == ()
+
 
 class TestInducedSubdiagram:
     def test_single_chord(self):

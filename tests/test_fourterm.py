@@ -25,6 +25,7 @@ from chordlab.fourterm import (
     four_term_instances,
     four_term_words,
     neighbor_positions,
+    sampled_windows,
     verify_weight_system,
 )
 from chordlab.graphs import (
@@ -44,6 +45,7 @@ from chordlab.sl2 import sl2_recursive
 from chordlab import diagrams, fourterm, invariants, verify
 from chordlab.verify import masked_relation, merge_reports, suite_four_term_graphs
 from graph_moves import graph_four_term, graph_prime, graph_tilde
+import references
 
 # the (sign, masks) terms of the two graph relations, for masked_relation
 FOUR_TERM = verify._four_term_masks
@@ -227,6 +229,7 @@ class TestDiagramFourTerm:
         for module, name in (
             (fourterm, "enumerate_diagrams"),
             (fourterm, "random_diagram"),
+            (fourterm, "random_slots"),
             (verify, "enumerate_diagrams"),
             (verify, "pfaffian_parities"),
         ):
@@ -243,6 +246,11 @@ class TestDiagramFourTerm:
             (lambda: verify_weight_system(no_work, 7), "order 7 outside 0..6"),
             # the ceiling comes before the sampled parity order test
             (lambda: verify.suite_parity(9, 4, sample=3), "order 9 outside 0..8"),
+            # the sampled R_k 4-term run at order 2k, through the DP windows
+            (
+                lambda: verify.suite_four_term_diagrams("rk", 10, 5, sample=1),
+                "order 10 outside 0..8",
+            ),
         )
         for run, message in runs:
             with pytest.raises(ValueError, match=message):
@@ -287,10 +295,17 @@ class TestSources:
     )
     @example(order=3, sample=0, seed=0, count=2)  # sample=0 yields nothing
     def test_shards_partition_the_stream(self, order, sample, seed, count):
-        sources = (
+        sources = [
             (diagram_source, lambda d: d.word),
             (four_term_instances, lambda quad: tuple(map(tuple, quad))),
-        )
+        ]
+        if sample is not None:
+            # the int8 windows of the sampled 4-term instances, one item a row
+            def windows(order, sample, seed, shard):
+                arrays = sampled_windows(order, sample, seed, shard, 7, True)
+                return (item for w in arrays for item in w.tolist())
+
+            sources.append((windows, lambda quad: tuple(map(tuple, quad))))
         for source, key in sources:
             def items(shard=None):
                 return [key(x) for x in source(order, sample, seed, shard)]
@@ -300,6 +315,68 @@ class TestSources:
                 assert len(whole) == sample
             parts = [items((index, count)) for index in range(count)]
             assert sorted(itertools.chain(*parts)) == sorted(whole)
+
+
+class TestSampledWindows:
+    """The int8 windows of the sampled Hamiltonian-DP suites hold, row
+    for row, the items of the tuple sources: the same draws, the same
+    positions and the same moves."""
+
+    @staticmethod
+    def _rows(arrays):
+        return [tuple(map(tuple, item)) for w in arrays for item in w.tolist()]
+
+    @pytest.mark.parametrize("order", range(2, 9))
+    @pytest.mark.parametrize(
+        "sample, window, shard",
+        [(300, 64, None), (129, 128, None), (0, 16, None), (250, 32, (1, 3)),
+         (97, 5, (0, 2)), (40, 1024, (3, 4))],
+    )
+    def test_windows_match_the_tuple_sources(
+        self, monkeypatch, order, sample, window, shard
+    ):
+        seed = 100 * order + sample
+        # the rows: the words of random_diagram, through diagram_source
+        rows = sampled_windows(order, sample, seed, shard, window)
+        words = [(d.word,) for d in diagram_source(order, sample, seed, shard)]
+        assert self._rows(rows) == words
+        # the quadruples of the slicing move, drawn as the tuple source draws
+        monkeypatch.setattr(fourterm, "four_term_words", references.four_term_words)
+        quads = sampled_windows(order, sample, seed, shard, window, True)
+        expected = four_term_instances(order, sample, seed, shard)
+        assert self._rows(quads) == [tuple(map(tuple, q)) for q in expected]
+
+    def test_windows_have_the_window_size_but_the_last(self):
+        arrays = list(sampled_windows(8, 300, 1, None, 128, True))
+        assert [w.shape for w in arrays] == [(128, 4, 16), (128, 4, 16), (44, 4, 16)]
+        assert {w.dtype for w in arrays} == {np.dtype(np.int8)}
+        assert [w.shape for w in sampled_windows(4, 5, 1, None, 4)] == [
+            (4, 1, 8), (1, 1, 8)
+        ]
+
+    @pytest.mark.parametrize("order", range(2, 7))
+    def test_move_table_matches_the_slicing_move(self, order):
+        for d in enumerate_diagrams(order, "basepointed"):
+            neighboring = neighbor_positions(d)
+            for p in range(2 * order):
+                if p in neighboring:
+                    got = four_term_words(d.word, p)
+                    assert got == references.four_term_words(d.word, p)
+                    assert got[0] is d.word
+                else:
+                    with pytest.raises(DiagramError):
+                        four_term_words(d.word, p)
+
+    def test_checks_come_before_any_draw(self):
+        for args, message in (
+            ((9, 5), "order 9 outside 0..8"),
+            ((4, -1), "nonnegative, got -1"),
+        ):
+            for four_term in (False, True):
+                with pytest.raises(ValueError, match=message):
+                    sampled_windows(*args, 0, None, 8, four_term)
+        with pytest.raises(ValueError, match="order >= 2, got 1"):
+            sampled_windows(1, 3, 0, None, 8, True)
 
 
 class TestGraphFourTerm:
@@ -511,6 +588,23 @@ class TestViolationDigests:
         report = run()
         assert (report.checked, len(report.violations)) == (checked, violations)
         assert _sha(report) == digest
+
+    def test_sampled_rk_records_from_array_rows(self, monkeypatch):
+        # a DP fault (+1 where step 0 -> 1 reads +1) on the sampled R_k
+        # 4-term run, whose violating rows come from int8 windows; digest
+        # recorded when the windows were tuple items
+        real = verify.hamiltonian_cycle_sums
+
+        def corrupt(mats):
+            mats = np.asarray(mats)
+            return real(mats) + (mats[:, 0, 1] > 0)
+
+        monkeypatch.setattr(verify, "hamiltonian_cycle_sums", corrupt)
+        report = verify.suite_four_term_diagrams("rk", 8, 4, sample=3000, seed=3)
+        assert (report.checked, len(report.violations)) == (3000, 186)
+        assert _sha(report) == (
+            "fb65ae0a17db9ba10d0f5ab51d5ddbeaea54978498afcc03c737d6746a8e40d9"
+        )
 
     @pytest.mark.parametrize(
         "name, broken, run, checked, violations, digest",
