@@ -6,9 +6,8 @@ projection onto primitive elements for diagrams and graphs.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from typing import NamedTuple, Sequence
 
 from ._np import np
@@ -33,7 +32,7 @@ from .graphs import (
 )
 from .partitions import partition_log_full
 from .polynomials import IntPolynomial
-from .sl2 import NormalizationError, _interpolate, _sl2_value, sl2_recursive
+from .sl2 import _sl2_value, sl2_recursive
 
 # smallest cycle parameters the invariants are defined for: 2k-cycles
 # with k >= 2 and l-cycles with l >= 4
@@ -151,7 +150,7 @@ def w_c(g: SimpleGraph) -> int:
 _PROJECTED_MEMO: dict[bytes, IntPolynomial] = {}
 # normalized induced subword (bytes) -> its sl2 coefficients, ascending
 _SUBWORD_MEMO: dict[bytes, tuple[int, ...]] = {}
-_PROJECTION_CHUNK = 32  # words of one order per partition transform
+_PROJECTION_CHUNK = 32  # words of one order per subword table and digit width
 
 
 def sl2_projected(d: ChordDiagram) -> IntPolynomial:
@@ -183,11 +182,11 @@ def _projected_chunk(words: Sequence[tuple[int, ...]]) -> list[list[int]]:
 
     sl2 is multiplicative, so the projection's value is the sum over set
     partitions of the chords of (-1)^(blocks-1) (blocks-1)! times the
-    product of sl2 over the blocks' induced subwords.  That sum runs once on
-    int64 lanes, one per (word, point c = 0, 1, ..., n), and each word's
-    n + 1 values are interpolated exactly; every block product has total
-    order n, so the degree is at most n.  Subword values stay exact ints
-    until :func:`_require_int64` has shown that no lane can wrap.
+    product of sl2 over the blocks' induced subwords.  Every block product
+    has total order n, so the degree is at most n.  The sum runs once per
+    word on exact ints, each subword's coefficients packed into one int at
+    c = 2^B (Kronecker substitution); B from :func:`_projection_bits` makes
+    the result's balanced base-2^B digits its coefficients.
     """
     n = len(words[0]) // 2
     if n == 0:
@@ -198,18 +197,21 @@ def _projected_chunk(words: Sequence[tuple[int, ...]]) -> list[list[int]]:
         for sub in _subword_tables(n)
         for w in words
     ]
-    table = np.zeros((len(index), n + 1), dtype=object)
-    for row, key in enumerate(index):
+    top = [0] * (n + 1)
+    table = []
+    for key in index:
         if key not in _SUBWORD_MEMO:
             _SUBWORD_MEMO[key] = _sl2_value(tuple(key)).coeffs
-        table[row, : len(key) // 2 + 1] = _SUBWORD_MEMO[key]
-    exact = table.dot([[c**i for c in range(n + 1)] for i in range(n + 1)])
-    top = [0] * (n + 1)
-    for key, peak in zip(index, np.abs(exact).max(axis=1)):
-        top[len(key) // 2] = max(top[len(key) // 2], peak)
-    _require_int64(top)
-    values = exact.astype(np.int64)[np.reshape(ids, (1 << n, len(words)))]
-    return [_interpolate_naturals(y) for y in partition_log_full(values, n).tolist()]
+        co = _SUBWORD_MEMO[key]
+        top[len(key) // 2] = max(top[len(key) // 2], sum(map(abs, co)))
+        table.append(co)
+    bits = _projection_bits(top)
+    packed = [sum(a << bits * i for i, a in enumerate(co)) for co in table]
+    out = []
+    for lane in range(len(words)):
+        value = partition_log_full([packed[i] for i in ids[lane :: len(words)]], n)
+        out.append(_balanced_digits(value, bits, n + 1))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -225,44 +227,34 @@ def _subword_tables(n: int) -> tuple[tuple[bytes, bytes], ...]:
     return tuple(out)
 
 
-def _require_int64(top: Sequence[int]) -> None:
-    """Raise OverflowError unless :func:`partition_log_full` never wraps
-    int64 on values with |values[s]| <= top[j] for masks s of j chords.
-    Its partial sums for s subtract from values[s] one product
-    log[T] * values[s \\ T] per block T of t < j chords holding the least
-    chord of s, so they and the products stay within
-    L_j = top[j] + sum_t C(j - 1, t - 1) L_t top[j - t]."""
+def _projection_bits(top: Sequence[int]) -> int:
+    """Digit width B with 2^(B-1) above every coefficient of
+    :func:`partition_log_full` on polynomials whose coefficients sum in
+    absolute value to at most top[j] over masks of j chords.  That L1 norm
+    is subadditive and submultiplicative, and the transform's value on a
+    mask s subtracts from values[s] one product log[T] * values[s \\ T]
+    per block T of t < j chords holding the least chord of s, so it is at
+    most L_j = top[j] + sum_t C(j - 1, t - 1) L_t top[j - t]."""
     bound = [0] * len(top)
     for j in range(1, len(top)):
         terms = (comb(j - 1, t - 1) * bound[t] * top[j - t] for t in range(1, j))
         bound[j] = top[j] + sum(terms)
-    if max(bound) >= 1 << 63:
-        raise OverflowError(f"sl2 projection of order {len(top) - 1} may exceed int64")
+    return bound[-1].bit_length() + 1
 
 
-@lru_cache(maxsize=None)
-def _inverse_vandermonde(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(B, q) with B / q the inverse Vandermonde matrix of c = 0, 1, ..., n."""
-    xs = [Fraction(c) for c in range(n + 1)]
-    cols = [
-        _interpolate(xs, [Fraction(int(i == j)) for i in range(n + 1)])
-        for j in range(n + 1)
-    ]
-    q = lcm(*(co.denominator for col in cols for co in col))
-    return tuple(tuple(int(col[i] * q) for col in cols) for i in range(n + 1)), q
-
-
-def _interpolate_naturals(ys: Sequence[int]) -> list[int]:
-    """Integer coefficients (ascending) of the polynomial of degree
-    < len(ys) that takes the value ys[c] at c = 0, 1, ...; raises
-    NormalizationError if they are not all integers."""
-    basis, q = _inverse_vandermonde(len(ys) - 1)
+def _balanced_digits(value: int, bits: int, count: int) -> list[int]:
+    """The first ``count`` digits of value in base 2^bits, each in
+    [-2^(bits-1), 2^(bits-1)), lowest first; raises ArithmeticError if any
+    digit is left past them."""
+    half = 1 << bits - 1
+    low = (1 << bits) - 1
     out = []
-    for row in basis:
-        co, rem = divmod(sum(b * y for b, y in zip(row, ys)), q)
-        if rem:
-            raise NormalizationError(f"non-integer interpolant through {list(ys)}")
-        out.append(co)
+    for _ in range(count):
+        digit = ((value + half) & low) - half
+        out.append(digit)
+        value = (value - digit) >> bits
+    if value:
+        raise ArithmeticError(f"sl2 projection has degree above {count - 1}")
     return out
 
 

@@ -527,6 +527,10 @@ for argv in (
     ("verify", "mutation", "--n", "4"),
     ("verify", "wc-identity", "--k", "2"),
     ("verify", "wheel-prism"),
+    # the projection runs on exact ints
+    ("eval", "--invariant", "sl2-projected", "ABCDEABCDE"),
+    ("table1",),
+    ("verify", "conjecture", "--k", "2", "--exhaustive"),
 ):
     run(*argv)
     loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
@@ -538,14 +542,15 @@ sys.stdout.write(run(*sys.argv[1:]))
 def test_integer_commands_leave_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(chordlab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    projected = ("eval", "--invariant", "sl2-projected", "ABCDEABCDE")
+    # the closing command loads numpy through the lazy binding
+    two_term = ("verify", "two-term", "--n", "4")
     lazy = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE, *projected],
+        [sys.executable, "-c", _NUMPY_FREE, *two_term],
         capture_output=True, env=env, timeout=120,
     )
     assert lazy.returncode == 0, lazy.stderr.decode()
     fresh = subprocess.run(
-        [sys.executable, "-m", "chordlab.cli", *projected],
+        [sys.executable, "-m", "chordlab.cli", *two_term],
         capture_output=True, env=env, timeout=120,
     )
     assert fresh.returncode == 0, fresh.stderr.decode()

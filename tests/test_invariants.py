@@ -25,7 +25,6 @@ from chordlab.graphs import (
 from chordlab.invariants import (
     FIVE_WHEEL,
     THREE_PRISM,
-    _interpolate_naturals,
     _projected_chunk,
     _signed_hamiltonian_sum,
     e_l_parity,
@@ -41,7 +40,7 @@ from chordlab.invariants import (
     w_c,
 )
 from chordlab.polynomials import C, IntPolynomial, ZERO
-from chordlab.sl2 import NormalizationError, sl2_recursive
+from chordlab.sl2 import sl2_recursive
 from chordlab.verify import suite_four_term_graphs
 from graph_moves import disjoint_union, projected_indicator
 from references import (
@@ -95,17 +94,16 @@ class TestRk:
         # explicit raises, not assert statements: they still fire under -O
         code = (
             "from chordlab.invariants import _signed_hamiltonian_sum\n"
-            "from chordlab.invariants import _interpolate_naturals\n"
             "from chordlab.invariants import _SUBWORD_MEMO, _projected_chunk\n"
             "from chordlab.sl2 import _six_term_step\n"
             "from chordlab._bulk import hamiltonian_cycle_sums\n"
-            "_SUBWORD_MEMO[bytes([0, 0])] = (0, 1 << 40)\n"
+            # a one-chord value of degree 2 leaves a digit past c^2
+            "_SUBWORD_MEMO[bytes([0, 0])] = (0, 0, 1)\n"
             "for call in (lambda: _signed_hamiltonian_sum("
             "[[0, 1, 0], [0, 0, 1], [1, 0, 0]]), "
             "lambda: hamiltonian_cycle_sums("
             "[[[0, 0, 0]] * 3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]), "
             "lambda: _six_term_step((0, 0, 1, 1), (0, 0)), "
-            "lambda: _interpolate_naturals([0, 0, 1]), "
             "lambda: _projected_chunk([(0, 0, 1, 1)])[0]):\n"
             "    try:\n"
             "        call()\n"
@@ -239,13 +237,17 @@ class TestProjection:
         expected = [project_primitive_value(d, sl2_recursive) for d in ds]
         assert sl2_projected_batch(ds) == expected
 
-    @pytest.mark.parametrize("coeffs", [(0, 1 << 62), (0, 1 << 40)])
-    def test_int64_guard_raises(self, monkeypatch, coeffs):
-        # a single-chord value past int64 at c = 2, then one that fits
-        # but whose partition transform could wrap: both are refused
+    @pytest.mark.parametrize("coeffs", [(0, 1 << 62), (0, 1 << 200)])
+    def test_exact_past_int64(self, monkeypatch, cold_memos, coeffs):
+        # a single-chord value past int64, then far past it: the projection
+        # equals the ring-generic route over the same subword values
         monkeypatch.setitem(invariants._SUBWORD_MEMO, bytes([0, 0]), coeffs)
-        with pytest.raises(OverflowError, match="exceed int64"):
-            _projected_chunk([(0, 0, 1, 1)])[0]
+        ds = [parse_diagram(w) for w in ("AABB", "ABAB", "ABCABC", "ABACBC")]
+        got = sl2_projected_batch(ds)
+        memo = invariants._SUBWORD_MEMO
+        value = lambda d: IntPolynomial(memo[bytes(d.word)])
+        assert got == [project_primitive_value(d, value) for d in ds]
+        assert got[0] == IntPolynomial([0, 0, 1 - coeffs[1] ** 2])
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(7, 8), st.integers(1, 6), st.integers(0, 2**32))
@@ -257,12 +259,6 @@ class TestProjection:
         )
         got = sl2_projected_batch([d, product])
         assert got == [project_primitive_value(d, sl2_recursive), ZERO]
-
-    def test_non_integer_interpolant_raises(self):
-        # c(c - 1) / 2 takes the values 0, 0, 1 at c = 0, 1, 2
-        with pytest.raises(NormalizationError, match="non-integer"):
-            _interpolate_naturals([0, 0, 1])
-        assert _interpolate_naturals([0, 0, 2]) == [0, -1, 1]
 
     def test_products_project_to_zero(self, diagram_classes):
         for d1 in diagram_classes(2):
