@@ -14,6 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -380,12 +381,30 @@ def random_slots(n: int, rng) -> list[int]:
     ends of one chord at slots 2c and 2c + 1 for each c.  Chord labels
     follow first appearance, so a chord's label is the rank of its
     first end among the chords'.  Raises ValueError for n < 0.
+
+    The Fisher-Yates swaps of ``rng.shuffle`` are made here, each swap
+    index drawn as ``shuffle`` draws it, by rejection sampling on
+    ``rng.getrandbits``: the same slots from the same generator state,
+    which is left as ``shuffle`` leaves it.
     """
     if n < 0:
         raise ValueError(f"random diagram order must be nonnegative, got {n}")
     slots = list(range(2 * n))
-    rng.shuffle(slots)
+    getrandbits = rng.getrandbits
+    for i, bits in _swap_bits(2 * n):
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        slots[i], slots[j] = slots[j], slots[i]
     return slots
+
+
+@lru_cache(maxsize=64)
+def _swap_bits(m: int) -> tuple[tuple[int, int], ...]:
+    """The swaps of a shuffle of m items, in the order it makes them: the
+    position i, from m - 1 down to 1, and the bit length of i + 1, the
+    number of choices for the item swapped into it."""
+    return tuple((i, (i + 1).bit_length()) for i in range(m - 1, 0, -1))
 
 
 def random_diagram(n: int, rng) -> ChordDiagram:
@@ -421,75 +440,112 @@ class MutationKind(enum.Enum):
     REFLECTION_HORIZONTAL = "reflection-horizontal"
 
 
-# the kinds in definition order, as :func:`mutated_words` walks them
+# the kinds in definition order, as the share table holds their moves
 _KINDS = tuple(MutationKind)
 
 
 def find_shares(d: ChordDiagram) -> list[Share]:
     """All shares of d, one per chord subset (including empty and full),
-    in increasing order of the subset's bit mask.
-
-    A chord subset is a share iff its endpoint positions form at most two
-    circular runs; the runs then are the arcs, and the closure property
-    holds automatically because runs contain no foreign endpoints.  A
-    subset's positions are one bit mask, its lowest chord's ends or'ed
-    into the mask of the rest; a run starts at each position whose
-    cyclic predecessor is outside the mask.  Raises ValueError above
+    in increasing order of the subset's bit mask; the arcs are read from
+    the share table of :func:`share_moves`.  Raises ValueError above
     :data:`MAX_DIAGRAM_ORDER`.
     """
-    m = len(d.word)
-    n = d.n
-    chord_sets = _subset_chords(n)
-    ends = [0] * n
-    for p, ch in enumerate(d.word):
-        ends[ch] |= 1 << p
-    full = (1 << m) - 1
-    covered = [0] * (1 << n)
-    shares = []
-    for mask in range(1 << n):
-        if mask:
-            low = mask & -mask
-            covered[mask] = covered[mask ^ low] | ends[low.bit_length() - 1]
-        pm = covered[mask]
-        if pm == 0 or pm == full:
-            # the empty subset, or every position covered (one full run)
-            arcs = ((0, pm.bit_count()), (0, 0))
-        else:
-            starts = pm & ~(pm << 1 | pm >> (m - 1))
-            if starts.bit_count() > 2:
-                continue
-            k = pm.bit_count()
-            s1 = (starts & -starts).bit_length() - 1
-            if starts == 1 << s1:
-                arcs = ((s1, k), ((s1 + k) % m, 0))
-            else:
-                # the first run cannot wrap: it ends before the second starts
-                run = pm >> s1
-                l1 = (~run & (run + 1)).bit_length() - 1
-                arcs = ((s1, l1), (starts.bit_length() - 1, k - l1))
-        shares.append(Share(arcs=arcs, chords=chord_sets[mask]))
-    return shares
+    require_order("find_shares", d.n, MAX_DIAGRAM_ORDER)
+    chord_sets = _subset_chords(d.n)
+    return [
+        Share(arcs=arcs, chords=chord_sets[mask])
+        for mask, arcs, _ in share_moves(d.word)
+    ]
 
 
 @lru_cache(maxsize=None)
 def _subset_chords(n: int) -> tuple[frozenset[int], ...]:
     """The chord set of every subset of n chords, indexed by its bit mask;
-    the order is checked first, so at most 2^8 sets are kept per order."""
-    require_order("find_shares", n, MAX_DIAGRAM_ORDER)
+    :func:`find_shares` checks the order first, so at most 2^8 sets are
+    kept per order."""
     return tuple(
         frozenset(ch for ch in range(n) if mask >> ch & 1) for mask in range(1 << n)
     )
 
 
-def _share_segments(d: ChordDiagram, share: Share):
+def share_moves(word: tuple[int, ...]) -> Iterator[tuple[int, tuple, tuple]]:
+    """(subset mask, arcs, moves) for each chord subset of a tuple word
+    with labels 0..n-1 that is a share, in increasing mask order.
+
+    A chord subset is a share iff its endpoint positions form at most two
+    circular runs; the runs then are the arcs, and the closure property
+    holds automatically because runs contain no foreign endpoints.  A
+    subset's positions are one bit mask, its lowest chord's ends or'ed
+    into the mask of the rest, and the arcs and moves are read from the
+    per-order table :func:`_share_table` under that mask.  ``moves``
+    holds one itemgetter per :class:`MutationKind`, in definition order,
+    each giving :func:`mutated_word` of the word for that kind.  The
+    order is not checked: the caller checks it against a ceiling.
+    """
+    m = len(word)
+    table = _share_table(m)
+    ends = [0] * (m // 2)
+    for p, ch in enumerate(word):
+        ends[ch] |= 1 << p
+    covered = [0] * (1 << len(ends))
+    for mask in range(len(covered)):
+        if mask:
+            low = mask & -mask
+            covered[mask] = covered[mask ^ low] | ends[low.bit_length() - 1]
+        pm = covered[mask]
+        entry = table.get(pm, False)
+        if entry is False:
+            entry = table[pm] = _share_entry(m, pm)
+        if entry is not None:
+            yield mask, *entry
+
+
+@lru_cache(maxsize=None)
+def _share_table(m: int) -> dict[int, tuple | None]:
+    """The mutations on words of length m: covered position mask -> None
+    when its positions form more than two circular runs, else the arcs
+    and moves of the share covering them.  Each entry is made by
+    :func:`_share_entry` on first use, so an order holds at most 2^(m-1),
+    one per even-sized position set."""
+    return {}
+
+
+def _share_entry(m: int, pm: int) -> tuple | None:
+    """The share table's entry for the positions of bit mask pm on words
+    of length m.  A run starts at each position whose cyclic predecessor
+    is outside the mask.  Each move re-glues ``tuple(range(m))`` by
+    :func:`_share_segments` and :func:`_reglue`, and applied to that
+    word gives its index map; the empty word's moves give ``()``."""
+    if pm == 0 or pm == (1 << m) - 1:
+        # the empty subset, or every position covered (one full run)
+        arcs = ((0, pm.bit_count()), (0, 0))
+    else:
+        starts = pm & ~(pm << 1 | pm >> (m - 1))
+        if starts.bit_count() > 2:
+            return None
+        k = pm.bit_count()
+        s1 = (starts & -starts).bit_length() - 1
+        if starts == 1 << s1:
+            arcs = ((s1, k), ((s1 + k) % m, 0))
+        else:
+            # the first run cannot wrap: it ends before the second starts
+            run = pm >> s1
+            l1 = (~run & (run + 1)).bit_length() - 1
+            arcs = ((s1, l1), (starts.bit_length() - 1, k - l1))
+    segments = _share_segments(tuple(range(m)), arcs)
+    moves = [_reglue(segments, kind) for kind in _KINDS]
+    # itemgetter needs an index: the empty word is its own mutant
+    return arcs, tuple(itemgetter(*t) if t else tuple for t in moves)
+
+
+def _share_segments(word: tuple[int, ...], arcs):
     """Split the word into (arc1, gap1, arc2, gap2) starting at arc1: four
     consecutive slices of the doubled word, ending one turn after arc1
     starts."""
-    word = d.word
     m = len(word)
     if m == 0:
         return (), (), (), ()
-    (s1, l1), (s2, l2) = share.arcs
+    (s1, l1), (s2, l2) = arcs
     twice = word + word
     # where arc1 ends, arc2 begins and arc2 ends, on the doubled word
     e1 = s1 + l1
@@ -520,19 +576,7 @@ def _check_share(d: ChordDiagram, share: Share) -> None:
 def mutated_word(d: ChordDiagram, share: Share, kind: MutationKind) -> tuple[int, ...]:
     """Re-glued word with original chord ids preserved (not normalized)."""
     _check_share(d, share)
-    return _reglue(_share_segments(d, share), kind)
-
-
-def mutated_words(
-    d: ChordDiagram, share: Share
-) -> list[tuple[MutationKind, tuple[int, ...]]]:
-    """:func:`mutated_word` for every kind in turn.
-
-    The share is not checked: it must come from ``find_shares(d)``,
-    whose shares are closed by construction.
-    """
-    segments = _share_segments(d, share)
-    return [(kind, _reglue(segments, kind)) for kind in _KINDS]
+    return _reglue(_share_segments(d.word, share.arcs), kind)
 
 
 def _reglue(segments, kind: MutationKind) -> tuple[int, ...]:

@@ -286,7 +286,8 @@ def sampled_windows(
     but no ChordDiagram and no tuple word is built per draw.  Each draw
     is one :func:`~chordlab.diagrams.random_slots` call; a 4-term draw
     then takes the position as ``rng.choice(neighbor_positions(d))``
-    does, by ``randrange`` of the neighboring-position count, 2n less
+    does, by the rejection sampling of ``randrange`` on
+    ``rng.getrandbits``, below the neighboring-position count, 2n less
     the chords whose ends are cyclically adjacent.  The draws kept by
     the shard are built a window at a time in numpy: the rows, the
     chosen positions and one gather through the moves of
@@ -303,12 +304,20 @@ def _sampled_arrays(order, sample, rng, shard, window, four_term):
     # slot differences of a chord whose two ends are cyclically adjacent
     adjacent = {1, -1, m - 1, 1 - m}.__contains__
 
+    getrandbits = rng.getrandbits
+
     def draw():
         slots = random_slots(order, rng)
         if not four_term:
             return slots, 0
         gaps = map(sub, slots[::2], slots[1::2])
-        return slots, rng.randrange(m - sum(map(adjacent, gaps)))
+        # rng.randrange(count), by its rejection sampling
+        count = m - sum(map(adjacent, gaps))
+        bits = count.bit_length()
+        j = getrandbits(bits)
+        while j >= count:
+            j = getrandbits(bits)
+        return slots, j
 
     if four_term:
         # the index maps of all four terms, per (p, q)

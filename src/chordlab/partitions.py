@@ -13,8 +13,10 @@ def partition_log_full(values: Sequence, n: int):
     ``(-1)**(len(P) - 1) * (len(P) - 1)! * prod(values[block] for block in P)``.
 
     This is the Moebius/log transform on the partition lattice, computed
-    with the recursion on the block containing the minimum element; cost
-    is O(3^n) ring operations instead of a sum over all partitions.
+    with the recursion on the block containing the minimum element.  The
+    full set's value reads only sets holding element 0 (the blocks that
+    contain it, and theirs in turn), so only those are computed: fewer
+    than 3^(n-1) ring products instead of a sum over all partitions.
 
     Any ring works, including numpy integer arrays with a batch axis
     (one partition sum per lane, one call per batch).  Array arithmetic
@@ -27,18 +29,18 @@ def partition_log_full(values: Sequence, n: int):
         raise ValueError("n must be positive")
     size = 1 << n
     log: list = [None] * size
-    for s in range(1, size):
-        low = s & (-s)
-        rest = s ^ low
+    # the sets holding element 0: the odd masks
+    for s in range(1, size, 2):
+        rest = s ^ 1
         acc = values[s]
-        # peel off the block containing the minimum element:
-        # values[s] = sum over blocks T (low in T) of log[T] * values[s \ T]
+        # peel off the block containing element 0:
+        # values[s] = sum over blocks T (0 in T) of log[T] * values[s \ T]
         t = rest
         while True:
             t = (t - 1) & rest
             if t == rest:  # wrapped around (only when rest == 0)
                 break
-            block = low | t
+            block = 1 | t
             acc = acc - log[block] * values[s ^ block]
             if t == 0:
                 break

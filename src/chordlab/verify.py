@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 from ._bulk import hamiltonian_cycle_sums
 from ._np import np
 from .diagrams import (
+    _KINDS,
     MAX_EXHAUSTIVE_ORDER,
     MAX_GRAPH_ORDER,
     ChordDiagram,
@@ -23,9 +24,8 @@ from .diagrams import (
     canonical_word_bytes,
     class_keyer,
     enumerate_diagrams,
-    find_shares,
-    mutated_words,
     require_order,
+    share_moves,
 )
 from .fourterm import (
     _CLASS_WINDOW,
@@ -276,8 +276,10 @@ def suite_mutation(
     the cycle DP (``r_k_oriented``) under a class-keyed memo.  The run
     keys each distinct relabeled mutant it evaluates once, through one
     :func:`~chordlab.diagrams.class_keyer`: the (2n-1)!! basepointed
-    words fit its memo at every order up to the ceiling.  Violation
-    records carry the keys of the raw words.
+    words fit its memo at every order up to the ceiling.  The mutants
+    are the class word read through the index maps of
+    :func:`~chordlab.diagrams.share_moves`, three per share; no Share is
+    built.  Violation records carry the keys of the raw words.
     """
     _check_mutation_order(order)
     report = VerificationReport(invariant="mutation", order=order)
@@ -293,15 +295,17 @@ def suite_mutation(
         return rk
 
     for d in sharded(enumerate_diagrams(order, "up-to-rotation"), shard):
-        base_rows = interleave_rows(d.word)
+        word = d.word
+        base_rows = interleave_rows(word)
         # no Hamiltonian cycle: R_k is 0 here and on every same-rows mutant
         keyed = k and not hamiltonian_ruled_out(base_rows)
-        base_rk = rk_of(d.word) if keyed else None
+        base_rk = rk_of(word) if keyed else None
         # different shares often re-glue to the same word
         verdicts: dict[tuple[int, ...], bool] = {}
-        for share in find_shares(d):
-            for kind, w in mutated_words(d, share):
-                report.checked += 1
+        for mask, _, moves in share_moves(word):
+            report.checked += len(moves)
+            for kind, move in zip(_KINDS, moves):
+                w = move(word)
                 bad = verdicts.get(w)
                 if bad is None:
                     bad = interleave_rows(w) != base_rows
@@ -309,11 +313,12 @@ def suite_mutation(
                         bad = rk_of(w) != base_rk
                     verdicts[w] = bad
                 if bad:
+                    chords = [ch for ch in range(d.n) if mask >> ch & 1]
                     report.add_violation(
                         [
                             canonical_code(d).decode("ascii"),
                             canonical_word_bytes(w).decode("ascii"),
-                            f"share={sorted(share.chords)}",
+                            f"share={chords}",
                             kind.value,
                         ],
                         "graph-or-rk-changed",

@@ -7,8 +7,11 @@
 paper's coefficient identity for one diagram.  ``interleave_rows`` and
 ``find_shares`` are the pairwise crossing test and the per-position
 share scan that the bitmask kernels of ``graphs`` and ``diagrams``
-replaced.  ``rotated``, ``induced_subdiagram`` and ``diagram_product``
-are the diagram constructions the tests build their cases with.
+replaced, and ``find_shares_by_runs`` is the run arithmetic on one
+position mask per subset that the share table behind
+``diagrams.share_moves`` replaced.  ``rotated``, ``induced_subdiagram``
+and ``diagram_product`` are the diagram constructions the tests build
+their cases with.
 ``rotation_representatives`` finds the rotation classes by keying every
 basepointed word, the enumeration the orderly generator behind
 ``diagrams.enumerate_diagrams(n, "up-to-rotation")`` replaced.
@@ -181,6 +184,46 @@ def find_shares(d: ChordDiagram) -> list[Share]:
         else:
             s1, s2 = starts
             arcs = ((s1, _run_length(in_set, s1)), (s2, _run_length(in_set, s2)))
+        chords = frozenset(ch for ch in range(n) if mask >> ch & 1)
+        shares.append(Share(arcs=arcs, chords=chords))
+    return shares
+
+
+def find_shares_by_runs(d: ChordDiagram) -> list[Share]:
+    """Every chord subset whose endpoint positions form at most two
+    circular runs, in increasing mask order: a subset's positions are one
+    bit mask, its lowest chord's ends or'ed into the mask of the rest,
+    and a run starts at each position whose cyclic predecessor is outside
+    the mask."""
+    m = len(d.word)
+    n = d.n
+    ends = [0] * n
+    for p, ch in enumerate(d.word):
+        ends[ch] |= 1 << p
+    full = (1 << m) - 1
+    covered = [0] * (1 << n)
+    shares = []
+    for mask in range(1 << n):
+        if mask:
+            low = mask & -mask
+            covered[mask] = covered[mask ^ low] | ends[low.bit_length() - 1]
+        pm = covered[mask]
+        if pm == 0 or pm == full:
+            # the empty subset, or every position covered (one full run)
+            arcs = ((0, pm.bit_count()), (0, 0))
+        else:
+            starts = pm & ~(pm << 1 | pm >> (m - 1))
+            if starts.bit_count() > 2:
+                continue
+            k = pm.bit_count()
+            s1 = (starts & -starts).bit_length() - 1
+            if starts == 1 << s1:
+                arcs = ((s1, k), ((s1 + k) % m, 0))
+            else:
+                # the first run cannot wrap: it ends before the second starts
+                run = pm >> s1
+                l1 = (~run & (run + 1)).bit_length() - 1
+                arcs = ((s1, l1), (starts.bit_length() - 1, k - l1))
         chords = frozenset(ch for ch in range(n) if mask >> ch & 1)
         shares.append(Share(arcs=arcs, chords=chords))
     return shares

@@ -21,10 +21,11 @@ from chordlab.diagrams import (
     find_shares,
     format_diagram,
     mutated_word,
-    mutated_words,
     parse_diagram,
     random_diagram,
+    random_slots,
     rotation_classes,
+    share_moves,
 )
 from chordlab.fourterm import four_term_instances
 from chordlab.graphs import interleave_rows, intersection_graph
@@ -36,6 +37,7 @@ from references import (
     rotation_representatives,
 )
 from references import find_shares as reference_find_shares
+from references import find_shares_by_runs
 from references import interleave_rows as reference_interleave_rows
 
 
@@ -230,10 +232,10 @@ def _kernel_words(name: str) -> list[tuple[int, ...]]:
         return [random_diagram(8, rng).word for _ in range(500)]
     # mutants keep the chord ids of their class representative
     return [
-        w
+        move(d.word)
         for d in enumerate_diagrams(5, "up-to-rotation")
-        for share in reference_find_shares(d)
-        for _, w in mutated_words(d, share)
+        for _, _, moves in share_moves(d.word)
+        for move in moves
     ]
 
 
@@ -313,6 +315,18 @@ class TestEnumeration:
         a = random_diagram(6, random.Random(5)).word
         b = random_diagram(6, random.Random(5)).word
         assert a == b
+
+    @pytest.mark.parametrize("n", [*range(11), 27])
+    def test_random_slots_are_the_shuffle_draws(self, n):
+        # the same slots and the same generator state after each draw as
+        # Random.shuffle
+        for seed in range(200):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                slots = list(range(2 * n))
+                ref.shuffle(slots)
+                assert random_slots(n, ours) == slots
+                assert ours.getstate() == ref.getstate()
 
     def test_random_diagram_matches_validated_construction(self):
         # the same shuffle draws, built through the validating constructor
@@ -436,8 +450,18 @@ class TestShares:
         with pytest.raises(ValueError, match="order 9 outside 0..8"):
             find_shares(random_diagram(9, random.Random(9)))
 
+    def test_table_shares_match_the_run_arithmetic(self):
+        # every basepointed word of orders 0-6, then random words of 7-8
+        for n in range(7):
+            for d in enumerate_diagrams(n, "basepointed"):
+                assert find_shares(d) == find_shares_by_runs(d)
+        rng = random.Random(78)
+        for _ in range(2000):
+            d = random_diagram(rng.choice((7, 8)), rng)
+            assert find_shares(d) == find_shares_by_runs(d)
+
     def test_found_shares_pass_the_share_check(self):
-        # mutated_words trusts find_shares and skips this check
+        # suite_mutation trusts the share table and skips this check
         for n in range(6):
             for d in enumerate_diagrams(n, "basepointed"):
                 for share in find_shares(d):
@@ -480,13 +504,28 @@ class TestMutations:
                 rotated = apply_mutation(d, share, MutationKind.ROTATION)
                 assert canonical_code(twice) == canonical_code(rotated)
 
-    def test_mutated_words_match_the_checked_path(self):
-        # the unchecked loop of suite_mutation against apply_mutation's path
+    def test_share_table_moves_match_the_checked_path(self):
+        # the index maps suite_mutation reads against apply_mutation's path
         for n in range(7):
+            ident = tuple(range(2 * n))
             for d in enumerate_diagrams(n, "up-to-rotation"):
-                for share in find_shares(d):
-                    expected = [(k, mutated_word(d, share, k)) for k in MutationKind]
-                    assert mutated_words(d, share) == expected
+                table = share_moves(d.word)
+                for (mask, arcs, moves), share in zip(
+                    table, find_shares(d), strict=True
+                ):
+                    assert arcs == share.arcs
+                    assert mask == sum(1 << ch for ch in share.chords)
+                    for kind, move in zip(MutationKind, moves, strict=True):
+                        expected = mutated_word(d, share, kind)
+                        assert move(d.word) == expected
+                        index_map = move(ident)
+                        assert sorted(index_map) == list(ident)
+                        assert tuple(d.word[i] for i in index_map) == expected
+
+    def test_empty_word_has_three_empty_mutants(self):
+        [(mask, arcs, moves)] = share_moves(())
+        assert (mask, arcs) == (0, ((0, 0), (0, 0)))
+        assert [move(()) for move in moves] == [(), (), ()]
 
     def test_invalid_share_rejected(self):
         from chordlab.diagrams import Share

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from typing import Callable
 
 import numpy as np
@@ -13,8 +14,8 @@ from chordlab.diagrams import (
     canonical_code,
     enumerate_diagrams,
     find_shares,
-    mutated_words,
     parse_diagram,
+    share_moves,
 )
 from chordlab.fourterm import (
     DEFAULT_SIGNS,
@@ -345,6 +346,22 @@ class TestSampledWindows:
         quads = sampled_windows(order, sample, seed, shard, window, True)
         expected = four_term_instances(order, sample, seed, shard)
         assert self._rows(quads) == [tuple(map(tuple, q)) for q in expected]
+
+    @pytest.mark.parametrize("order", range(2, 9))
+    def test_draws_leave_the_generator_as_shuffle_and_randrange_do(self, order):
+        # each 4-term draw: a shuffle of the slots, then randrange of the
+        # neighboring-position count, 2n less the chords with adjacent ends
+        m = 2 * order
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in fourterm._sampled_arrays(order, 50, rng, None, 16, True):
+                pass
+            for _ in range(50):
+                slots = list(range(m))
+                ref.shuffle(slots)
+                gaps = (abs(a - b) for a, b in zip(slots[::2], slots[1::2]))
+                ref.randrange(m - sum(g in (1, m - 1) for g in gaps))
+            assert rng.getstate() == ref.getstate()
 
     def test_windows_have_the_window_size_but_the_last(self):
         arrays = list(sampled_windows(8, 300, 1, None, 128, True))
@@ -821,6 +838,21 @@ class TestOneKeyerPerRun:
         assert (report.checked, report.ok, keyed) == (10395, True, [])
 
 
+class TestMutationCounts:
+    @pytest.mark.parametrize(
+        "order,checked",
+        [(0, 3), (1, 6), (2, 24), (3, 120), (4, 744), (5, 6354), (6, 70188)],
+    )
+    def test_checked_is_three_per_share_of_each_class(self, order, checked):
+        # the empty word has one share, the empty one, and three mutants
+        report = verify.suite_mutation(order)
+        assert (report.checked, report.ok) == (checked, True)
+        shares = sum(
+            len(find_shares(d)) for d in enumerate_diagrams(order, "up-to-rotation")
+        )
+        assert checked == 3 * shares
+
+
 class TestMutationRowsRule:
     """suite_mutation reads R_k = 0 off a class's crossing rows when they
     rule out a Hamiltonian cycle, and keys no word of such a class."""
@@ -834,7 +866,8 @@ class TestMutationRowsRule:
         for d in enumerate_diagrams(order, "up-to-rotation"):
             rows = interleave_rows(d.word)
             if hamiltonian_ruled_out(rows):
-                mutants = (w for s in find_shares(d) for _, w in mutated_words(d, s))
+                moves = (g for _, _, gs in share_moves(d.word) for g in gs)
+                mutants = (move(d.word) for move in moves)
                 skipped.update(w for w in mutants if interleave_rows(w) == rows)
         assert skipped
         for w in skipped:
