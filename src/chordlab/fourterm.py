@@ -28,7 +28,6 @@ from .diagrams import (
     DiagramError,
     canonical_word_bytes,
     class_keyer,
-    enumerate_diagrams,
     random_diagram,
     random_slots,
     require_order,
@@ -168,10 +167,11 @@ def verify_weight_system(
 ) -> VerificationReport:
     """Evaluate the signed sum of f over diagram 4-term quadruples.
 
-    With ``sample`` None every (diagram, neighboring-end position) at the
-    given order is run; otherwise ``sample`` quadruples are drawn from
-    the seed.  f must be a function of the rotation class: it is
-    called once per class, on the first diagram of the class met.
+    With ``sample`` None every (basepointed diagram, neighboring-end
+    position) at the given order counts, each class run once
+    (:func:`four_term_instances`); otherwise ``sample`` quadruples are
+    drawn from the seed.  f must be a function of the rotation class: it
+    is called once per class, on the first diagram of the class met.
     Violations are data, not errors; the report is deterministic
     byte-for-byte under a fixed seed.
     """
@@ -187,11 +187,13 @@ def sharded(items: Iterable, shard: tuple[int, int] | None = None) -> Iterator:
     return itertools.islice(items, index, None, count)
 
 
-def windowed(items: Iterable, size: int) -> Iterator[list]:
-    """Lists of ``size`` consecutive items, the last one shorter."""
-    items = iter(items)
-    while window := list(itertools.islice(items, size)):
-        yield window
+def windowed(pairs: Iterable[tuple], size: int) -> Iterator[tuple]:
+    """Windows of ``size`` consecutive pairs, the last one shorter, each
+    as the tuple of the pairs' first members and the tuple of their
+    second ones: (items, weights) for a weighted source."""
+    pairs = iter(pairs)
+    while window := list(itertools.islice(pairs, size)):
+        yield tuple(zip(*window))
 
 
 def diagram_source(
@@ -199,9 +201,13 @@ def diagram_source(
     sample: int | None = None,
     seed: int = 0,
     shard: tuple[int, int] | None = None,
-) -> Iterator[ChordDiagram]:
-    """Every basepointed diagram of the order when ``sample`` is None,
-    else ``sample`` random ones drawn from the seed; split by ``shard``.
+) -> Iterator[tuple[ChordDiagram, int]]:
+    """(diagram, weight) pairs, the weight the number of basepointed
+    diagrams the item stands for: every rotation class of the order as
+    (representative, orbit size) when ``sample`` is None
+    (:func:`~chordlab.diagrams.rotation_classes`), else ``sample``
+    random basepointed diagrams drawn from the seed, each of weight 1.
+    ``shard`` splits the items, so exhaustive shards split classes.
 
     Raises ValueError, before any diagram is built, above
     :data:`~chordlab.diagrams.MAX_EXHAUSTIVE_ORDER` when exhaustive and
@@ -209,9 +215,9 @@ def diagram_source(
     """
     if sample is None:
         require_order("exhaustive run", order, MAX_EXHAUSTIVE_ORDER)
-        return sharded(enumerate_diagrams(order, "basepointed"), shard)
+        return sharded(rotation_classes(order), shard)
     rng = _sample_rng(order, sample, seed)
-    return sharded((random_diagram(order, rng) for _ in range(sample)), shard)
+    return sharded(((random_diagram(order, rng), 1) for _ in range(sample)), shard)
 
 
 def _sample_rng(
@@ -230,43 +236,35 @@ def _sample_rng(
     return random.Random(seed)
 
 
-def class_source(
-    order: int, shard: tuple[int, int] | None = None
-) -> Iterator[tuple[ChordDiagram, int]]:
-    """Every rotation class of the order as (representative, orbit size),
-    the classes split by ``shard``: the basepointed diagrams of the
-    exhaustive :func:`diagram_source`, one class at a time.  Raises
-    ValueError, before any class is built, above
-    :data:`~chordlab.diagrams.MAX_EXHAUSTIVE_ORDER`.
-    """
-    require_order("exhaustive run", order, MAX_EXHAUSTIVE_ORDER)
-    return sharded(rotation_classes(order), shard)
-
-
 def four_term_instances(
     order: int,
     sample: int | None = None,
     seed: int = 0,
     shard: tuple[int, int] | None = None,
-) -> Iterator[tuple[tuple, tuple, tuple, tuple]]:
-    """The four raw words of each diagram 4-term instance of the order.
+) -> Iterator[tuple[tuple[tuple, tuple, tuple, tuple], int]]:
+    """(quadruple, weight) pairs: the four raw words of a diagram 4-term
+    instance, and the number of (basepointed diagram, position) cases it
+    stands for.
 
-    With ``sample`` None every neighboring-end position of every
-    basepointed diagram is taken, the diagrams split by ``shard``;
-    otherwise ``sample`` instances are drawn from the seed (a random
+    With ``sample`` None every neighboring-end position of each class
+    representative of :func:`diagram_source` is taken, weighted by the
+    orbit size, the classes split by ``shard``.  Rotating a diagram by r
+    takes its instance at p to the one at p + r, up to rotating the
+    words, which neither codes nor class functions see.  Otherwise
+    ``sample`` instances of weight 1 are drawn from the seed (a random
     diagram, then a random neighboring-end position on it), the
     instances split by ``shard``.
     """
     if sample is None:
         return (
-            four_term_words(d.word, p)
-            for d in diagram_source(order, shard=shard)
+            (four_term_words(d.word, p), orbit)
+            for d, orbit in diagram_source(order, shard=shard)
             for p in neighbor_positions(d)
         )
     rng = _sample_rng(order, sample, seed, four_term=True)
     diagrams = (random_diagram(order, rng) for _ in range(sample))
     quads = (four_term_words(d.word, rng.choice(neighbor_positions(d))) for d in diagrams)
-    return sharded(quads, shard)
+    return sharded(((quad, 1) for quad in quads), shard)
 
 
 def sampled_windows(
@@ -276,11 +274,12 @@ def sampled_windows(
     shard: tuple[int, int] | None,
     window: int,
     four_term: bool = False,
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
     """The items of the sampled :func:`diagram_source`, or with
-    ``four_term`` of the sampled :func:`four_term_instances`, as int8
-    arrays of shape (W, 1, 2n) or (W, 4, 2n) whose rows are the items,
-    ``window`` items a window but the last.
+    ``four_term`` of the sampled :func:`four_term_instances`, as windows
+    (items, weights) for :func:`relation_sums`: int8 arrays of shape
+    (W, 1, 2n) or (W, 4, 2n) whose rows are the items, ``window`` items a
+    window but the last, each of weight 1.
 
     The draws, the words and the shards are those of the tuple sources,
     but no ChordDiagram and no tuple word is built per draw.  Each draw
@@ -326,10 +325,12 @@ def _sampled_arrays(order, sample, rng, shard, window, four_term):
         maps = [[[ident, *(g(ident) for g in e)] for e in row] for row in table]
         moves = np.array(maps, dtype=np.int8)
     labels = np.arange(order, dtype=np.int8).repeat(2)
-    for draws in windowed(sharded((draw() for _ in range(sample)), shard), window):
-        at = np.arange(len(draws))
+    draws = sharded((draw() for _ in range(sample)), shard)
+    for slots, picks in windowed(draws, window):
+        at = np.arange(len(slots))
+        weights = (1,) * len(at)
         # chord c of a draw has its ends at slots 2c and 2c + 1
-        ends = np.array([s for s, _ in draws], dtype=np.int8).reshape(len(at), -1, 2)
+        ends = np.array(slots, dtype=np.int8).reshape(len(at), -1, 2)
         # each chord's (first, second) end, the chords relabeled in
         # order of first appearance
         by_first = np.argsort(ends.min(axis=2), axis=1)[:, :, None]
@@ -337,16 +338,15 @@ def _sampled_arrays(order, sample, rng, shard, window, four_term):
         rows = np.empty((len(at), m), dtype=np.int8)
         np.put_along_axis(rows, ends.reshape(len(at), m), labels[None], axis=1)
         if not four_term:
-            yield rows[:, None]
+            yield rows[:, None], weights
             continue
         # the drawn position: the j-th p whose neighbor p+1 holds another chord
-        picks = np.array([j for _, j in draws])[:, None]
         neighboring = rows != np.roll(rows, -1, axis=1)
-        p = np.argmax(neighboring.cumsum(axis=1) > picks, axis=1)
+        p = np.argmax(neighboring.cumsum(axis=1) > np.array(picks)[:, None], axis=1)
         # q: the other end of the chord at p
         first, second = ends[at, rows[at, p]].T
         q = np.where(first == p, second, first)
-        yield np.take_along_axis(rows[:, None], moves[p, q], axis=2)
+        yield np.take_along_axis(rows[:, None], moves[p, q], axis=2), weights
 
 
 _CLASS_WINDOW = 128  # class-keyed items read per window: bounds memory
@@ -355,28 +355,31 @@ _CLASS_WINDOW = 128  # class-keyed items read per window: bounds memory
 def relation_sums(
     invariant: str,
     order: int,
-    windows: Iterable[Sequence],
+    windows: Iterable[tuple[Sequence, Sequence[int]]],
     evaluate: Callable[[Sequence], Iterable],
     combine: Callable[[Sequence], object],
 ) -> VerificationReport:
     """One check per item, the items read a window at a time.
 
-    A window is a list of items, each a tuple of raw tuple words (four
-    for a 4-term quadruple, one for a sampled per-class check), or an
-    int8 array whose rows are such items (:func:`sampled_windows`).
-    ``evaluate(window)`` gives each item's term values;
+    A window is a pair (items, weights).  Items are tuples of raw tuple
+    words (four for a 4-term quadruple, one for a per-class check), or
+    an int8 array whose rows are such items (:func:`sampled_windows`).
+    ``evaluate(items)`` gives each item's term values;
     ``combine(values)`` is falsy when the item passes, else the signed
-    sum recorded with the canonical codes of the item's words.  Codes
-    are computed for violating items only, an array row's words turned
-    into tuples first.
+    sum recorded with the canonical codes of the item's words.  An
+    item's weight, the cases it stands for, adds to ``checked``, and a
+    failing item's record is written that many times.  Codes are
+    computed for violating items only, an array row's words turned into
+    tuples first.
     """
     report = VerificationReport(invariant=invariant, order=order)
-    for window in windows:
-        report.checked += len(window)
-        for words, values in zip(window, evaluate(window)):
+    for items, weights in windows:
+        report.checked += sum(weights)
+        for words, weight, values in zip(items, weights, evaluate(items)):
             if total := combine(values):
                 codes = [canonical_word_bytes(tuple(w)).decode("ascii") for w in words]
-                report.add_violation(codes, total)
+                for _ in range(weight):
+                    report.add_violation(codes, total)
     return report.finalize()
 
 
@@ -390,17 +393,17 @@ def by_class(values_of: Callable[[list[ChordDiagram]], list]) -> Callable:
     class; a word becomes a ChordDiagram only for that call.  The run
     keys words through one :func:`~chordlab.diagrams.class_keyer`, whose
     memo is bounded: an exhaustive run relabels and keys each distinct
-    relabeled word once, and the diagram word that an exhaustive 4-term
-    item starts with is found in the memo as it stands.  The run keeps
-    the values of its classes.
+    relabeled word once, and the class representative that an
+    exhaustive 4-term item starts with is found in the memo as it
+    stands.  The run keeps the values of its classes.
     """
     values: dict[bytes, object] = {}
     class_key = class_keyer()
 
-    def evaluate(window):
-        keys = [[class_key(w) for w in words] for words in window]
+    def evaluate(items):
+        keys = [[class_key(w) for w in words] for words in items]
         fresh: dict[bytes, Sequence[int]] = {}
-        for key, w in zip(itertools.chain(*keys), itertools.chain(*window)):
+        for key, w in zip(itertools.chain(*keys), itertools.chain(*items)):
             if key not in values:
                 fresh.setdefault(key, w)
         values.update(zip(fresh, values_of([ChordDiagram(w) for w in fresh.values()])))

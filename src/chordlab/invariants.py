@@ -95,7 +95,7 @@ def r_k_oriented(d: ChordDiagram, k: int, flip_mask: int) -> int:
             return 0
         return _signed_hamiltonian_sum(sign_matrix(d, flip_mask))
     w = sign_matrix(d, flip_mask)
-    g = SimpleGraph(d.n, tuple(sum(1 << v for v, x in enumerate(r) if x) for r in w))
+    g = intersection_graph(d)  # the crossings: where w is nonzero
     return sum(cycle_sign(w, cyc) for cyc in enumerate_cycles(g, 2 * k))
 
 

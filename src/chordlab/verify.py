@@ -20,6 +20,7 @@ from .diagrams import (
     MAX_EXHAUSTIVE_ORDER,
     MAX_GRAPH_ORDER,
     ChordDiagram,
+    _trusted_diagram,
     canonical_code,
     canonical_word_bytes,
     class_keyer,
@@ -32,7 +33,6 @@ from .fourterm import (
     DEFAULT_SIGNS,
     VerificationReport,
     by_class,
-    class_source,
     diagram_source,
     four_term_instances,
     relation_sums,
@@ -334,32 +334,24 @@ def _per_class_suite(
     seed: int = 0,
     shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
-    """One check per basepointed diagram of the source, one verdict per
-    rotation class.
+    """One check per weighted item of :func:`fourterm.diagram_source`,
+    through :func:`fourterm.relation_sums`; one verdict per rotation class.
 
-    ``verdict(ds)`` holds, per class representative in ``ds``, None when
-    the class passes, else the text recorded as the violation's signed
-    sum.  Exhaustive runs read the classes of :func:`fourterm.class_source`,
-    _CLASS_WINDOW at a time, the shard splitting classes: a class counts
-    its orbit size towards ``checked`` and, when it fails, adds its record
-    that many times, as one record per basepointed diagram would.  Sampled
-    runs key each drawn diagram (:func:`fourterm.by_class`), and ``verdict``
-    runs once per window on the first diagram met of each class that is
-    new in the window.
+    ``verdict(ds)`` holds, per diagram in ``ds``, None when its class
+    passes, else the text recorded as the violation's signed sum.
+    Exhaustive runs give it each window's class representatives and key
+    no word.  Sampled runs key each drawn diagram (:func:`fourterm.by_class`),
+    and ``verdict`` runs once per window on the first diagram met of each
+    class that is new in the run.
     """
+    source = diagram_source(order, sample, seed, shard)
+    windows = windowed((((d.word,), w) for d, w in source), _CLASS_WINDOW)
     if sample is not None:
-        items = ((d.word,) for d in diagram_source(order, sample, seed, shard))
-        windows, evaluate = windowed(items, _CLASS_WINDOW), by_class(verdict)
-        return relation_sums(invariant, order, windows, evaluate, itemgetter(0))
-    report = VerificationReport(invariant=invariant, order=order)
-    for window in windowed(class_source(order, shard), _CLASS_WINDOW):
-        for (d, orbit), text in zip(window, verdict([d for d, _ in window])):
-            report.checked += orbit
-            if text is not None:
-                code = canonical_code(d).decode("ascii")
-                for _ in range(orbit):
-                    report.add_violation([code], text)
-    return report.finalize()
+        evaluate = by_class(verdict)
+    else:
+        def evaluate(items):
+            return zip(verdict([_trusted_diagram(w) for w, in items]))
+    return relation_sums(invariant, order, windows, evaluate, itemgetter(0))
 
 
 def _parity_verdicts(window: np.ndarray) -> list[list[str | None]]:

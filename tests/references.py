@@ -20,7 +20,9 @@ basepointed word, the enumeration the orderly generator behind
 validated intersection graphs, the routes ``graphs.rows_edge_mask``
 replaced.  ``four_term_words`` builds the four words of a diagram
 4-term instance by slicing, the move that the cached index maps of
-``fourterm._four_term_moves`` replaced.
+``fourterm._four_term_moves`` replaced.  ``four_term_report`` makes one
+check per (basepointed word, position), the walk that the orbit-weighted
+rotation classes of ``fourterm.four_term_instances`` replaced.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ from chordlab.diagrams import (
     ChordDiagram,
     DiagramError,
     Share,
+    _normalize,
     canonical_word_bytes,
     enumerate_diagrams,
     word_positions,
 )
+from chordlab.fourterm import DEFAULT_SIGNS, VerificationReport, neighbor_positions
 from chordlab.graphs import SimpleGraph, intersection_graph, pair_index_table
 from chordlab.invariants import r_k, sl2_projected
 from chordlab.partitions import partition_log_full
@@ -274,3 +278,34 @@ def four_term_words(word, p: int) -> tuple[tuple, tuple, tuple, tuple]:
     before = base[:q_idx] + (b_ch,) + base[q_idx:]
     after = base[: q_idx + 1] + (b_ch,) + base[q_idx + 1 :]
     return word, tuple(swapped), before, after
+
+
+def four_term_report(
+    f: Callable[[ChordDiagram], object],
+    order: int,
+    invariant: str = "f",
+    signs: tuple[int, int, int, int] = DEFAULT_SIGNS,
+) -> VerificationReport:
+    """The diagram 4-term report of f with one check per (basepointed
+    word, neighboring-end position) of the order: the terms sliced by
+    :func:`four_term_words`, f read on each term's diagram and each
+    violation recorded with its terms' canonical codes.  Values and codes
+    are memoized by a term's normalized word, which fixes its diagram."""
+    normalized: dict = {}
+    values: dict = {}
+    codes: dict = {}
+    report = VerificationReport(invariant=invariant, order=order)
+    for d in enumerate_diagrams(order, "basepointed"):
+        for p in neighbor_positions(d):
+            words = []
+            for w in four_term_words(d.word, p):
+                if w not in normalized:
+                    normalized[w] = _normalize(w)
+                words.append(w := normalized[w])
+                if w not in values:
+                    values[w] = f(ChordDiagram(w))
+                    codes[w] = canonical_word_bytes(w).decode("ascii")
+            report.checked += 1
+            if total := sum(s * values[w] for w, s in zip(words, signs)):
+                report.add_violation([codes[w] for w in words], total)
+    return report.finalize()

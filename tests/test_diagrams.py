@@ -219,7 +219,8 @@ class TestClassKeyer:
         # ids, and the memo must key them exactly as the plain key does
         key = class_keyer()
         for order in range(2, 8):
-            for quad in four_term_instances(order, 200, order):
+            for quad, weight in four_term_instances(order, 200, order):
+                assert weight == 1
                 for w in quad:
                     assert key(w) == canonical_word_bytes(w)
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -18,16 +19,21 @@ from chordlab.diagrams import (
     share_moves,
 )
 from chordlab.fourterm import (
+    _CLASS_WINDOW,
     DEFAULT_SIGNS,
     RelationQuadruple,
     VerificationReport,
+    by_class,
     diagram_four_term,
     diagram_source,
     four_term_instances,
     four_term_words,
     neighbor_positions,
+    relation_sums,
     sampled_windows,
+    signed_sum,
     verify_weight_system,
+    windowed,
 )
 from chordlab.graphs import (
     GraphError,
@@ -228,7 +234,7 @@ class TestDiagramFourTerm:
             raise AssertionError("work started above the ceiling")
 
         for module, name in (
-            (fourterm, "enumerate_diagrams"),
+            (fourterm, "rotation_classes"),
             (fourterm, "random_diagram"),
             (fourterm, "random_slots"),
             (verify, "enumerate_diagrams"),
@@ -296,24 +302,27 @@ class TestSources:
     )
     @example(order=3, sample=0, seed=0, count=2)  # sample=0 yields nothing
     def test_shards_partition_the_stream(self, order, sample, seed, count):
+        # every source yields (item, weight) pairs; a sampled item stands
+        # for itself alone
         sources = [
-            (diagram_source, lambda d: d.word),
-            (four_term_instances, lambda quad: tuple(map(tuple, quad))),
+            (diagram_source, lambda d, w: (d.word, w)),
+            (four_term_instances, lambda quad, w: (tuple(map(tuple, quad)), w)),
         ]
         if sample is not None:
             # the int8 windows of the sampled 4-term instances, one item a row
             def windows(order, sample, seed, shard):
                 arrays = sampled_windows(order, sample, seed, shard, 7, True)
-                return (item for w in arrays for item in w.tolist())
+                return (x for a, ws in arrays for x in zip(a.tolist(), ws))
 
-            sources.append((windows, lambda quad: tuple(map(tuple, quad))))
+            sources.append((windows, lambda quad, w: (tuple(map(tuple, quad)), w)))
         for source, key in sources:
             def items(shard=None):
-                return [key(x) for x in source(order, sample, seed, shard)]
+                return [key(*x) for x in source(order, sample, seed, shard)]
 
             whole = items()
             if sample is not None:
                 assert len(whole) == sample
+                assert all(w == 1 for _, w in whole)
             parts = [items((index, count)) for index in range(count)]
             assert sorted(itertools.chain(*parts)) == sorted(whole)
 
@@ -324,8 +333,12 @@ class TestSampledWindows:
     positions and the same moves."""
 
     @staticmethod
-    def _rows(arrays):
-        return [tuple(map(tuple, item)) for w in arrays for item in w.tolist()]
+    def _rows(windows):
+        return [
+            (tuple(map(tuple, item)), weight)
+            for rows, weights in windows
+            for item, weight in zip(rows.tolist(), weights, strict=True)
+        ]
 
     @pytest.mark.parametrize("order", range(2, 9))
     @pytest.mark.parametrize(
@@ -339,13 +352,13 @@ class TestSampledWindows:
         seed = 100 * order + sample
         # the rows: the words of random_diagram, through diagram_source
         rows = sampled_windows(order, sample, seed, shard, window)
-        words = [(d.word,) for d in diagram_source(order, sample, seed, shard)]
+        words = [((d.word,), w) for d, w in diagram_source(order, sample, seed, shard)]
         assert self._rows(rows) == words
         # the quadruples of the slicing move, drawn as the tuple source draws
         monkeypatch.setattr(fourterm, "four_term_words", references.four_term_words)
         quads = sampled_windows(order, sample, seed, shard, window, True)
         expected = four_term_instances(order, sample, seed, shard)
-        assert self._rows(quads) == [tuple(map(tuple, q)) for q in expected]
+        assert self._rows(quads) == [(tuple(map(tuple, q)), w) for q, w in expected]
 
     @pytest.mark.parametrize("order", range(2, 9))
     def test_draws_leave_the_generator_as_shuffle_and_randrange_do(self, order):
@@ -364,10 +377,13 @@ class TestSampledWindows:
             assert rng.getstate() == ref.getstate()
 
     def test_windows_have_the_window_size_but_the_last(self):
-        arrays = list(sampled_windows(8, 300, 1, None, 128, True))
-        assert [w.shape for w in arrays] == [(128, 4, 16), (128, 4, 16), (44, 4, 16)]
-        assert {w.dtype for w in arrays} == {np.dtype(np.int8)}
-        assert [w.shape for w in sampled_windows(4, 5, 1, None, 4)] == [
+        windows = list(sampled_windows(8, 300, 1, None, 128, True))
+        assert [w.shape for w, _ in windows] == [
+            (128, 4, 16), (128, 4, 16), (44, 4, 16)
+        ]
+        assert {w.dtype for w, _ in windows} == {np.dtype(np.int8)}
+        assert [ws for _, ws in windows] == [(1,) * 128, (1,) * 128, (1,) * 44]
+        assert [w.shape for w, _ in sampled_windows(4, 5, 1, None, 4)] == [
             (4, 1, 8), (1, 1, 8)
         ]
 
@@ -715,8 +731,13 @@ class TestPerClassWindows:
 
     def _check_windows(self, monkeypatch, window, sample):
         monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
+        # one check per basepointed diagram, or per draw
+        if sample is None:
+            diagrams = list(enumerate_diagrams(5, "basepointed"))
+        else:
+            diagrams = [d for d, _ in diagram_source(5, sample, seed=3)]
         reference = VerificationReport(invariant="synthetic", order=5)
-        for d in diagram_source(5, sample, seed=3):
+        for d in diagrams:
             reference.checked += 1
             if self._verdict(d) is not None:
                 reference.add_violation([canonical_code(d).decode()], self._verdict(d))
@@ -731,7 +752,7 @@ class TestPerClassWindows:
         assert report.violations == reference.violations
         assert report.json_lines() == reference.json_lines()
         # one verdict per class met, never repeated across windows
-        met = {canonical_code(d) for d in diagram_source(5, sample, seed=3)}
+        met = {canonical_code(d) for d in diagrams}
         assert len(seen) == len(set(seen)) == len(met)
         return met
 
@@ -788,6 +809,70 @@ class TestPerClassWindows:
         codes = [{rec["terms"][0] for rec in p.violations} for p in parts]
         assert not (codes[0] & codes[1] or codes[0] & codes[2] or codes[1] & codes[2])
         assert sum(p.checked for p in parts) == 105
+
+
+def _summary(report) -> tuple:
+    """(checked, violations, digest of the JSON lines): a failing
+    comparison prints three values, not two long reports."""
+    return report.checked, len(report.violations), _sha(report)
+
+
+@lru_cache(maxsize=None)
+def _triangles_per_word(order: int) -> tuple:
+    """The triangle-count 4-term report, one check per basepointed word."""
+    return _summary(references.four_term_report(_diagram_triangles, order, "triangles"))
+
+
+class TestOrbitWeights:
+    """An exhaustive diagram run checks each rotation class once and
+    weights it by its orbit size; its report must be the report of one
+    check per (basepointed word, position), byte for byte."""
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_non_invariant_class_function(self, order):
+        report = verify_weight_system(_diagram_triangles, order, invariant="triangles")
+        assert _summary(report) == _triangles_per_word(order)
+        if order == 5:
+            assert (report.checked, len(report.violations)) == (8400, 4880)
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_flipped_signs(self, order):
+        # R_2 is a weight system, so only the signs make violations
+        signs = (1, -1, 1, -1)
+        f = lambda d: r_k(d, 2)
+        report = verify_weight_system(f, order, invariant="r2", signs=signs)
+        reference = references.four_term_report(f, order, "r2", signs)
+        assert _summary(report) == _summary(reference)
+        assert reference.ok == (order < 4)
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_merged_shards(self, order):
+        # verify_weight_system's loop, the classes split three ways
+        evaluate = lambda: by_class(lambda ds: [_diagram_triangles(d) for d in ds])
+        parts = [
+            relation_sums(
+                "triangles",
+                order,
+                windowed(four_term_instances(order, shard=(i, 3)), _CLASS_WINDOW),
+                evaluate(),
+                signed_sum(),
+            )
+            for i in range(3)
+        ]
+        assert _summary(merge_reports(parts)) == _triangles_per_word(order)
+
+    def test_no_exhaustive_suite_walks_basepointed_words(self, monkeypatch):
+        def no_walk(m):
+            raise AssertionError("basepointed words walked")
+
+        monkeypatch.setattr(diagrams, "_matchings", no_walk)
+        for run in (
+            lambda: verify.suite_four_term_diagrams("rk", 5, 2),
+            lambda: verify_weight_system(_diagram_triangles, 5),
+            lambda: verify.suite_conjecture(2),
+            lambda: verify.suite_parity(4, 2),
+        ):
+            assert run().checked > 0
 
 
 class TestOneKeyerPerRun:

@@ -249,7 +249,7 @@ class TestSignMatrix:
     def test_matches_reference_on_raw_four_term_words(self, order):
         # term words keep their chord ids, so labels are not first-appearance
         words = [
-            w for quad in four_term_instances(order, 300, order) for w in quad
+            w for quad, _ in four_term_instances(order, 300, order) for w in quad
         ]
         assert any(tuple(w) != ChordDiagram(w).word for w in words)
         self.check_batch(words)
