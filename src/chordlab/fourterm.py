@@ -28,7 +28,6 @@ from .diagrams import (
     DiagramError,
     canonical_word_bytes,
     class_keyer,
-    random_diagram,
     random_slots,
     require_order,
     rotation_classes,
@@ -62,10 +61,11 @@ def four_term_words(word: Sequence[int], p: int) -> tuple[tuple, tuple, tuple, t
     """
     word = tuple(word)
     m = len(word)
+    # the empty word has no positions at all
+    if not m or word[p % m] == word[(p + 1) % m]:
+        raise DiagramError("positions p and p+1 must belong to distinct chords")
     p %= m
     a_ch = word[p]
-    if a_ch == word[(p + 1) % m]:
-        raise DiagramError("positions p and p+1 must belong to distinct chords")
     i = word.index(a_ch)
     q = word.index(a_ch, i + 1) if p == i else i
     swapped, before, after = _four_term_moves(m)[p][q]
@@ -169,13 +169,13 @@ def verify_weight_system(
 
     With ``sample`` None every (basepointed diagram, neighboring-end
     position) at the given order counts, each class run once
-    (:func:`four_term_instances`); otherwise ``sample`` quadruples are
-    drawn from the seed.  f must be a function of the rotation class: it
-    is called once per class, on the first diagram of the class met.
+    (:func:`diagram_source`); otherwise ``sample`` quadruples are drawn
+    from the seed.  f must be a function of the rotation class: it is
+    called once per class, on the first diagram of the class met.
     Violations are data, not errors; the report is deterministic
     byte-for-byte under a fixed seed.
     """
-    quads = windowed(four_term_instances(order, sample, seed), _CLASS_WINDOW)
+    quads = diagram_source(order, sample, seed, None, True, _CLASS_WINDOW)
     evaluate, combine = by_class(lambda ds: [f(d) for d in ds]), signed_sum(signs)
     return relation_sums(invariant, order, quads, evaluate, combine)
 
@@ -198,34 +198,54 @@ def windowed(pairs: Iterable[tuple], size: int) -> Iterator[tuple]:
 
 def diagram_source(
     order: int,
-    sample: int | None = None,
-    seed: int = 0,
-    shard: tuple[int, int] | None = None,
-) -> Iterator[tuple[ChordDiagram, int]]:
-    """(diagram, weight) pairs, the weight the number of basepointed
-    diagrams the item stands for: every rotation class of the order as
-    (representative, orbit size) when ``sample`` is None
-    (:func:`~chordlab.diagrams.rotation_classes`), else ``sample``
-    random basepointed diagrams drawn from the seed, each of weight 1.
-    ``shard`` splits the items, so exhaustive shards split classes.
+    sample: int | None,
+    seed: int,
+    shard: tuple[int, int] | None,
+    four_term: bool,
+    window: int,
+) -> Iterator[tuple[Sequence, tuple[int, ...]]]:
+    """The one source of every diagram check: windows (items, weights)
+    for :func:`relation_sums`, ``window`` items a window but the last.
+    An item is a diagram's word, or with ``four_term`` the four words of
+    a 4-term instance; its weight is the number of basepointed cases it
+    stands for.  ``shard`` splits the stream of items.
 
-    Raises ValueError, before any diagram is built, above
-    :data:`~chordlab.diagrams.MAX_EXHAUSTIVE_ORDER` when exhaustive and
-    above :data:`~chordlab.diagrams.MAX_DIAGRAM_ORDER` when sampled.
+    With ``sample`` None the items are tuples of tuple words over the
+    rotation classes of the order
+    (:func:`~chordlab.diagrams.rotation_classes`), which the shards
+    split: each representative's ``(word,)`` weighted by its orbit size
+    or, with ``four_term``, its instance at each neighboring-end
+    position, weighted by the orbit size.  Rotating a diagram by r takes
+    its instance at p to the one at p + r, up to rotating the words,
+    which neither codes nor class functions see.
+
+    Otherwise ``sample`` draws from the seed, each of weight 1, come as
+    int8 arrays of shape (W, 1, 2n) or (W, 4, 2n) whose rows are the
+    items, built a window at a time in numpy with no ChordDiagram and no
+    tuple word per draw.  A draw is one
+    :func:`~chordlab.diagrams.random_slots` call, the diagram that
+    :func:`~chordlab.diagrams.random_diagram` reads from the same
+    generator state; a 4-term draw then takes the position that
+    ``rng.choice(neighbor_positions(d))`` would, by the rejection
+    sampling of ``randrange`` on ``rng.getrandbits``, and its terms by
+    one gather through the moves of :func:`_four_term_moves`.
+
+    Raises ValueError at the call, before any diagram is built or drawn:
+    above :data:`~chordlab.diagrams.MAX_EXHAUSTIVE_ORDER` when exhaustive;
+    above :data:`~chordlab.diagrams.MAX_DIAGRAM_ORDER`, for a negative
+    ``sample`` and, with ``four_term``, below order 2 when sampled.
     """
     if sample is None:
         require_order("exhaustive run", order, MAX_EXHAUSTIVE_ORDER)
-        return sharded(rotation_classes(order), shard)
-    rng = _sample_rng(order, sample, seed)
-    return sharded(((random_diagram(order, rng), 1) for _ in range(sample)), shard)
-
-
-def _sample_rng(
-    order: int, sample: int, seed: int, four_term: bool = False
-) -> random.Random:
-    """The generator a sampled source draws from, after the checks it
-    makes before any draw: the ceiling, the sample count and, for 4-term
-    instances, an order of at least 2."""
+        classes = sharded(rotation_classes(order), shard)
+        if not four_term:
+            return windowed((((d.word,), orbit) for d, orbit in classes), window)
+        quads = (
+            (four_term_words(d.word, p), orbit)
+            for d, orbit in classes
+            for p in neighbor_positions(d)
+        )
+        return windowed(quads, window)
     require_order("sampled run", order, MAX_DIAGRAM_ORDER)
     if sample < 0:
         raise ValueError(f"--sample must be nonnegative, got {sample}")
@@ -233,72 +253,11 @@ def _sample_rng(
     # so no position could be drawn
     if four_term and order < 2:
         raise ValueError(f"4-term instances need order >= 2, got {order}")
-    return random.Random(seed)
-
-
-def four_term_instances(
-    order: int,
-    sample: int | None = None,
-    seed: int = 0,
-    shard: tuple[int, int] | None = None,
-) -> Iterator[tuple[tuple[tuple, tuple, tuple, tuple], int]]:
-    """(quadruple, weight) pairs: the four raw words of a diagram 4-term
-    instance, and the number of (basepointed diagram, position) cases it
-    stands for.
-
-    With ``sample`` None every neighboring-end position of each class
-    representative of :func:`diagram_source` is taken, weighted by the
-    orbit size, the classes split by ``shard``.  Rotating a diagram by r
-    takes its instance at p to the one at p + r, up to rotating the
-    words, which neither codes nor class functions see.  Otherwise
-    ``sample`` instances of weight 1 are drawn from the seed (a random
-    diagram, then a random neighboring-end position on it), the
-    instances split by ``shard``.
-    """
-    if sample is None:
-        return (
-            (four_term_words(d.word, p), orbit)
-            for d, orbit in diagram_source(order, shard=shard)
-            for p in neighbor_positions(d)
-        )
-    rng = _sample_rng(order, sample, seed, four_term=True)
-    diagrams = (random_diagram(order, rng) for _ in range(sample))
-    quads = (four_term_words(d.word, rng.choice(neighbor_positions(d))) for d in diagrams)
-    return sharded(((quad, 1) for quad in quads), shard)
-
-
-def sampled_windows(
-    order: int,
-    sample: int,
-    seed: int,
-    shard: tuple[int, int] | None,
-    window: int,
-    four_term: bool = False,
-) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
-    """The items of the sampled :func:`diagram_source`, or with
-    ``four_term`` of the sampled :func:`four_term_instances`, as windows
-    (items, weights) for :func:`relation_sums`: int8 arrays of shape
-    (W, 1, 2n) or (W, 4, 2n) whose rows are the items, ``window`` items a
-    window but the last, each of weight 1.
-
-    The draws, the words and the shards are those of the tuple sources,
-    but no ChordDiagram and no tuple word is built per draw.  Each draw
-    is one :func:`~chordlab.diagrams.random_slots` call; a 4-term draw
-    then takes the position as ``rng.choice(neighbor_positions(d))``
-    does, by the rejection sampling of ``randrange`` on
-    ``rng.getrandbits``, below the neighboring-position count, 2n less
-    the chords whose ends are cyclically adjacent.  The draws kept by
-    the shard are built a window at a time in numpy: the rows, the
-    chosen positions and one gather through the moves of
-    :func:`_four_term_moves`.  Raises ValueError at the call, before any
-    draw, as the tuple sources do.
-    """
-    rng = _sample_rng(order, sample, seed, four_term)
-    return _sampled_arrays(order, sample, rng, shard, window, four_term)
+    return _sampled_arrays(order, sample, random.Random(seed), shard, window, four_term)
 
 
 def _sampled_arrays(order, sample, rng, shard, window, four_term):
-    """The windows of :func:`sampled_windows`, drawn from ``rng``."""
+    """The windows of the sampled :func:`diagram_source`, drawn from ``rng``."""
     m = 2 * order
     # slot differences of a chord whose two ends are cyclically adjacent
     adjacent = {1, -1, m - 1, 1 - m}.__contains__
@@ -363,7 +322,7 @@ def relation_sums(
 
     A window is a pair (items, weights).  Items are tuples of raw tuple
     words (four for a 4-term quadruple, one for a per-class check), or
-    an int8 array whose rows are such items (:func:`sampled_windows`).
+    an int8 array whose rows are such items (:func:`diagram_source`).
     ``evaluate(items)`` gives each item's term values;
     ``combine(values)`` is falsy when the item passes, else the signed
     sum recorded with the canonical codes of the item's words.  An
@@ -390,7 +349,8 @@ def by_class(values_of: Callable[[list[ChordDiagram]], list]) -> Callable:
     ``values_of(diagrams)`` gives the value of each diagram of a list.
     It runs once per window, on the first diagram met of each class not
     seen before in the run, so it must be a function of the rotation
-    class; a word becomes a ChordDiagram only for that call.  The run
+    class; a word becomes a ChordDiagram only for that call.  The rows of
+    an int8 array window are turned into tuple words first.  The run
     keys words through one :func:`~chordlab.diagrams.class_keyer`, whose
     memo is bounded: an exhaustive run relabels and keys each distinct
     relabeled word once, and the class representative that an
@@ -401,6 +361,8 @@ def by_class(values_of: Callable[[list[ChordDiagram]], list]) -> Callable:
     class_key = class_keyer()
 
     def evaluate(items):
+        if not isinstance(items, tuple):
+            items = [tuple(map(tuple, item)) for item in items.tolist()]
         keys = [[class_key(w) for w in words] for words in items]
         fresh: dict[bytes, Sequence[int]] = {}
         for key, w in zip(itertools.chain(*keys), itertools.chain(*items)):

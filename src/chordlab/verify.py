@@ -34,12 +34,9 @@ from .fourterm import (
     VerificationReport,
     by_class,
     diagram_source,
-    four_term_instances,
     relation_sums,
-    sampled_windows,
     sharded,
     signed_sum,
-    windowed,
 )
 from .graphs import (
     SimpleGraph,
@@ -125,16 +122,13 @@ def suite_four_term_diagrams(
     through the one diagram loop :func:`fourterm.relation_sums`.
 
     Sampled R_k at order 2k is evaluated by the batched Hamiltonian DP
-    on the int8 windows of :func:`fourterm.sampled_windows`, every other
-    check by canonical class on tuple items.
+    on the int8 windows of :func:`fourterm.diagram_source`, every other
+    check by canonical class.
     """
     dp = invariant == "rk" and sample is not None and k is not None and 2 * k == order
     # the source first, so its ceiling is checked before the invariant
-    if dp:
-        quads = sampled_windows(order, sample, seed, shard, _DP_WORDS // 4, True)
-    else:
-        quads = four_term_instances(order, sample, seed, shard)
-        quads = windowed(quads, _CLASS_WINDOW)
+    window = _DP_WORDS // 4 if dp else _CLASS_WINDOW
+    quads = diagram_source(order, sample, seed, shard, True, window)
     name, f, mod2 = _diagram_invariant(invariant, k, l)
     evaluate = _cycle_sums if dp else by_class(lambda ds: [f(d) for d in ds])
     return relation_sums(name, order, quads, evaluate, signed_sum(mod2=mod2))
@@ -236,13 +230,16 @@ def check_order(
     """Raise ValueError when the source of the named suite refuses the
     order (2k for the suites without --n), by the check it makes before
     work."""
+    order = 2 * k if order is None else order
     sources = {
         "mutation": _check_mutation_order,
         "four-term-graphs": _mask_chunks,
         "two-term": _mask_chunks,
-        "four-term-diagrams": partial(four_term_instances, sample=sample),
     }
-    sources.get(suite, diagram_source)(2 * k if order is None else order)
+    if suite in sources:
+        return sources[suite](order)
+    four_term = suite == "four-term-diagrams"
+    diagram_source(order, sample, 0, None, four_term, _CLASS_WINDOW)
 
 
 def accepts_order(suite: str, **params) -> bool:
@@ -344,8 +341,7 @@ def _per_class_suite(
     and ``verdict`` runs once per window on the first diagram met of each
     class that is new in the run.
     """
-    source = diagram_source(order, sample, seed, shard)
-    windows = windowed((((d.word,), w) for d, w in source), _CLASS_WINDOW)
+    windows = diagram_source(order, sample, seed, shard, False, _CLASS_WINDOW)
     if sample is not None:
         evaluate = by_class(verdict)
     else:
@@ -381,7 +377,7 @@ def suite_parity(
             same = [r & 1 == e_l_parity(g, 2 * k) for r, g in zip(rk, graphs)]
             return [None if ok else "parity-differs" for ok in same]
         return _per_class_suite(name, order, verdict, shard=shard)
-    windows = sampled_windows(order, sample, seed, shard, _DP_WORDS)
+    windows = diagram_source(order, sample, seed, shard, False, _DP_WORDS)
     if order != 2 * k:
         raise ValueError("sampled parity mode requires order == 2k")
     return relation_sums(name, order, windows, _parity_verdicts, itemgetter(0))

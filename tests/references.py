@@ -22,11 +22,16 @@ replaced.  ``four_term_words`` builds the four words of a diagram
 4-term instance by slicing, the move that the cached index maps of
 ``fourterm._four_term_moves`` replaced.  ``four_term_report`` makes one
 check per (basepointed word, position), the walk that the orbit-weighted
-rotation classes of ``fourterm.four_term_instances`` replaced.
+rotation classes of ``fourterm.diagram_source`` replaced.
+``sampled_items`` draws a sampled run one tuple item at a time, through
+``random_diagram`` and ``rng.choice``, the draws that the int8 windows
+of the sampled ``fourterm.diagram_source`` replaced.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -37,6 +42,7 @@ from chordlab.diagrams import (
     _normalize,
     canonical_word_bytes,
     enumerate_diagrams,
+    random_diagram,
     word_positions,
 )
 from chordlab.fourterm import DEFAULT_SIGNS, VerificationReport, neighbor_positions
@@ -309,3 +315,28 @@ def four_term_report(
             if total := sum(s * values[w] for w, s in zip(words, signs)):
                 report.add_violation([codes[w] for w in words], total)
     return report.finalize()
+
+
+def sampled_items(
+    order: int,
+    sample: int,
+    seed: int,
+    shard: tuple[int, int] | None = None,
+    four_term: bool = False,
+) -> list[tuple[tuple, int]]:
+    """The (item, weight) pairs of a sampled diagram run: ``sample``
+    draws of :func:`random_diagram` from ``random.Random(seed)``, each
+    item ``(word,)`` or, with ``four_term``, the :func:`four_term_words`
+    at a neighboring-end position drawn by ``rng.choice`` right after its
+    diagram; every draw is made, and ``shard=(index, count)`` keeps the
+    draws at indexes i with i % count == index.  Each weighs 1."""
+    rng = random.Random(seed)
+    items = []
+    for _ in range(sample):
+        d = random_diagram(order, rng)
+        if four_term:
+            items.append(four_term_words(d.word, rng.choice(neighbor_positions(d))))
+        else:
+            items.append((d.word,))
+    index, count = shard or (0, 1)
+    return [(item, 1) for item in itertools.islice(items, index, None, count)]

@@ -27,7 +27,6 @@ from chordlab.diagrams import (
     rotation_classes,
     share_moves,
 )
-from chordlab.fourterm import four_term_instances
 from chordlab.graphs import interleave_rows, intersection_graph
 from graph_moves import disjoint_union
 from references import (
@@ -37,7 +36,7 @@ from references import (
     rotation_representatives,
 )
 from references import find_shares as reference_find_shares
-from references import find_shares_by_runs
+from references import find_shares_by_runs, sampled_items
 from references import interleave_rows as reference_interleave_rows
 
 
@@ -219,7 +218,7 @@ class TestClassKeyer:
         # ids, and the memo must key them exactly as the plain key does
         key = class_keyer()
         for order in range(2, 8):
-            for quad, weight in four_term_instances(order, 200, order):
+            for quad, weight in sampled_items(order, 200, order, four_term=True):
                 assert weight == 1
                 for w in quad:
                     assert key(w) == canonical_word_bytes(w)

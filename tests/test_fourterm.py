@@ -26,14 +26,11 @@ from chordlab.fourterm import (
     by_class,
     diagram_four_term,
     diagram_source,
-    four_term_instances,
     four_term_words,
     neighbor_positions,
     relation_sums,
-    sampled_windows,
     signed_sum,
     verify_weight_system,
-    windowed,
 )
 from chordlab.graphs import (
     GraphError,
@@ -47,7 +44,7 @@ from chordlab.graphs import (
     intersection_graph,
 )
 from chordlab.invariants import e_l_parity, r_k, r_k_oriented, sl2_projected, w_c
-from chordlab.polynomials import ZERO
+from chordlab.polynomials import ZERO, IntPolynomial
 from chordlab.sl2 import sl2_recursive
 from chordlab import diagrams, fourterm, invariants, verify
 from chordlab.verify import masked_relation, merge_reports, suite_four_term_graphs
@@ -130,6 +127,20 @@ def _sha(report) -> str:
     return hashlib.sha256(report.json_lines().encode()).hexdigest()
 
 
+def _items(windows) -> list:
+    """The (item, weight) pairs of a source's windows, each item a tuple
+    of tuple words: an array window's rows are read with tolist."""
+    return [
+        (tuple(map(tuple, item)), weight)
+        for items, weights in windows
+        for item, weight in zip(
+            items.tolist() if isinstance(items, np.ndarray) else items,
+            weights,
+            strict=True,
+        )
+    ]
+
+
 class TestQuadrupleShape:
     def test_signs_sum_to_zero(self):
         quad = diagram_four_term(parse_diagram("ABAB"), 0)
@@ -139,6 +150,9 @@ class TestQuadrupleShape:
     def test_same_chord_rejected(self):
         with pytest.raises(DiagramError):
             diagram_four_term(parse_diagram("AABB"), 0)
+        # the empty word has no positions at all
+        with pytest.raises(DiagramError):
+            diagram_four_term(ChordDiagram(""), 0)
 
     def test_bad_signs_rejected(self):
         d = parse_diagram("ABAB")
@@ -235,7 +249,6 @@ class TestDiagramFourTerm:
 
         for module, name in (
             (fourterm, "rotation_classes"),
-            (fourterm, "random_diagram"),
             (fourterm, "random_slots"),
             (verify, "enumerate_diagrams"),
             (verify, "pfaffian_parities"),
@@ -291,7 +304,7 @@ class TestDiagramFourTerm:
 
 
 class TestSources:
-    """The one diagram source and the 4-term instances built on it."""
+    """The one diagram source, of diagrams and of 4-term instances."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -302,25 +315,16 @@ class TestSources:
     )
     @example(order=3, sample=0, seed=0, count=2)  # sample=0 yields nothing
     def test_shards_partition_the_stream(self, order, sample, seed, count):
-        # every source yields (item, weight) pairs; a sampled item stands
-        # for itself alone
-        sources = [
-            (diagram_source, lambda d, w: (d.word, w)),
-            (four_term_instances, lambda quad, w: (tuple(map(tuple, quad)), w)),
-        ]
-        if sample is not None:
-            # the int8 windows of the sampled 4-term instances, one item a row
-            def windows(order, sample, seed, shard):
-                arrays = sampled_windows(order, sample, seed, shard, 7, True)
-                return (x for a, ws in arrays for x in zip(a.tolist(), ws))
-
-            sources.append((windows, lambda quad, w: (tuple(map(tuple, quad)), w)))
-        for source, key in sources:
+        # both modes yield windows of (item, weight) pairs; a sampled item
+        # stands for itself alone and is the draw of the tuple reference
+        for four_term in (False, True):
             def items(shard=None):
-                return [key(*x) for x in source(order, sample, seed, shard)]
+                return _items(diagram_source(order, sample, seed, shard, four_term, 7))
 
             whole = items()
             if sample is not None:
+                reference = references.sampled_items(order, sample, seed, None, four_term)
+                assert whole == reference
                 assert len(whole) == sample
                 assert all(w == 1 for _, w in whole)
             parts = [items((index, count)) for index in range(count)]
@@ -328,17 +332,9 @@ class TestSources:
 
 
 class TestSampledWindows:
-    """The int8 windows of the sampled Hamiltonian-DP suites hold, row
-    for row, the items of the tuple sources: the same draws, the same
-    positions and the same moves."""
-
-    @staticmethod
-    def _rows(windows):
-        return [
-            (tuple(map(tuple, item)), weight)
-            for rows, weights in windows
-            for item, weight in zip(rows.tolist(), weights, strict=True)
-        ]
+    """The int8 windows of the sampled source hold, row for row, the
+    items of the tuple reference: the same draws, the same positions and
+    the same moves."""
 
     @pytest.mark.parametrize("order", range(2, 9))
     @pytest.mark.parametrize(
@@ -346,19 +342,14 @@ class TestSampledWindows:
         [(300, 64, None), (129, 128, None), (0, 16, None), (250, 32, (1, 3)),
          (97, 5, (0, 2)), (40, 1024, (3, 4))],
     )
-    def test_windows_match_the_tuple_sources(
-        self, monkeypatch, order, sample, window, shard
-    ):
+    def test_windows_match_the_tuple_sources(self, order, sample, window, shard):
         seed = 100 * order + sample
-        # the rows: the words of random_diagram, through diagram_source
-        rows = sampled_windows(order, sample, seed, shard, window)
-        words = [((d.word,), w) for d, w in diagram_source(order, sample, seed, shard)]
-        assert self._rows(rows) == words
-        # the quadruples of the slicing move, drawn as the tuple source draws
-        monkeypatch.setattr(fourterm, "four_term_words", references.four_term_words)
-        quads = sampled_windows(order, sample, seed, shard, window, True)
-        expected = four_term_instances(order, sample, seed, shard)
-        assert self._rows(quads) == [(tuple(map(tuple, q)), w) for q, w in expected]
+        # the rows: the words of random_diagram; the quadruples: the
+        # slicing move at the position rng.choice draws
+        for four_term in (False, True):
+            windows = diagram_source(order, sample, seed, shard, four_term, window)
+            expected = references.sampled_items(order, sample, seed, shard, four_term)
+            assert _items(windows) == expected
 
     @pytest.mark.parametrize("order", range(2, 9))
     def test_draws_leave_the_generator_as_shuffle_and_randrange_do(self, order):
@@ -377,13 +368,13 @@ class TestSampledWindows:
             assert rng.getstate() == ref.getstate()
 
     def test_windows_have_the_window_size_but_the_last(self):
-        windows = list(sampled_windows(8, 300, 1, None, 128, True))
+        windows = list(diagram_source(8, 300, 1, None, True, 128))
         assert [w.shape for w, _ in windows] == [
             (128, 4, 16), (128, 4, 16), (44, 4, 16)
         ]
         assert {w.dtype for w, _ in windows} == {np.dtype(np.int8)}
         assert [ws for _, ws in windows] == [(1,) * 128, (1,) * 128, (1,) * 44]
-        assert [w.shape for w, _ in sampled_windows(4, 5, 1, None, 4)] == [
+        assert [w.shape for w, _ in diagram_source(4, 5, 1, None, False, 4)] == [
             (4, 1, 8), (1, 1, 8)
         ]
 
@@ -407,9 +398,28 @@ class TestSampledWindows:
         ):
             for four_term in (False, True):
                 with pytest.raises(ValueError, match=message):
-                    sampled_windows(*args, 0, None, 8, four_term)
+                    diagram_source(*args, 0, None, four_term, 8)
         with pytest.raises(ValueError, match="order >= 2, got 1"):
-            sampled_windows(1, 3, 0, None, 8, True)
+            diagram_source(1, 3, 0, None, True, 8)
+
+    def test_no_sampled_run_draws_tuple_items(self, monkeypatch):
+        # every sampled path reads the int8 windows: no random_diagram
+        # draw, under any module's binding, and no 4-term word slicing
+        def no_tuples(*args):
+            raise AssertionError("a tuple item drawn")
+
+        for module in (diagrams, fourterm, verify):
+            monkeypatch.setattr(module, "random_diagram", no_tuples, raising=False)
+        monkeypatch.setattr(fourterm, "four_term_words", no_tuples)
+        for run in (
+            lambda: verify.suite_four_term_diagrams("sl2", 6, sample=50, seed=1),
+            lambda: verify.suite_four_term_diagrams("rk", 8, 4, sample=50, seed=1),
+            lambda: verify.suite_parity(8, 4, sample=50, seed=1),
+            lambda: verify.suite_conjecture(3, sample=50, seed=1),
+            lambda: verify.suite_oracle_equivalence(5, sample=50, seed=1),
+            lambda: verify_weight_system(_diagram_triangles, 6, sample=50, seed=1),
+        ):
+            assert run().checked == 50
 
 
 class TestGraphFourTerm:
@@ -666,8 +676,37 @@ class TestViolationDigests:
                 191,
                 "308bdefdbc015908f7290447e151afe3043f309c441aeeb8d24337c162b54bf1",
             ),
+            # sampled by-class runs, whose items are now int8 array rows;
+            # recorded when they were drawn as tuple items
+            (
+                "sl2_oracle",
+                lambda d: sl2_recursive(d) + 1,
+                lambda: verify.suite_oracle_equivalence(5, sample=200, seed=11),
+                200,
+                200,
+                "7eebfe4548f4523c21245d93c4a814af04a6f52bccf8fa4d1a08a66539cab01d",
+            ),
+            (
+                "r_k_oriented",
+                lambda d, k, flip: 1,
+                lambda: verify.suite_conjecture(3, sample=300, seed=13),
+                300,
+                299,
+                "d833b1297f527246aff6dcdb550273e1d921779fa466e396c2218a4a504a5a5f",
+            ),
+            (
+                "sl2_recursive",
+                lambda d: IntPolynomial([canonical_code(d)[1]]),
+                lambda: verify.suite_four_term_diagrams("sl2", 6, sample=400, seed=3),
+                400,
+                58,
+                "34dba8f85a53135269e21830fd1b98382489064fb8c0ec4cd7bebd56ec108d99",
+            ),
         ],
-        ids=["wc-identity", "oracle-equivalence", "parity"],
+        ids=[
+            "wc-identity", "oracle-equivalence", "parity",
+            "oracle-equivalence-sampled", "conjecture-sampled", "sl2-four-term-sampled",
+        ],
     )
     def test_per_class_suites(
         self, monkeypatch, name, broken, run, checked, violations, digest
@@ -735,7 +774,8 @@ class TestPerClassWindows:
         if sample is None:
             diagrams = list(enumerate_diagrams(5, "basepointed"))
         else:
-            diagrams = [d for d, _ in diagram_source(5, sample, seed=3)]
+            draws = references.sampled_items(5, sample, 3)
+            diagrams = [ChordDiagram(w) for (w,), _ in draws]
         reference = VerificationReport(invariant="synthetic", order=5)
         for d in diagrams:
             reference.checked += 1
@@ -749,8 +789,7 @@ class TestPerClassWindows:
             return [self._verdict(d) for d in ds]
 
         report = verify._per_class_suite("synthetic", 5, batch, sample, seed=3)
-        assert report.violations == reference.violations
-        assert report.json_lines() == reference.json_lines()
+        assert _summary(report) == _summary(reference)
         # one verdict per class met, never repeated across windows
         met = {canonical_code(d) for d in diagrams}
         assert len(seen) == len(set(seen)) == len(met)
@@ -771,10 +810,10 @@ class TestPerClassWindows:
     ):
         monkeypatch.setattr(verify, "r_k_oriented", lambda d, k, flip: 1)
         monkeypatch.setattr(verify, "_CLASS_WINDOW", 1024)
-        whole = verify.suite_conjecture(2).json_lines()
+        whole = _summary(verify.suite_conjecture(2))
         monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
         report = verify.suite_conjecture(2)
-        assert report.json_lines() == whole
+        assert _summary(report) == whole
         expected = [
             d for d in enumerate_diagrams(4, "basepointed")
             if sl2_projected(d).coefficient(2) != 2
@@ -801,10 +840,10 @@ class TestPerClassWindows:
         # record repeats once per basepointed diagram of the class
         monkeypatch.setattr(verify, "r_k_oriented", lambda d, k, flip: 1)
         monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
-        reference = self._conjecture_per_word(2).json_lines()
-        assert verify.suite_conjecture(2).json_lines() == reference
+        reference = _summary(self._conjecture_per_word(2))
+        assert _summary(verify.suite_conjecture(2)) == reference
         parts = [verify.suite_conjecture(2, shard=(i, 3)) for i in range(3)]
-        assert merge_reports(parts).json_lines() == reference
+        assert _summary(merge_reports(parts)) == reference
         # shards split classes: no class is checked by two shards
         codes = [{rec["terms"][0] for rec in p.violations} for p in parts]
         assert not (codes[0] & codes[1] or codes[0] & codes[2] or codes[1] & codes[2])
@@ -853,7 +892,7 @@ class TestOrbitWeights:
             relation_sums(
                 "triangles",
                 order,
-                windowed(four_term_instances(order, shard=(i, 3)), _CLASS_WINDOW),
+                diagram_source(order, None, 0, (i, 3), True, _CLASS_WINDOW),
                 evaluate(),
                 signed_sum(),
             )
@@ -890,9 +929,9 @@ class TestOneKeyerPerRun:
         ids=["rk-4", "rk-5", "sl2-sampled-7", "triangles-5"],
     )
     def test_a_one_word_memo_gives_the_same_bytes(self, monkeypatch, run):
-        whole = run().json_lines()
+        whole = _summary(run())
         monkeypatch.setattr(diagrams, "_KEYER_WORDS", 1)
-        assert run().json_lines() == whole
+        assert _summary(run()) == whole
 
     def test_exhaustive_run_keys_each_relabeled_word_once(self, monkeypatch):
         keyed = []

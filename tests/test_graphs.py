@@ -20,7 +20,6 @@ from chordlab.diagrams import (
 )
 import chordlab
 from chordlab import graphs
-from chordlab.fourterm import four_term_instances
 from chordlab.graphs import (
     GraphError,
     SimpleGraph,
@@ -46,6 +45,7 @@ from chordlab.verify import dense_sign_matrix
 from graph_moves import graph_prime, graph_tilde, is_intersection_graph, relabeled
 from references import edge_mask as reference_edge_mask
 from references import realization_by_mask as reference_realization_by_mask
+from references import sampled_items
 
 K2 = SimpleGraph.from_edges(2, [(0, 1)])
 C4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -249,7 +249,9 @@ class TestSignMatrix:
     def test_matches_reference_on_raw_four_term_words(self, order):
         # term words keep their chord ids, so labels are not first-appearance
         words = [
-            w for quad, _ in four_term_instances(order, 300, order) for w in quad
+            w
+            for quad, _ in sampled_items(order, 300, order, four_term=True)
+            for w in quad
         ]
         assert any(tuple(w) != ChordDiagram(w).word for w in words)
         self.check_batch(words)

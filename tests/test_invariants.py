@@ -113,7 +113,7 @@ class TestRk:
             # the library's resource ceilings are raises too
             "from chordlab.fourterm import diagram_source\n"
             "try:\n"
-            "    diagram_source(7)\n"
+            "    diagram_source(7, None, 0, None, False, 1)\n"
             "except ValueError:\n"
             "    pass\n"
             "else:\n"
