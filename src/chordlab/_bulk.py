@@ -1,9 +1,9 @@
 """Batched Hamiltonian-cycle sums over many small graphs at once.
 
 Used by the verification harness for sampled suites at order 2k and the
-el-parity table at l = n, thousands of graphs per call.  Signed path
-counts, at most (n-1)! < 2^31 for n <= 13, are pulled level by level in
-int32.
+el-parity table at l = n, on batches its callers bound (1,024 words a
+diagram window, 2,048 masks a graph chunk).  Signed path counts, at most
+(n-1)! < 2^31 for n <= 13, are pulled level by level in int32.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ from functools import lru_cache
 from itertools import combinations
 
 from ._np import np
-
-# graphs per DP pass, so no int32 copy of the whole batch is made
-_CHUNK = 4096
 
 
 def hamiltonian_cycle_sums(wmats: np.ndarray) -> np.ndarray:
@@ -29,7 +26,7 @@ def hamiltonian_cycle_sums(wmats: np.ndarray) -> np.ndarray:
     From n = 3 on, a cycle enters and leaves each vertex through two
     distinct neighbours, so a graph with a vertex that has fewer than two
     (a nonzero step either way, the diagonal aside) reads 0 and only the
-    other graphs run the DP, _CHUNK at a time.
+    other graphs run the DP in one pass: the caller bounds the batch.
     """
     wmats = np.asarray(wmats)
     n = wmats.shape[-1]
@@ -42,9 +39,8 @@ def hamiltonian_cycle_sums(wmats: np.ndarray) -> np.ndarray:
         touch = (steps | steps.transpose(0, 2, 1)) & ~np.eye(n, dtype=bool)
         live = np.flatnonzero(touch.sum(axis=2).min(axis=1) >= 2)
     out = np.zeros(len(wmats), dtype=np.int64)
-    for lo in range(0, len(live), _CHUNK):
-        rows = live[lo : lo + _CHUNK]
-        out[rows] = _chunk_sums(wmats[rows], n)
+    if len(live):
+        out[live] = _chunk_sums(wmats[live], n)
     return out
 
 

@@ -27,7 +27,6 @@ from .diagrams import (
     parse_diagram,
     require_order,
 )
-from .fourterm import _CLASS_WINDOW
 from .graphs import (
     GraphError,
     SimpleGraph,
@@ -51,6 +50,8 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_PARAMS = 3
+
+_EVAL_WINDOW = 128  # eval input lines parsed and evaluated per window
 
 
 class ParamError(Exception):
@@ -200,15 +201,15 @@ def _cmd_eval(args) -> int:
     # parsed and evaluated a window at a time, so memory does not grow
     # with the file; a short window is the last one
     with _inputs(args) as texts:
-        for start in itertools.count(0, _CLASS_WINDOW):
-            window = list(itertools.islice(texts, _CLASS_WINDOW))
+        for start in itertools.count(0, _EVAL_WINDOW):
+            window = list(itertools.islice(texts, _EVAL_WINDOW))
             objs = []
             for text in window:
                 objs.append(parse(text))
                 require_order(f"{kind} input", objs[-1].n, MAX_DIAGRAM_ORDER)
             values = table[name](objs, args)
             _print_eval(zip(window, map(code_of, objs), values), args, header=not start)
-            if len(window) < _CLASS_WINDOW:
+            if len(window) < _EVAL_WINDOW:
                 return EXIT_OK
 
 

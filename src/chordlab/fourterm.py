@@ -34,6 +34,7 @@ from .diagrams import (
 )
 
 DEFAULT_SIGNS = (1, -1, -1, 1)
+_WINDOW_WORDS = 1024  # words per diagram window: bounds memory and each DP call
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def verify_weight_system(
     Violations are data, not errors; the report is deterministic
     byte-for-byte under a fixed seed.
     """
-    quads = diagram_source(order, sample, seed, None, True, _CLASS_WINDOW)
+    quads = diagram_source(order, sample, seed, None, True)
     evaluate, combine = by_class(lambda ds: [f(d) for d in ds]), signed_sum(signs)
     return relation_sums(invariant, order, quads, evaluate, combine)
 
@@ -202,10 +203,9 @@ def diagram_source(
     seed: int,
     shard: tuple[int, int] | None,
     four_term: bool,
-    window: int,
 ) -> Iterator[tuple[Sequence, tuple[int, ...]]]:
     """The one source of every diagram check: windows (items, weights)
-    for :func:`relation_sums`, ``window`` items a window but the last.
+    for :func:`relation_sums`, _WINDOW_WORDS words a window but the last.
     An item is a diagram's word, or with ``four_term`` the four words of
     a 4-term instance; its weight is the number of basepointed cases it
     stands for.  ``shard`` splits the stream of items.
@@ -235,6 +235,7 @@ def diagram_source(
     above :data:`~chordlab.diagrams.MAX_DIAGRAM_ORDER`, for a negative
     ``sample`` and, with ``four_term``, below order 2 when sampled.
     """
+    window = _WINDOW_WORDS // 4 if four_term else _WINDOW_WORDS
     if sample is None:
         require_order("exhaustive run", order, MAX_EXHAUSTIVE_ORDER)
         classes = sharded(rotation_classes(order), shard)
@@ -306,9 +307,6 @@ def _sampled_arrays(order, sample, rng, shard, window, four_term):
         first, second = ends[at, rows[at, p]].T
         q = np.where(first == p, second, first)
         yield np.take_along_axis(rows[:, None], moves[p, q], axis=2), weights
-
-
-_CLASS_WINDOW = 128  # class-keyed items read per window: bounds memory
 
 
 def relation_sums(

@@ -29,7 +29,6 @@ from .diagrams import (
     share_moves,
 )
 from .fourterm import (
-    _CLASS_WINDOW,
     DEFAULT_SIGNS,
     VerificationReport,
     by_class,
@@ -98,15 +97,13 @@ def dense_sign_matrix(words) -> np.ndarray:
 # the named suites
 
 
-_DP_WORDS = 1024  # words per batched DP call: bounds its per-level arrays
-
-
 def _cycle_sums(window: np.ndarray) -> list[list[int]]:
-    """Per item of a (W, 4, 2k) int8 window of raw words, each word's
-    R_k: its signed Hamiltonian-cycle sum, by one batched DP over the
-    window's words."""
+    """Per item of a (W, 4, 2k) int8 window of raw words, its signed sum
+    of R_k as a one-element row: each word's signed Hamiltonian-cycle
+    sum, by one batched DP over the window's words."""
     signed = dense_sign_matrix(window.reshape(-1, window.shape[-1]))
-    return hamiltonian_cycle_sums(signed).reshape(len(window), -1).tolist()
+    rk = hamiltonian_cycle_sums(signed).reshape(len(window), -1)
+    return (rk @ np.array(DEFAULT_SIGNS))[:, None].tolist()
 
 
 def suite_four_term_diagrams(
@@ -125,12 +122,12 @@ def suite_four_term_diagrams(
     on the int8 windows of :func:`fourterm.diagram_source`, every other
     check by canonical class.
     """
-    dp = invariant == "rk" and sample is not None and k is not None and 2 * k == order
     # the source first, so its ceiling is checked before the invariant
-    window = _DP_WORDS // 4 if dp else _CLASS_WINDOW
-    quads = diagram_source(order, sample, seed, shard, True, window)
+    quads = diagram_source(order, sample, seed, shard, True)
     name, f, mod2 = _diagram_invariant(invariant, k, l)
-    evaluate = _cycle_sums if dp else by_class(lambda ds: [f(d) for d in ds])
+    if invariant == "rk" and sample is not None and 2 * k == order:
+        return relation_sums(name, order, quads, _cycle_sums, itemgetter(0))
+    evaluate = by_class(lambda ds: [f(d) for d in ds])
     return relation_sums(name, order, quads, evaluate, signed_sum(mod2=mod2))
 
 
@@ -239,7 +236,7 @@ def check_order(
     if suite in sources:
         return sources[suite](order)
     four_term = suite == "four-term-diagrams"
-    diagram_source(order, sample, 0, None, four_term, _CLASS_WINDOW)
+    diagram_source(order, sample, 0, None, four_term)
 
 
 def accepts_order(suite: str, **params) -> bool:
@@ -341,7 +338,7 @@ def _per_class_suite(
     and ``verdict`` runs once per window on the first diagram met of each
     class that is new in the run.
     """
-    windows = diagram_source(order, sample, seed, shard, False, _CLASS_WINDOW)
+    windows = diagram_source(order, sample, seed, shard, False)
     if sample is not None:
         evaluate = by_class(verdict)
     else:
@@ -377,7 +374,7 @@ def suite_parity(
             same = [r & 1 == e_l_parity(g, 2 * k) for r, g in zip(rk, graphs)]
             return [None if ok else "parity-differs" for ok in same]
         return _per_class_suite(name, order, verdict, shard=shard)
-    windows = diagram_source(order, sample, seed, shard, False, _DP_WORDS)
+    windows = diagram_source(order, sample, seed, shard, False)
     if order != 2 * k:
         raise ValueError("sampled parity mode requires order == 2k")
     return relation_sums(name, order, windows, _parity_verdicts, itemgetter(0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chordlab import _bulk
-from chordlab._bulk import _CHUNK, hamiltonian_cycle_sums
+from chordlab._bulk import hamiltonian_cycle_sums
 from chordlab.diagrams import random_diagram
 from chordlab.invariants import _signed_hamiltonian_sum
 from chordlab.verify import dense_sign_matrix
@@ -118,13 +118,13 @@ class TestHamiltonianCycleSums:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_agrees_with_push_reference_and_scalar_dp(self, n, kind):
         rng = np.random.default_rng(1000 * n + len(kind))
-        for batch in (1, 5, _CHUNK + 3):
+        for batch in (1, 5, 4099):
             wmats = random_matrices(rng, batch, n, kind)
             got = outcome(hamiltonian_cycle_sums, wmats)
             assert got == outcome(push_cycle_sums, wmats)
             # the scalar DP on every matrix but the middle of the long
-            # batch: the first five and those around the chunk boundary
-            ends = np.r_[0 : min(batch, 5), max(5, _CHUNK - 5) : batch]
+            # batch: the first five and the last eight
+            ends = np.r_[0 : min(batch, 5), 4091:batch]
             some = got if got == "odd" else [got[i] for i in ends]
             assert some == scalar_outcome(wmats[ends])
             # from n = 3 on every cycle is met in both directions; at
@@ -145,9 +145,9 @@ class TestHamiltonianCycleSums:
         agree_row_by_row(dense_sign_matrix(np.array(words, dtype=np.int8)))
 
     def test_only_graphs_that_can_hold_a_cycle_reach_the_dp(self, monkeypatch):
-        # pruned and live graphs mixed, the live ones spanning a chunk boundary
+        # pruned and live graphs mixed in one large batch
         rng = np.random.default_rng(5)
-        wmats = random_matrices(rng, 2 * _CHUNK + 7, 5, "signed")
+        wmats = random_matrices(rng, 8199, 5, "signed")
         lonely = rng.random(len(wmats)) < 0.4
         lonely_vertex = rng.integers(0, 5, len(wmats))
         for g in np.flatnonzero(lonely):
@@ -157,15 +157,16 @@ class TestHamiltonianCycleSums:
             wmats[g, v, u], wmats[g, u, v] = keep, -keep
             wmats[g, v, v] = 1  # the DP never reads the diagonal
         live = np.array([touches_two(w) for w in wmats])
-        assert (live == ~lonely).all() and live.sum() > _CHUNK
+        # more live graphs than twice the largest batch a caller passes
+        assert (live == ~lonely).all() and live.sum() > 4096
         chunks = []
         real = _bulk._chunk_sums
         monkeypatch.setattr(
             _bulk, "_chunk_sums", lambda c, n: chunks.append(c.copy()) or real(c, n)
         )
         assert outcome(hamiltonian_cycle_sums, wmats) == outcome(push_cycle_sums, wmats)
-        assert [len(c) for c in chunks] == [_CHUNK, live.sum() - _CHUNK]
-        assert (np.concatenate(chunks) == wmats[live]).all()
+        # every live graph in one pass
+        assert len(chunks) == 1 and np.array_equal(chunks[0], wmats[live])
         chunks.clear()
         assert hamiltonian_cycle_sums(wmats[lonely]).tolist() == [0] * lonely.sum()
         assert chunks == []

@@ -9,9 +9,8 @@ import pytest
 
 import chordlab
 from chordlab import verify
-from chordlab.cli import clamp_jobs, main
+from chordlab.cli import _EVAL_WINDOW, clamp_jobs, main
 from chordlab.diagrams import format_diagram, random_diagram
-from chordlab.fourterm import _CLASS_WINDOW
 
 
 def run(capsys, *argv):
@@ -127,7 +126,7 @@ class TestEval:
         rng = random.Random(12)
         words = [
             format_diagram(random_diagram(rng.randint(1, 5), rng))
-            for _ in range(2 * _CLASS_WINDOW + 3)
+            for _ in range(2 * _EVAL_WINDOW + 3)
         ]
         path = tmp_path / "words.txt"
         path.write_text("\n".join(words) + "\n")

@@ -3,6 +3,7 @@ import itertools
 import random
 from functools import lru_cache
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from chordlab.diagrams import (
     share_moves,
 )
 from chordlab.fourterm import (
-    _CLASS_WINDOW,
     DEFAULT_SIGNS,
     RelationQuadruple,
     VerificationReport,
@@ -319,7 +319,9 @@ class TestSources:
         # stands for itself alone and is the draw of the tuple reference
         for four_term in (False, True):
             def items(shard=None):
-                return _items(diagram_source(order, sample, seed, shard, four_term, 7))
+                # windows of 7 four-term items, or of 28 one-word items
+                with mock.patch.object(fourterm, "_WINDOW_WORDS", 28):
+                    return _items(diagram_source(order, sample, seed, shard, four_term))
 
             whole = items()
             if sample is not None:
@@ -347,9 +349,12 @@ class TestSampledWindows:
         # the rows: the words of random_diagram; the quadruples: the
         # slicing move at the position rng.choice draws
         for four_term in (False, True):
-            windows = diagram_source(order, sample, seed, shard, four_term, window)
+            # ``window`` items a window, four words each with ``four_term``
+            words = 4 * window if four_term else window
+            with mock.patch.object(fourterm, "_WINDOW_WORDS", words):
+                windows = _items(diagram_source(order, sample, seed, shard, four_term))
             expected = references.sampled_items(order, sample, seed, shard, four_term)
-            assert _items(windows) == expected
+            assert windows == expected
 
     @pytest.mark.parametrize("order", range(2, 9))
     def test_draws_leave_the_generator_as_shuffle_and_randrange_do(self, order):
@@ -367,14 +372,26 @@ class TestSampledWindows:
                 ref.randrange(m - sum(g in (1, m - 1) for g in gaps))
             assert rng.getstate() == ref.getstate()
 
-    def test_windows_have_the_window_size_but_the_last(self):
-        windows = list(diagram_source(8, 300, 1, None, True, 128))
+    def test_windows_have_the_window_size_but_the_last(self, monkeypatch):
+        # _WINDOW_WORDS words a window: 256 four-term items or 1,024 diagrams
+        windows = list(diagram_source(8, 600, 1, None, True))
         assert [w.shape for w, _ in windows] == [
-            (128, 4, 16), (128, 4, 16), (44, 4, 16)
+            (256, 4, 16), (256, 4, 16), (88, 4, 16)
         ]
         assert {w.dtype for w, _ in windows} == {np.dtype(np.int8)}
-        assert [ws for _, ws in windows] == [(1,) * 128, (1,) * 128, (1,) * 44]
-        assert [w.shape for w, _ in diagram_source(4, 5, 1, None, False, 4)] == [
+        assert [ws for _, ws in windows] == [(1,) * 256, (1,) * 256, (1,) * 88]
+        assert [w.shape for w, _ in diagram_source(4, 2100, 1, None, False)] == [
+            (1024, 1, 8), (1024, 1, 8), (52, 1, 8)
+        ]
+        # exhaustive windows of tuple items hold as many words
+        sizes = [len(items) for items, _ in diagram_source(5, None, 0, None, True)]
+        assert len(sizes) > 2 and set(sizes[:-1]) == {256} and sizes[-1] <= 256
+        # the bound is read at each call
+        monkeypatch.setattr(fourterm, "_WINDOW_WORDS", 128)
+        sizes = [len(items) for items, _ in diagram_source(6, None, 0, None, False)]
+        assert len(sizes) > 2 and set(sizes[:-1]) == {128} and sizes[-1] <= 128
+        monkeypatch.setattr(fourterm, "_WINDOW_WORDS", 4)
+        assert [w.shape for w, _ in diagram_source(4, 5, 1, None, False)] == [
             (4, 1, 8), (1, 1, 8)
         ]
 
@@ -398,9 +415,9 @@ class TestSampledWindows:
         ):
             for four_term in (False, True):
                 with pytest.raises(ValueError, match=message):
-                    diagram_source(*args, 0, None, four_term, 8)
+                    diagram_source(*args, 0, None, four_term)
         with pytest.raises(ValueError, match="order >= 2, got 1"):
-            diagram_source(1, 3, 0, None, True, 8)
+            diagram_source(1, 3, 0, None, True)
 
     def test_no_sampled_run_draws_tuple_items(self, monkeypatch):
         # every sampled path reads the int8 windows: no random_diagram
@@ -576,7 +593,8 @@ class TestMaskEngines:
     def test_diagram_parity_digest_does_not_depend_on_the_window(
         self, monkeypatch, window
     ):
-        monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
+        # ``window`` four-term items a window
+        monkeypatch.setattr(fourterm, "_WINDOW_WORDS", 4 * window)
         self.test_diagram_parity_sums_reduce_mod_2(monkeypatch)
 
     @pytest.mark.parametrize("suite", [suite_four_term_graphs, verify.suite_two_term])
@@ -769,7 +787,7 @@ class TestPerClassWindows:
         return None if code[1:2] == b"A" else f"second={code[1:2].decode()}"
 
     def _check_windows(self, monkeypatch, window, sample):
-        monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
+        monkeypatch.setattr(fourterm, "_WINDOW_WORDS", window)
         # one check per basepointed diagram, or per draw
         if sample is None:
             diagrams = list(enumerate_diagrams(5, "basepointed"))
@@ -809,9 +827,9 @@ class TestPerClassWindows:
         self, monkeypatch, window
     ):
         monkeypatch.setattr(verify, "r_k_oriented", lambda d, k, flip: 1)
-        monkeypatch.setattr(verify, "_CLASS_WINDOW", 1024)
+        monkeypatch.setattr(fourterm, "_WINDOW_WORDS", 1024)
         whole = _summary(verify.suite_conjecture(2))
-        monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
+        monkeypatch.setattr(fourterm, "_WINDOW_WORDS", window)
         report = verify.suite_conjecture(2)
         assert _summary(report) == whole
         expected = [
@@ -839,7 +857,7 @@ class TestPerClassWindows:
         # each class is checked once and weighted by its orbit, so its
         # record repeats once per basepointed diagram of the class
         monkeypatch.setattr(verify, "r_k_oriented", lambda d, k, flip: 1)
-        monkeypatch.setattr(verify, "_CLASS_WINDOW", window)
+        monkeypatch.setattr(fourterm, "_WINDOW_WORDS", window)
         reference = _summary(self._conjecture_per_word(2))
         assert _summary(verify.suite_conjecture(2)) == reference
         parts = [verify.suite_conjecture(2, shard=(i, 3)) for i in range(3)]
@@ -892,7 +910,7 @@ class TestOrbitWeights:
             relation_sums(
                 "triangles",
                 order,
-                diagram_source(order, None, 0, (i, 3), True, _CLASS_WINDOW),
+                diagram_source(order, None, 0, (i, 3), True),
                 evaluate(),
                 signed_sum(),
             )
